@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConstantTermPresent, DivergentIntegral,
-                     HypothesisUnverifiable, TailNotControlled)
+                     HypothesisUnverifiable, OutOfRange, TailNotControlled)
 from .fourier import fourier_transform_batch
 from .group import KanCoords
 from .principal import CayleySum, ReprParams, SmoothVector
@@ -113,6 +113,8 @@ def whittaker_eval(tau: PeriodicDistribution, v, coords: KanCoords,
     finite K-type expansion is an exact phase change c_m -> e^{-i m th} c_m.
     """
     tol = DEFAULT_TOL if tol is None else tol
+    if not (math.isfinite(coords.a) and coords.a > 0):
+        raise OutOfRange(f"a must be positive and finite, got {coords.a}")
     if abs(coords.theta) > 1e-15:
         if not isinstance(v, SmoothVector):
             raise TypeError("K-part absorption needs a SmoothVector")
@@ -176,15 +178,21 @@ def t_average_sq(tau: PeriodicDistribution, v, a: float,
                  * np.sum(np.abs(bs) ** 2 * np.abs(fv) ** 2))
 
 
+def coeff_sums(tau: PeriodicDistribution, eps: float, u0: float, ks,
+               sign: int) -> np.ndarray:
+    """coeff_sum at every k of ``ks``, read off one sorted prefix sum."""
+    js = sorted((j for j in tau.coeffs if sign * j > 0), key=abs)
+    ns = np.array([abs(j) / tau.period for j in js], dtype=float)
+    bsq = np.array([abs(tau.coeffs[j]) ** 2 for j in js], dtype=float)
+    prefix = np.concatenate(
+        ([0.0], np.cumsum(ns ** (0.5 * eps - 1.0 - u0) * bsq)))
+    return prefix[np.searchsorted(ns, ks, side="right")]
+
+
 def coeff_sum(tau: PeriodicDistribution, eps: float, u0: float, k: float,
               sign: int) -> float:
-    """sum_{1/p <= n <= k} n^{eps/2 - 1 - u0} |b_{sign*n}|^2.r"""
-    p = tau.period
-    total = 0.0
-    for j, b in tau.coeffs.items():
-        if sign * j > 0 and abs(j) / p <= k:
-            total += (abs(j) / p) ** (0.5 * eps - 1.0 - u0) * abs(b) ** 2
-    return total
+    """sum_{1/p <= n <= k} n^{eps/2 - 1 - u0} |b_{sign*n}|^2."""
+    return float(coeff_sums(tau, eps, u0, k, sign))
 
 
 # ---------------------------------------------------------------------------
@@ -260,18 +268,15 @@ def _p0_spectral(tau, v, a1, eps, tol):
         ns = sorted(abs(j) / p for j in tau.coeffs if sign * j > 0)
         if not ns:
             continue
+        partials = coeff_sums(tau, eps, u0, ns, sign)
         if math.isinf(a1):
-            s_full = coeff_sum(tau, eps, u0, ns[-1], sign)
             # Fv(-sign * a) against the full sum, integrated from 0
-            total += 0.5 * p * s_full * weighted_fv_integral(
+            total += 0.5 * p * partials[-1] * weighted_fv_integral(
                 cs, -0.5 * eps + u0, 0.0, -sign, tol)
             continue
         # breakpoints where the cutoff n <= a * a1^2 admits a new term
-        lo = 1.0 / (a1 ** 2 * p)
         edges = [n / a1 ** 2 for n in ns]
-        for i, n_i in enumerate(ns):
-            seg_lo = edges[i]
-            partial = coeff_sum(tau, eps, u0, n_i, sign)
+        for i, (seg_lo, partial) in enumerate(zip(edges, partials)):
             if i + 1 < len(ns):
                 total += 0.5 * p * partial * _segment_integral(
                     cs, -0.5 * eps + u0, seg_lo, edges[i + 1], -sign, tol)
@@ -384,9 +389,10 @@ def l2p_bound_check(tau: PeriodicDistribution, v, eps: float, a1,
             raise HypothesisUnverifiable(
                 "need at least 3 support points to fit the k^{eps/2} "
                 "growth constant")
-        C = max((coeff_sum(tau, eps, u0, k, +1)
-                 + coeff_sum(tau, eps, u0, k, -1)) / k ** (0.5 * eps)
-                for k in ks)
+        ks = np.array(ks)
+        C = float(np.max((coeff_sums(tau, eps, u0, ks, +1)
+                          + coeff_sums(tau, eps, u0, ks, -1))
+                         / ks ** (0.5 * eps)))
         if math.isinf(a1):
             raise DivergentIntegral(
                 "eps > 0 bound carries an a1^eps factor; a1 must be finite")

@@ -18,11 +18,13 @@ import sys
 
 import numpy as np
 
-from .automorphic import PeriodicDistribution, p0_weighted_norm, whittaker_eval
+from .automorphic import (PeriodicDistribution, coeff_sums, p0_weighted_norm,
+                          whittaker_eval)
 from .coeffs import generate, parse_model_spec
 from .errors import (BadParameterRange, CheckFailed, ConfigInvalid,
                      ConstantTermPresent, EpsilonBarrier, NormlabError,
-                     OutOfRange, ParityMismatch, RangeTooLarge)
+                     OutOfRange, ParityMismatch, PoleParameter,
+                     RangeTooLarge)
 from .fourier import (series_coefficient_quadrature, signed_sin_power_series,
                       sin_power_series)
 from .group import (KanCoords, decompose_kan, decompose_kna, measure_weight,
@@ -277,24 +279,13 @@ def cmd_verify_whittaker(p, tol):
 def cmd_coeff_bounds(p, tol):
     tau = generate(parse_model_spec(p["model"]))
     eps = p["eps"]
-    u0 = 0.0
-    ks = sorted({abs(j) / tau.period for j in tau.coeffs})
+    ks = np.array(sorted({abs(j) / tau.period for j in tau.coeffs}))
     if len(ks) < 8:
         raise ConfigInvalid("need at least 8 support points for a slope fit")
-    S, acc = [], 0.0
-    seen = set()
-    for k in ks:
-        for j in tau.coeffs:
-            if abs(j) / tau.period <= k and j not in seen:
-                seen.add(j)
-                acc += (abs(j) / tau.period) ** (0.5 * eps - 1.0 - u0) \
-                    * abs(tau.coeffs[j]) ** 2
-        S.append(acc)
+    S = coeff_sums(tau, eps, 0.0, ks, +1) + coeff_sums(tau, eps, 0.0, ks, -1)
     half = len(ks) // 2
-    lk = np.log(ks[half:])
-    lS = np.log(S[half:])
-    slope = float(np.polyfit(lk, lS, 1)[0])
-    C = max(s / k ** (0.5 * eps) for k, s in zip(ks, S))
+    slope = float(np.polyfit(np.log(ks[half:]), np.log(S[half:]), 1)[0])
+    C = float(np.max(S / ks ** (0.5 * eps)))
     return {"eps": eps, "k_max": ks[-1], "slope": slope,
             "fittedConstant": C,
             "checks": [_check("partial-sum-slope", slope, 0.5 * eps + 0.1,
@@ -605,7 +596,8 @@ def main(argv=None) -> int:
     try:
         return run(argv)
     except (ConfigInvalid, EpsilonBarrier, OutOfRange, BadParameterRange,
-            ParityMismatch, RangeTooLarge, ConstantTermPresent) as exc:
+            ParityMismatch, PoleParameter, RangeTooLarge,
+            ConstantTermPresent) as exc:
         print(f"normlab: invalid configuration: {exc}", file=sys.stderr)
         return 2
     except CheckFailed as exc:

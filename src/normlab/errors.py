@@ -95,6 +95,3 @@ class ConfigInvalid(NormlabError):
 class CheckFailed(NormlabError):
     """A verification run completed but a check missed its tolerance."""
 
-
-class NumericalFailure(NormlabError):
-    """A computation could not reach a trustworthy answer."""

@@ -249,14 +249,6 @@ def _check_exponent(s):
         raise NonIntegrableExponent(f"Re(s) = {complex(s).real} <= -1")
 
 
-def _midpoint_fft(f_vals, N):
-    """Coefficients c_r = (1/N) sum_j f_j exp(-i r theta_j) for midpoint
-    samples theta_j = L (j+1/2)/N of a function on (0, L), L = N spacing.
-
-    Returns the raw FFT array; caller applies the phase e^{-i pi r/N}."""
-    return np.fft.fft(f_vals) / N
-
-
 def sin_power_series(s: complex, K: int, samples: int = 2 ** 14,
                      richardson: bool = True) -> FourierSeriesTable:
     """Fourier coefficients a_{2k} of |sin theta|^s = sum a_{2k} e^{2ik theta}.
@@ -269,7 +261,7 @@ def sin_power_series(s: complex, K: int, samples: int = 2 ** 14,
     def coeffs_at(N):
         theta = math.pi * (np.arange(N) + 0.5) / N
         f = np.exp(complex(s) * np.log(np.sin(theta)))
-        F = _midpoint_fft(f, N)
+        F = np.fft.fft(f) / N
         out = {}
         for k in range(-K, K + 1):
             out[2 * k] = F[k % N] * np.exp(-1j * math.pi * k / N)
@@ -295,7 +287,7 @@ def signed_sin_power_series(s: complex, K: int, samples: int = 2 ** 14,
         theta = TWO_PI * (np.arange(2 * N) + 0.5) / (2 * N)
         st = np.sin(theta)
         f = np.sign(st) * np.exp(complex(s) * np.log(np.abs(st)))
-        F = _midpoint_fft(f, 2 * N)
+        F = np.fft.fft(f) / (2 * N)
         out = {}
         for k in range(-K + 1, K + 1):
             r = 2 * k - 1

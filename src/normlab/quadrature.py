@@ -1,6 +1,6 @@
-"""Quadrature kernels: panelized Gauss-Legendre, tanh-sinh, oscillatory
-integrals with algebraic tail completion, and a vectorized complex
-generalized exponential integral.
+"""Quadrature kernels: panelized Gauss-Legendre, tanh-sinh, power-law
+tail completion, and a vectorized complex generalized exponential
+integral.
 
 Every routine here is pure and vectorized over numpy arrays; integrands are
 expected to accept an ndarray of abscissae and return an ndarray of values.
@@ -35,31 +35,6 @@ def gauss_panels(a: float, b: float, n_panels: int, order: int = 16):
     nodes = (mids[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
-
-
-def integrate_panels(f, a, b, n_panels, order=16):
-    nodes, weights = gauss_panels(a, b, n_panels, order)
-    return np.sum(weights * f(nodes))
-
-
-def adaptive_integrate(f, a, b, tol=None, order=16, max_refine=12):
-    """Composite GL with panel doubling until two levels agree within tol.
-
-    Returns (value, error_estimate).
-    """
-    tol = DEFAULT_TOL if tol is None else tol
-    n = 4
-    prev = integrate_panels(f, a, b, n, order)
-    for _ in range(max_refine):
-        n *= 2
-        cur = integrate_panels(f, a, b, n, order)
-        err = abs(cur - prev)
-        scale = max(abs(cur), 1e-300)
-        if err <= tol * max(1.0, scale):
-            return cur, err
-        prev = cur
-    raise AccuracyNotReached(
-        f"adaptive GL on [{a}, {b}] stalled at error {err:.3e}", achieved=err)
 
 
 @functools.lru_cache(maxsize=32)
@@ -222,22 +197,6 @@ def expint(s, z):
     if np.any(large):
         out[large] = _expint_cf(complex(s), z[large])
     return out[0] if scalar else out
-
-
-def algebraic_oscillatory_tail(coeffs, powers, X, omega):
-    r"""\int_X^inf (sum_j c_j x^{-s_j}) e^{-i omega x} dx via E_s.
-
-    ``coeffs`` and ``powers`` are parallel sequences (c_j, s_j); each term is
-    c_j X^{1-s_j} E_{s_j}(i omega X).
-    """
-    total = 0.0 + 0.0j
-    zx = 1j * omega * X
-    for c, sj in zip(coeffs, powers):
-        if c == 0:
-            continue
-        total += c * X ** (1.0 - complex(sj).real) \
-            * X ** (-1j * complex(sj).imag) * expint(sj, zx)
-    return total
 
 
 def fit_powerlaw_tail(f, A, direction="upper", ratio=1.6, n_probe=4):

@@ -101,3 +101,18 @@ def test_gen_coeffs_roundtrip(tmp_path):
 
 def test_regress_against_frozen_tables():
     assert main(["regress"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["intertwine", "--u", "0"],
+    ["intertwine", "--u", "-1"],
+    ["whittaker-eval", "--a", "0"],
+    ["whittaker-eval", "--a", "-1"],
+    ["whittaker-eval", "--a", "nan"],
+    ["whittaker-eval", "--a", "inf"],
+])
+def test_malformed_input_exits_2(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("normlab: invalid configuration: ")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from normlab.automorphic import PeriodicDistribution
+from normlab.coeffs import CoeffModel, generate
 from normlab.errors import (EpsilonBarrier, MissingSymmetry, OutOfRange,
                             UnboundedOmega)
 from normlab.group import KanCoords
@@ -56,20 +58,74 @@ def test_whittaker_model_value_matches_eval():
         assert got == pytest.approx(ev.value, rel=1e-9)
 
 
-def test_whittaker_cell_integral_brute_force():
-    model = _model(coeffs={1: 1.0, -1: 0.5 + 0.25j}, m=2)
-    avals = np.array([0.8, 1.2])
-    got = model.cell_integral(avals, 0.1, 0.7)
-    # brute force: trapezoid in t (smooth periodic integrand pieces) and
-    # theta over the full circle
-    ths = TWO_PI * np.arange(64) / 64.0
+def _cell_table(name):
+    """A Whittaker model by name: the small two-coefficient model, the
+    16-numerator divisor table or a drawn 64-numerator table."""
+    if name == "small":
+        return _model(coeffs={1: 1.0, -1: 0.5 + 0.25j}, m=2)
+    if name == "divisor16":
+        tau = generate(CoeffModel("divisor", N=16, lam=0.7))
+    else:
+        rng = np.random.default_rng(11)
+        coeffs = {sj: complex(*rng.standard_normal(2)) * j ** -0.75
+                  for j in range(1, 65) for sj in (j, -j)}
+        tau = PeriodicDistribution(1, coeffs, ReprParams(0.7j, "+"))
+    u = complex(tau.params.u)
+    v = SmoothVector(ReprParams(-u, "+"), {0: 1.0, 2: 0.3 - 0.2j})
+    return WhittakerModel(tau, v)
+
+
+def _gl(lo, hi, n_panels, order=16):
+    """Composite Gauss-Legendre nodes and weights on [lo, hi]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(lo, hi, n_panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    mids = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mids + half * x).ravel(), (half * w).ravel()
+
+
+@pytest.mark.parametrize("cell", ["full", "partial", "window"])
+@pytest.mark.parametrize("table", ["small", "divisor16", "drawn64"])
+def test_whittaker_cell_integral_brute_force(table, cell):
+    model = _cell_table(table)
+    p = model.period
+    avals = np.array([0.35, 0.6, 0.9, 1.3])
+    if cell == "full":
+        t_lo, t_hi = np.zeros(4), np.full(4, float(p))
+    else:
+        t_lo = p * np.array([0.1, 0.0, 0.55, 0.3])
+        t_hi = p * np.array([0.7, 0.2, 0.95, 1.0])
+    th = (0.3, 2.1) if cell == "window" else None
+    got = model.cell_integral(avals, t_lo, t_hi, th=th)
+    # |f|^2 is a trigonometric polynomial in t of frequency at most
+    # 2 max|n|, so panels of one period of it make 16-point GL exact
+    n_pan = int(2 * p * np.max(np.abs(model.ns))) + 2
     for i, a in enumerate(avals):
-        ts = np.linspace(0.1, 0.7, 2049)
-        acc = 0.0
-        for th in ths:
-            vals = np.abs(model.value(th, np.full(ts.shape, a), ts)) ** 2
-            acc += np.trapezoid(vals, ts) * (TWO_PI / 64.0)
-        assert got[i] == pytest.approx(acc, rel=1e-7)
+        ts, wt = _gl(t_lo[i], t_hi[i], n_pan)
+        if th is None:
+            ref = np.sum(wt * model.ksq(np.full(ts.shape, a), ts))
+        else:
+            # K-types 0 and 2: |f|^2 has theta-frequency at most 2
+            ths, wth = _gl(th[0], th[1], 1)
+            ref = sum(wk * np.sum(wt * np.abs(
+                model.value(tk, np.full(ts.shape, a), ts)) ** 2)
+                for tk, wk in zip(ths, wth))
+        assert got[i] == pytest.approx(ref, rel=1e-10)
+
+
+def test_cell_integral_memory_is_linear():
+    # the cell of 512 a-nodes x 64 numerators x 2 K-types; amplitudes
+    # cached first so that only the cell's own arrays count
+    model = _cell_table("drawn64")
+    avals = np.linspace(0.3, 1.5, 512)
+    model.cell_integral(avals, 0.0, 1.0)
+    tracemalloc.start()
+    try:
+        model.cell_integral(avals, 0.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_floor_sandwich_encloses_exact():
