@@ -74,8 +74,18 @@ def _parse_a1(text):
     return a1
 
 
+def _generate(spec: str):
+    """The coefficient table of a model spec; a spec that does not parse
+    is invalid configuration."""
+    try:
+        model = parse_model_spec(spec)
+    except ValueError as exc:
+        raise ConfigInvalid(f"bad model spec {spec!r}: {exc}") from None
+    return generate(model)
+
+
 def _tau_from(p):
-    dist = generate(parse_model_spec(p["model"]))
+    dist = _generate(p["model"])
     u = complex(p["u0"], p["u1"])
     return PeriodicDistribution(dist.period, dist.coeffs,
                                 ReprParams(u, p["parity"]))
@@ -91,7 +101,10 @@ def _profile_from(p, tol):
     if spec == "delta":
         return CuspProfile()
     if spec.startswith("constant"):
-        c = float(spec.partition(":")[2] or 1.0)
+        try:
+            c = float(spec.partition(":")[2] or 1.0)
+        except ValueError:
+            raise ConfigInvalid(f"bad constant in profile {spec!r}") from None
         return ConstantFunction(c)
     if spec != "model":
         raise ConfigInvalid(f"unknown profile {spec!r} "
@@ -106,6 +119,8 @@ def _profile_from(p, tol):
 # ---------------------------------------------------------------------------
 
 def cmd_decompose(p, tol):
+    if p["n"] < 1:
+        raise ConfigInvalid(f"n must be a positive count, got {p['n']}")
     gs = random_elements(p["n"], p["seed"])
     kan_err = kna_err = chart_err = 0.0
     for g in gs:
@@ -277,7 +292,7 @@ def cmd_verify_whittaker(p, tol):
 
 
 def cmd_coeff_bounds(p, tol):
-    tau = generate(parse_model_spec(p["model"]))
+    tau = _generate(p["model"])
     eps = p["eps"]
     ks = np.array(sorted({abs(j) / tau.period for j in tau.coeffs}))
     if len(ks) < 8:
@@ -368,8 +383,7 @@ def cmd_omega_norm(p, tol):
 
 
 def cmd_eisenstein(p, tol):
-    dist = generate(parse_model_spec(
-        f"divisor:N={p['N']},lam={p['lam']}"))
+    dist = _generate(f"divisor:N={p['N']},lam={p['lam']}")
     rep = eisenstein_scenario(dist, p["lam"], p["eps"], p["T1"], tol)
     return {"N": p["N"], "lam": p["lam"], "eps": p["eps"], "T1": p["T1"],
             "lhs": rep["lhs"], "rhs": rep["rhsNorm"], "ratio": rep["ratio"],
@@ -381,7 +395,7 @@ def cmd_eisenstein(p, tol):
 def cmd_gen_coeffs(p, tol):
     if not p["out_coeffs"]:
         raise ConfigInvalid("gen-coeffs needs --out-coeffs PATH")
-    dist = generate(parse_model_spec(p["model"]))
+    dist = _generate(p["model"])
     dist.to_file(p["out_coeffs"])
     return {"model": p["model"], "path": p["out_coeffs"],
             "count": len(dist.coeffs), "checks": []}

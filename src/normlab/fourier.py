@@ -40,19 +40,34 @@ _MAX_TAIL_ORDER = 60
 
 
 def _tail_order(cs: CayleySum, X: float, tol: float):
-    """(J, bound): the number of asymptotic terms to keep past |x| = X
-    and the size of the first omitted one.  J starts from a tol-based
-    floor and rises until that bound is below tol times the sampler's
-    scale.  The bound grows with the K-type weight (at X = 40, J = 10:
-    7e-12 at weight 16, 3e-3 at weight 128), so high weights need more
-    terms."""
+    """(J, bound, series): the number of asymptotic terms to keep past
+    |x| = X, the size of the first omitted ones, and each side's
+    asymptotic series (``CayleySum.asymptotic_series``, long enough for
+    any J).  J starts from a tol-based floor and rises until that bound
+    is below tol times the sampler's scale.  The bound grows with the
+    K-type weight (at X = 40, J = 10: 7e-12 at weight 16, 3e-3 at weight
+    128), so high weights need more terms.  The series is built once;
+    the bound of each J reads its prefix."""
+    series = {side: cs.asymptotic_series(side, _MAX_TAIL_ORDER + 1)
+              for side in ("upper", "lower")}
+    # terms of order >= min_decay + J - 0.5 among the first J + 1 of each
+    # term, integrated in absolute value past X
+    s0 = np.array([s for side in series.values() for s, _ in side])
+    sr = s0.real[:, None] + np.arange(_MAX_TAIL_ORDER + 1)
+    mag = (np.abs([a for side in series.values() for _, a in side])
+           * X ** (1.0 - sr) / np.maximum(sr - 1.0, 0.5))
+
+    def bound(J):
+        head = sr[:, :J + 1]
+        return float(np.sum(mag[:, :J + 1][head >= cs.min_decay + J - 0.5]))
+
     J = 8 if tol >= 1e-6 else 10
     scale = sum(abs(c) for c in cs.terms.values())
-    bound = _tail_bound(cs, X, J)
-    while J < _MAX_TAIL_ORDER and bound > tol * scale:
+    b = bound(J)
+    while J < _MAX_TAIL_ORDER and b > tol * scale:
         J += 1
-        bound = _tail_bound(cs, X, J)
-    return J, bound
+        b = bound(J)
+    return J, b, series
 
 
 def fourier_transform(v, xi: float, tol: float = None):
@@ -83,12 +98,10 @@ def fourier_transform_batch(v, xis, tol: float = None, return_err: bool = False)
 
 def _transform_cayley(cs: CayleySum, xis, tol):
     X = _split_radius(tol)
-    J, tail_b = _tail_order(cs, X, tol)
+    J, tail_b, series = _tail_order(cs, X, tol)
     if np.any(xis == 0.0) and cs.min_decay <= 1.0 + 1e-12:
         raise NotIntegrable(
             f"F[v](0) diverges: decay exponent {cs.min_decay:.3f} <= 1")
-    up = cs.asymptotic("upper", J)
-    lo = cs.asymptotic("lower", J)
     mw = cs.max_weight
     out = np.empty(xis.shape, dtype=complex)
     max_err = 0.0
@@ -107,37 +120,45 @@ def _transform_cayley(cs: CayleySum, xis, tol):
             return out, max(max_err, dead_err)
         return out, dead_err
 
-    # group frequencies into octaves so node sets are shared
+    # group frequencies into octaves so node sets are shared; sorted by
+    # |xi|, each octave is a contiguous run
     order_idx = np.argsort(np.abs(xis))
     sorted_xis = xis[order_idx]
-    bins = {}
-    for pos, xi in enumerate(sorted_xis):
-        key = int(np.ceil(np.log2(max(abs(TWO_PI * xi) + mw, 1.0))))
-        bins.setdefault(key, []).append(pos)
+    keys = np.ceil(np.log2(np.maximum(np.abs(TWO_PI * sorted_xis) + mw,
+                                      1.0)))
+    starts = np.flatnonzero(np.diff(keys, prepend=-np.inf))
+    ends = np.append(starts[1:], len(keys))
 
+    x16, w16 = _gl_rule(16)
     sorted_vals = np.empty(sorted_xis.shape, dtype=complex)
-    for key, positions in bins.items():
-        positions = np.array(positions)
-        oms = TWO_PI * sorted_xis[positions]
+    for first, last in zip(starts, ends):
+        oms = TWO_PI * sorted_xis[first:last]
         om_max = np.max(np.abs(oms)) + mw
         span = 2.0 * X
         # panel width <= 2 regardless of omega: the integrand always has
         # poles at x = +-i, which caps the convergence radius of wide panels
         n_panels = max(int(math.ceil(span / 2.0)),
                        int(math.ceil(span * (om_max + 1.0) * 3.0 / 32.0)))
-        # equal panels: e^{-i om (mid_k + h x_j)} = e^{-i om mid_k}
-        # e^{-i om h x_j}, so n_panels + 16 exponentials per frequency
-        # replace 16 n_panels
-        x16, w16 = _gl_rule(16)
         h = X / n_panels
         mids = -X + h * (2.0 * np.arange(n_panels) + 1.0)
         nodes = mids[:, None] + h * x16[None, :]
         gv = h * w16 * cs(nodes)
+        # equal panels: e^{-i om (mid_k + h x_j)} = e^{-i om mid_k}
+        # e^{-i om h x_j}, and with k = bB + l, mid_k = mid_{bB} + 2hl; so
+        # B ~ sqrt(n_panels) makes 16 + B + n_panels/B exponentials per
+        # frequency where 16 n_panels would do
+        B = int(math.ceil(math.sqrt(n_panels)))
+        nb = -(-n_panels // B)
+        gvb = np.zeros((nb * B, 16), dtype=complex)
+        gvb[:n_panels] = gv
         for c0 in range(0, len(oms), 64):
             om = oms[c0:c0 + 64]
-            inner = np.exp(-1j * np.outer(om, h * x16)) @ gv.T
-            sorted_vals[positions[c0:c0 + 64]] = np.sum(
-                np.exp(-1j * np.outer(om, mids)) * inner, axis=1)
+            inner = (np.exp(-1j * np.outer(om, h * x16))
+                     @ gvb.T).reshape(len(om), nb, B)
+            inner = np.einsum("fbl,fl->fb", inner,
+                              np.exp(-2j * h * np.outer(om, np.arange(B))))
+            sorted_vals[first + c0:first + c0 + len(om)] = np.einsum(
+                "fb,fb->f", inner, np.exp(-1j * np.outer(om, mids[::B])))
         # error representative: worst (largest-omega) frequency in the bin
         rep = int(np.argmax(np.abs(oms)))
         nodes8, weights8 = gauss_panels(-X, X, n_panels, 12)
@@ -145,31 +166,84 @@ def _transform_cayley(cs: CayleySum, xis, tol):
         core8 = np.sum(weights8 * cs(nodes8) * np.exp(-1j * oms[rep] * nodes8))
         max_err = max(max_err, abs(core - core8) + tail_b)
     # tails in one vectorized sweep across every frequency
+    up, lo = ([(c, s0 + n) for s0, a in series[side]
+               for n, c in enumerate(a[:J].tolist())]
+              for side in ("upper", "lower"))
     sorted_vals += _cayley_tails(up, lo, X, TWO_PI * sorted_xis)
     out[order_idx] = sorted_vals
     return out, max_err
 
 
+def _chains(series):
+    """Merge the (c, s) terms of an asymptotic series whose orders differ
+    by integers: [(s0, a)], a[k] the coefficient of |x|^{-(s0+k)}."""
+    chains = []
+    for c, s in sorted(series, key=lambda t: complex(t[1]).real):
+        for s0, a in chains:
+            d = s - s0
+            if abs(d.imag) < 1e-12 and abs(d.real - round(d.real)) < 1e-12:
+                k = int(round(d.real))
+                a.extend([0j] * (k + 1 - len(a)))
+                a[k] += c
+                break
+        else:
+            chains.append((complex(s), [complex(c)]))
+    return [(s0, np.array(a)) for s0, a in chains]
+
+
 def _cayley_tails(up, lo, X, oms):
-    """Asymptotic-tail contribution for every frequency at once."""
+    r"""Asymptotic-tail contribution for every frequency at once: the sum
+    of c X^{1-s} E_s(+-i om X) over the terms (c, s) of ``up`` and ``lo``
+    (the form of ``CayleySum.asymptotic``).
+
+    The orders s0, s0 + 1, ... of one chain obey E_{s+1}(z) = (e^{-z} -
+    z E_s(z))/s (DLMF 8.19.12).  Run upward it damps errors where
+    |s| > |z|, run downward where |s| < |z| (Gautschi, SIAM Rev. 1967).
+    So each z is seeded at the chain order nearest |z|, with one
+    ``expint`` call per distinct seed order, and recurred away from it."""
     vals = np.zeros(oms.shape, dtype=complex)
-    for c, s in up:
-        vals += c * X ** (1.0 - complex(s)) * expint(s, 1j * oms * X)
-    for c, s in lo:
-        vals += c * X ** (1.0 - complex(s)) * expint(s, -1j * oms * X)
+    for series, sign in ((up, 1j), (lo, -1j)):
+        z = sign * oms * X
+        for s0, a in _chains(series):
+            if np.any(a):
+                vals += _chain_tail(s0, a, X, z)
     return vals
 
 
-def _tail_bound(cs: CayleySum, X: float, J: int) -> float:
-    # first omitted asymptotic terms (order J), integrated in absolute value
-    cut = cs.min_decay + J - 0.5
-    total = 0.0
-    for side in ("upper", "lower"):
-        for c, s in cs.asymptotic(side, J + 1):
-            sr = complex(s).real
-            if sr >= cut:
-                total += abs(c) * X ** (1.0 - sr) / max(sr - 1.0, 0.5)
-    return total
+def _chain_tail(s0, a, X, z):
+    """sum_k a[k] X^{1-s_k} E_{s_k}(z) with s_k = s0 + k."""
+    n = len(a)
+    s = s0 + np.arange(n)
+    # a Python power per order: numpy's complex power goes through
+    # exp(w log X) and loses about |w| log X ulps
+    coef = a * np.array([X ** (1.0 - sk) for sk in s.tolist()])
+    # seed order: |s_k| nearest |z|; sorted by it, the z seeded at order
+    # k are the run first[k]:first[k+1]
+    k0 = np.clip(np.rint(np.sqrt(np.maximum(
+        np.abs(z) ** 2 - s0.imag ** 2, 0.0)) - s0.real), 0, n - 1)
+    perm = np.argsort(k0, kind="stable")
+    k0, z = k0[perm], z[perm]
+    first = np.searchsorted(k0, np.arange(n + 1))
+    seed = np.empty(z.shape, dtype=complex)
+    for k in np.unique(k0).astype(int):
+        seed[first[k]:first[k + 1]] = expint(s[k], z[first[k]:first[k + 1]])
+    ez = np.exp(-z)
+    acc = np.zeros(z.shape, dtype=complex)
+    # downward to order 0 from each seed: E_k = (e^{-z} - s_k E_{k+1})/z
+    e = seed.copy()
+    for k in range(n - 1, -1, -1):
+        hi = first[k + 1]
+        e[hi:] = (ez[hi:] - s[k] * e[hi:]) / z[hi:]
+        acc[first[k]:] += coef[k] * e[first[k]:]
+    # upward to order n - 1: E_{k+1} = (e^{-z} - z E_k)/s_k
+    e = seed
+    for k in range(n - 1):
+        hi = first[k + 1]
+        e[:hi] = (ez[:hi] - z[:hi] * e[:hi]) / s[k]
+        acc[:hi] += coef[k + 1] * e[:hi]
+    out = np.empty(z.shape, dtype=complex)
+    out[perm] = acc
+    return out
 
 
 def _transform_generic(v, xis, tol):

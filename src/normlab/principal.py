@@ -101,12 +101,20 @@ class CayleySum:
         return cls({(al, be): coeff})
 
     def __call__(self, x):
+        # log(1 +- ix) = log r +- i theta on the principal branch, with
+        # r = hypot(1, x) (finite where 1 + x^2 overflows, |x| > 1.3e154)
+        # and theta = arctan x, so a term is r^{-Re(al+be)} times one
+        # exponential; the real power keeps full precision where
+        # (al+be) log r is large
         x = np.asarray(x, dtype=float)
-        zp = 1.0 + 1j * x
-        zm = 1.0 - 1j * x
+        r = np.hypot(1.0, x)
+        L = np.log(r)
+        th = np.arctan(x)
         out = np.zeros(x.shape, dtype=complex)
         for (al, be), c in self.terms.items():
-            out = out + c * zp ** (-al) * zm ** (-be)
+            sig = al + be
+            out += c * r ** -sig.real * np.exp(
+                (-1j * sig.imag) * L + (-1j * (al - be)) * th)
         return out
 
     def __add__(self, other: "CayleySum") -> "CayleySum":
@@ -150,26 +158,31 @@ class CayleySum:
         """Smallest Re(alpha+beta): |f(x)| ~ |x|^{-min_decay}."""
         return min((al + be).real for (al, be) in self.terms)
 
-    def asymptotic(self, side: str, order: int):
-        """Coefficients (c_n, s_n) with f(x) ~ sum c_n |x|^{-s_n} as
-        x -> +inf ('upper') or x -> -inf ('lower', in powers of |x|)."""
+    def asymptotic_series(self, side: str, order: int):
+        """One (s0, a) per term, a an array of ``order`` coefficients,
+        with f(x) ~ sum over terms of sum_n a[n] |x|^{-(s0+n)} as
+        x -> +inf ('upper') or x -> -inf ('lower').  A shorter series is
+        a prefix of a longer one."""
         out = []
+        j = np.arange(1, order)
         for (al, be), c in self.terms.items():
             if side == "lower":
                 al, be = be, al  # f(-|x|) swaps the two factors
             # (1+ix)^{-al} ~ e^{-i pi al/2} x^{-al} sum_j (al)_j i^j x^{-j}/j!
             # (1-ix)^{-be} ~ e^{+i pi be/2} x^{-be} sum_j (be)_j (-i)^j x^{-j}/j!
-            pa = [1.0 + 0.0j]
-            pb = [1.0 + 0.0j]
-            for j in range(1, order):
-                pa.append(pa[-1] * (al + j - 1) * 1j / j)
-                pb.append(pb[-1] * (be + j - 1) * (-1j) / j)
+            pa = np.cumprod(np.concatenate(([1.0], (al + j - 1) * 1j / j)))
+            pb = np.cumprod(np.concatenate(([1.0], (be + j - 1) * -1j / j)))
             pref = c * cmath.exp(-0.5j * math.pi * al) \
                 * cmath.exp(0.5j * math.pi * be)
-            for n in range(order):
-                dn = sum(pa[j] * pb[n - j] for j in range(n + 1))
-                out.append((pref * dn, al + be + n))
+            out.append((al + be, pref * np.convolve(pa, pb)[:order]))
         return out
+
+    def asymptotic(self, side: str, order: int):
+        """Coefficients (c_n, s_n) with f(x) ~ sum c_n |x|^{-s_n} as
+        x -> +inf ('upper') or x -> -inf ('lower', in powers of |x|)."""
+        return [(c, s0 + n)
+                for s0, a in self.asymptotic_series(side, order)
+                for n, c in enumerate(a.tolist())]
 
 
 def ktype_eval(m: int, u: complex, parity: str, x, picture: str = "rep"):

@@ -152,7 +152,8 @@ def _expint_int_recurrence(n, z):
 
 
 def _expint_cf(s, z, iters=200):
-    """Modified Lentz continued fraction, good for |z| >~ 8."""
+    """Modified Lentz continued fraction, good for |z| > 2 or Re(z) > 1
+    (about 150 iterations at most there when |Im s| <= 5)."""
     tiny = 1e-290
     b = z + s
     c = np.full_like(z, 1.0 / tiny)
@@ -175,6 +176,13 @@ def expint(s, z):
 
     Supports complex order s and complex z with Re(z) >= 0; z = 0 requires
     Re(s) > 1 and returns 1/(s-1).
+
+    The power series serves Re(z) <= 1 with |z| <= max(2, 0.4 |Im s|),
+    the continued fraction the rest.  Farther out the series cancels
+    (E_{10.25}(7.9) lost 7 digits to it); closer in the fraction
+    converges slowly, the more so on the imaginary axis and at large
+    |Im s|.  For real s in [0.25, 60] and z on either axis with
+    |z| <= 60 the relative error is below 1e-13.
     """
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
@@ -185,8 +193,9 @@ def expint(s, z):
         if np.real(s) <= 1.0:
             raise ValueError("E_s(0) diverges for Re(s) <= 1")
         out[zero] = 1.0 / (s - 1.0)
-    small = (~zero) & (np.abs(z) <= 8.0)
-    large = (~zero) & (np.abs(z) > 8.0)
+    radius = max(2.0, 0.4 * abs(complex(s).imag))
+    large = (~zero) & ((np.abs(z) > radius) | (z.real > 1.0))
+    small = (~zero) & ~large
     if np.any(small):
         sr = complex(s)
         if abs(sr.imag) < 1e-12 and abs(sr.real - round(sr.real)) < 1e-9 \

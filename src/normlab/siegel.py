@@ -33,6 +33,7 @@ from .quadrature import DEFAULT_TOL, _gl_rule, gauss_panels
 
 A_MIN = 1e-4        # hard lower cutoff in a for region quadrature
 MAX_SEGMENTS = 2000  # floor-constant segments resolved exactly
+FM_CHUNK = 1 << 17  # point-coefficient pairs per Whittaker-value chunk
 
 
 @dataclass
@@ -114,13 +115,9 @@ class WhittakerModel:
         self._amp_cache = {}
 
     def _amplitudes(self, avals):
-        """A[i_m, i_a, i_n] = Fv_m(-n a^{-2}) b_n, one transform batch
-        per K-type."""
+        """A[i_m, i_a, i_n] = Fv_m(-n a^{-2}), one transform batch per
+        K-type."""
         from .principal import CayleySum
-        avals = np.asarray(avals, dtype=float)
-        key = avals.tobytes()
-        if key in self._amp_cache:
-            return self._amp_cache[key]
         ua, idx = np.unique(avals, return_inverse=True)
         xi = (-np.outer(1.0 / ua ** 2, self.ns)).ravel()
         out = np.empty((len(self.ms), len(avals), len(self.ns)),
@@ -129,17 +126,33 @@ class WhittakerModel:
             cs = CayleySum.ktype(m, self.v.params.u)
             fv = fourier_transform_batch(cs, xi, self.tol)
             out[i] = fv.reshape(len(ua), len(self.ns))[idx]
-        if len(self._amp_cache) > 64:
-            self._amp_cache.clear()
-        self._amp_cache[key] = out
         return out
 
+    def _cached_amplitudes(self, avals):
+        """``_amplitudes`` kept per a-grid, for the cell integrals of the
+        region quadratures, which revisit their a-nodes."""
+        avals = np.asarray(avals, dtype=float)
+        key = avals.tobytes()
+        if key not in self._amp_cache:
+            if len(self._amp_cache) > 64:
+                self._amp_cache.clear()
+            self._amp_cache[key] = self._amplitudes(avals)
+        return self._amp_cache[key]
+
     def _fm(self, a_flat, t_flat):
-        """Per-K-type Whittaker values f_m(a n_t), shape (m, pts)."""
-        amp = self._amplitudes(a_flat) * self.bs[None, None, :]
-        phase = np.exp(-2j * math.pi * np.outer(t_flat, self.ns))
-        return (a_flat ** (-1.0 - self.u)) * np.einsum(
-            "mpn,pn->mp", amp, phase)
+        """Per-K-type Whittaker values f_m(a n_t), shape (m, pts).  Points
+        go in chunks of FM_CHUNK point-coefficient pairs and their
+        amplitudes are not cached, so memory stays bounded whatever the
+        number of points."""
+        out = np.empty((len(self.ms), len(a_flat)), dtype=complex)
+        step = max(1, FM_CHUNK // len(self.ns))
+        for lo in range(0, len(a_flat), step):
+            a, t = a_flat[lo:lo + step], t_flat[lo:lo + step]
+            amp = self._amplitudes(a) * self.bs[None, None, :]
+            phase = np.exp(-2j * math.pi * np.outer(t, self.ns))
+            out[:, lo:lo + step] = (a ** (-1.0 - self.u)) * np.einsum(
+                "mpn,pn->mp", amp, phase)
+        return out
 
     def value(self, theta, a, t):
         """f at k_theta a n_t; arrays broadcast together."""
@@ -178,8 +191,8 @@ class WhittakerModel:
         t_hi = np.broadcast_to(np.asarray(t_hi, dtype=float), avals.shape)
         L = int(self.js[-1] - self.js[0]) + 1
         lattice = np.zeros((len(self.ms), len(avals), L), dtype=complex)
-        lattice[..., self.js - self.js[0]] = (self._amplitudes(avals)
-                                              * self.bs[None, None, :])
+        lattice[..., self.js - self.js[0]] = (
+            self._cached_amplitudes(avals) * self.bs[None, None, :])
         g = np.fft.fft(lattice, n=1 << (2 * L - 2).bit_length())
         mm = np.array(self.ms, dtype=float)
         dm = mm[None, :] - mm[:, None]  # q - m from e^{-i(m-q)theta}

@@ -110,6 +110,9 @@ def test_regress_against_frozen_tables():
     ["whittaker-eval", "--a", "-1"],
     ["whittaker-eval", "--a", "nan"],
     ["whittaker-eval", "--a", "inf"],
+    ["decompose", "--n", "-5"],
+    ["gen-coeffs", "--model", "foo:N=3", "--out-coeffs", "P"],
+    ["region-norm", "--profile", "constant:x"],
 ])
 def test_malformed_input_exits_2(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "r.json")]) == 2

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from normlab.errors import NonIntegrableExponent, NotIntegrable, ZeroFrequency
-from normlab.fourier import (fourier_transform, fourier_transform_batch,
+from normlab.fourier import (_cayley_tails, _split_radius, _tail_order,
+                             fourier_transform, fourier_transform_batch,
                              regularized_pairing,
                              series_coefficient_quadrature,
                              signed_sin_power_series, sin_power_series)
@@ -163,3 +164,60 @@ def test_non_integrable_exponent():
         sin_power_series(-1.2, 4)
     with pytest.raises(NonIntegrableExponent):
         signed_sin_power_series(-1.0, 4)
+
+
+# ---------------------------------------------------------------------------
+# generalized exponential integral and the transform tails, against mpmath
+# ---------------------------------------------------------------------------
+
+_EXPINT_S = (0.25, 0.75, 1.0, 1.25, 2.0, 2.5, 5.25, 8.25, 10.25, 15.5,
+             20.25, 30.25, 45.75, 60.0)
+_EXPINT_R = (0.05, 0.3, 1.0, 1.9, 2.1, 3.0, 4.5, 6.0, 7.9, 8.1, 12.0, 20.0,
+             35.0, 60.0)
+
+
+@pytest.mark.parametrize("axis", [1.0, 1j, -1j])
+def test_expint_meets_1e13_on_both_axes(axis):
+    # the |z| <= 8 power series lost up to 7 digits to cancellation here
+    # (E_{10.25}(7.9): 1.9e-7)
+    mpmath.mp.dps = 40
+    try:
+        zs = np.array(_EXPINT_R) * axis
+        for s in _EXPINT_S:
+            got = expint(s, zs)
+            for z, g in zip(zs, got):
+                ref = complex(mpmath.expint(s, mpmath.mpc(z.real, z.imag)))
+                assert abs(g - ref) <= 1e-13 * abs(ref), (s, z)
+    finally:
+        mpmath.mp.dps = 15
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-6])
+def test_cayley_tails_weight_256_against_mpmath(tol):
+    # weight 256 puts |om X| at 4.6-8 for xi near 0.03, where the tail
+    # needs E_s(z) at orders s up to 38; the same (c, s) terms summed with
+    # mpmath's E_s at 40 digits are the reference.  The terms reach 1e3
+    # (tol 1e-8) and 1e4 (tol 1e-6) and cancel to O(1), so the bound is
+    # relative to the sum of their sizes: 5e-15 of it is about 15 ulps.
+    cs = CayleySum.ktype(256, -0.75)
+    X = _split_radius(tol)
+    J = _tail_order(cs, X, tol)[0]
+    up, lo = cs.asymptotic("upper", J), cs.asymptotic("lower", J)
+    xis = np.array([0.029, 0.0305, 0.032, -0.031])
+    got = _cayley_tails(up, lo, X, TWO_PI * xis)
+    mpmath.mp.dps = 40
+    try:
+        for xi, g in zip(xis, got):
+            ref = mpmath.mpc(0)
+            size = mpmath.mpf(0)
+            for terms, sign in ((up, 1), (lo, -1)):
+                z = mpmath.mpc(0, sign * TWO_PI * xi * X)
+                for c, s in terms:
+                    s = mpmath.mpc(s)
+                    term = mpmath.mpc(c) * mpmath.mpf(X) ** (1 - s) \
+                        * mpmath.expint(s, z)
+                    ref += term
+                    size += abs(term)
+            assert abs(g - complex(ref)) < 5e-15 * float(size), xi
+    finally:
+        mpmath.mp.dps = 15

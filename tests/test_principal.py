@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -60,6 +61,32 @@ def test_asymptotic_series_accuracy():
         x = sign * 80.0
         approx = sum(c * abs(x) ** -s for c, s in cs.asymptotic(side, 8))
         assert abs(approx - cs(np.array([x]))[0]) < 1e-13
+
+
+@pytest.mark.parametrize("m,u", [(0, 0.3), (7, -0.75 + 0j), (128, 0.5),
+                                 (255, 0.6j), (256, -0.75), (64, 0.8j)])
+def test_sampler_matches_complex_power_form(m, u):
+    # sum of c (1+ix)^{-al} (1-ix)^{-be} on the principal branch, at 30
+    # digits, against the sampler; the shifted term decays faster, so the
+    # sums mix decay rates.  A double carries weight 256 at |x| = 1e200
+    # with about 7e-14 of phase error (400 radians of m arctan x plus
+    # 276 of lam log r), whatever the formula
+    cs = (CayleySum.ktype(m, u)
+          + CayleySum.ktype(m - 2, u, 0.5 - 0.25j).times_power(1.5, 0.5))
+    xs = np.concatenate([XS, [-40.0, 75.5, 1e3, -3e5, 1e10, -1e100, 1e154,
+                              3e160, 1e200, -1e200]])
+    got = cs(xs)
+    mpmath.mp.dps = 30
+    try:
+        for x, g in zip(xs, got):
+            x = mpmath.mpf(x)
+            ref = complex(sum(
+                mpmath.mpc(c) * (1 + 1j * x) ** -mpmath.mpc(al)
+                * (1 - 1j * x) ** -mpmath.mpc(be)
+                for (al, be), c in cs.terms.items()))
+            assert abs(g - ref) <= 1e-13 * abs(ref) + 1e-300, float(x)
+    finally:
+        mpmath.mp.dps = 15
 
 
 def test_smooth_vector_sampler_consistency():

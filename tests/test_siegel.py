@@ -11,6 +11,7 @@ from normlab.errors import (EpsilonBarrier, MissingSymmetry, OutOfRange,
 from normlab.group import KanCoords
 from normlab.modular import CuspProfile, delta_profile, reduce_to_fundamental
 from normlab.principal import ReprParams, SmoothVector
+from normlab.quadrature import gauss_panels
 from normlab.siegel import (A_MIN, ConstantFunction, RegionSpec,
                             WhittakerModel, eisenstein_scenario,
                             floor_sandwich, main2_check, main_bound_check,
@@ -126,6 +127,34 @@ def test_cell_integral_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+def test_ksq_memory_is_bounded():
+    # one ksq call on the nodes of the Weyl-flipped plus region (T1 =
+    # a1 = 1; 96 T-nodes x 288-304 a-nodes) of a 256-numerator divisor
+    # model: 28,272 points x 512 coefficients, 226 MB per array if taken
+    # at once
+    tau = generate(CoeffModel("divisor", N=256, lam=0.5))
+    model = WhittakerModel(tau, SmoothVector.single(0, -0.5j, "+"))
+    Tg, _ = gauss_panels(-1.0, 0.0, 8, 12)
+    rows = []
+    for Tp in Tg:
+        lim = math.sqrt(Tp ** 2 + 1.0)
+        lg, _ = gauss_panels(math.log(A_MIN), math.log(lim),
+                             int(4 * math.log(lim / A_MIN)), 8)
+        rows.append(np.exp(lg))
+    a = np.concatenate(rows)
+    t = np.concatenate([Tp / r ** 2 for Tp, r in zip(Tg, rows)])
+    assert a.shape == (28272,)
+    tracemalloc.start()
+    try:
+        vals = model.ksq(a, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert np.all(np.isfinite(vals)) and np.max(vals) > 0.0
+    assert model._amp_cache == {}
 
 
 def test_floor_sandwich_encloses_exact():
