@@ -206,13 +206,20 @@ def weighted_fv_integral(v, p: float, lo: float, sign: int,
     cs = _dual_sampler(v)
     if isinstance(cs, CayleySum):
         d = cs.min_decay
-        mw = cs.max_weight
         if lo == 0.0 and p + 2.0 * min(d - 1.0, 0.0) <= -1.0:
             raise DivergentIntegral(
                 f"transform-integral side diverges at a -> 0 "
                 f"(p={p}, decay {d:.3f})")
-    else:
-        mw = 0.0
+    grid, gw = _fv_rule(cs, lo, tol)
+    dens = np.abs(fourier_transform_batch(cs, sign * grid, tol)) ** 2 \
+        * grid ** p
+    return float(np.sum(gw * dens)) + float(dens[-1]) / (2.0 * TWO_PI)
+
+
+def _fv_rule(cs, lo, tol):
+    """Nodes and weights of weighted_fv_integral on [lo, Xi]; the last
+    node's density / (4 pi) stands in for the rest."""
+    mw = cs.max_weight if isinstance(cs, CayleySum) else 0.0
     Xi = max(mw / TWO_PI + 4.5, lo + 4.0)
     pieces = []
     if lo < 1.0:
@@ -221,13 +228,8 @@ def weighted_fv_integral(v, p: float, lo: float, sign: int,
     start = max(lo, 1.0)
     if start < Xi:
         pieces.append(gauss_panels(start, Xi, max(4, int(Xi - start) + 1), 16))
-    grid = np.concatenate([x for x, _ in pieces])
-    gw = np.concatenate([w for _, w in pieces])
-    fv = fourier_transform_batch(cs, sign * grid, tol)
-    dens = np.abs(fv) ** 2 * grid ** p
-    val = float(np.sum(gw * dens))
-    tail = float(dens[-1]) / (2.0 * TWO_PI)
-    return val + tail
+    return (np.concatenate([x for x, _ in pieces]),
+            np.concatenate([w for _, w in pieces]))
 
 
 def p0_weighted_norm(tau: PeriodicDistribution, v, a1, eps: float,
@@ -262,6 +264,7 @@ def p0_weighted_norm(tau: PeriodicDistribution, v, a1, eps: float,
 def _p0_spectral(tau, v, a1, eps, tol):
     u0 = tau.params.u0
     p = tau.period
+    pw = -0.5 * eps + u0
     cs = _dual_sampler(v)
     total = 0.0
     for sign in (+1, -1):
@@ -272,30 +275,30 @@ def _p0_spectral(tau, v, a1, eps, tol):
         if math.isinf(a1):
             # Fv(-sign * a) against the full sum, integrated from 0
             total += 0.5 * p * partials[-1] * weighted_fv_integral(
-                cs, -0.5 * eps + u0, 0.0, -sign, tol)
+                cs, pw, 0.0, -sign, tol)
             continue
-        # breakpoints where the cutoff n <= a * a1^2 admits a new term
+        # breakpoints where the cutoff n <= a * a1^2 admits a new term;
+        # every segment's nodes go into one transform batch
         edges = [n / a1 ** 2 for n in ns]
-        for i, (seg_lo, partial) in enumerate(zip(edges, partials)):
-            if i + 1 < len(ns):
-                total += 0.5 * p * partial * _segment_integral(
-                    cs, -0.5 * eps + u0, seg_lo, edges[i + 1], -sign, tol)
-            else:
-                total += 0.5 * p * partial * weighted_fv_integral(
-                    cs, -0.5 * eps + u0, seg_lo, -sign, tol)
+        rules = [_segment_rule(pw, lo, hi, tol)
+                 for lo, hi in zip(edges, edges[1:])]
+        rules.append(_fv_rule(cs, edges[-1], tol))
+        grid = np.concatenate([x for x, _ in rules])
+        dens = np.abs(fourier_transform_batch(cs, -sign * grid, tol)) ** 2 \
+            * grid ** pw
+        starts = np.cumsum([0] + [len(x) for x, _ in rules[:-1]])
+        seg = np.add.reduceat(np.concatenate([w for _, w in rules]) * dens,
+                              starts)
+        seg[-1] += float(dens[-1]) / (2.0 * TWO_PI)
+        total += 0.5 * p * float(np.dot(partials, seg))
     return total
 
 
-def _segment_integral(cs, pw, lo, hi, sign, tol):
-    r"""\int_lo^hi a^pw |Fv(sign a)|^2 da on a finite segment."""
-    if hi <= lo:
-        return 0.0
+def _segment_rule(pw, lo, hi, tol):
+    r"""Nodes and weights for \int_lo^hi a^pw |Fv|^2 da, 0 <= lo < hi."""
     if lo == 0.0 or pw < 0:
-        grid, gw = tanh_sinh_map(lo, hi, 6 if tol >= 1e-8 else 7)
-    else:
-        grid, gw = gauss_panels(lo, hi, max(4, int(2 * (hi - lo)) + 1), 16)
-    fv = fourier_transform_batch(cs, sign * grid, tol)
-    return float(np.sum(gw * np.abs(fv) ** 2 * grid ** pw))
+        return tanh_sinh_map(lo, hi, 6 if tol >= 1e-8 else 7)
+    return gauss_panels(lo, hi, max(4, int(2 * (hi - lo)) + 1), 16)
 
 
 def _p0_geometric(tau, v, a1, eps, tol):

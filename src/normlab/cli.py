@@ -2,8 +2,9 @@
 
 Reports are JSON (optionally mirrored to CSV for the table-like runs)
 and deterministic for a fixed config and seed, except for the timestamp
-field.  Exit codes: 0 all checks passed, 1 a check missed its tolerance,
-2 invalid configuration, 3 numerical failure.
+field.  Exit codes: 0 no check failed (a report with no checks has ok
+null), 1 a check missed its tolerance, 2 invalid configuration, 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ import numpy as np
 from .automorphic import (PeriodicDistribution, coeff_sums, p0_weighted_norm,
                           whittaker_eval)
 from .coeffs import generate, parse_model_spec
-from .errors import (BadParameterRange, CheckFailed, ConfigInvalid,
-                     ConstantTermPresent, EpsilonBarrier, NormlabError,
-                     OutOfRange, ParityMismatch, PoleParameter,
-                     RangeTooLarge)
+from .errors import (BadParameterRange, ConfigInvalid, ConstantTermPresent,
+                     EpsilonBarrier, NormlabError, OutOfRange,
+                     ParityMismatch, PoleParameter, RangeTooLarge)
 from .fourier import (series_coefficient_quadrature, signed_sin_power_series,
                       sin_power_series)
 from .group import (KanCoords, decompose_kan, decompose_kna, measure_weight,
@@ -48,14 +48,6 @@ def _default_tol() -> float:
     return float(os.environ.get("NORMLAB_TOL", "1e-8"))
 
 
-def _apply_thread_env():
-    n = os.environ.get("NORMLAB_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
-
-
 def _check(name, value, bound, invariant):
     return {"name": name, "value": float(value), "bound": float(bound),
             "ok": bool(value <= bound), "invariant": invariant}
@@ -69,7 +61,7 @@ def _parse_a1(text):
     if str(text).lower() in ("inf", "infinity"):
         return math.inf
     a1 = float(text)
-    if a1 <= 0:
+    if not a1 > 0:  # also rejects nan
         raise ConfigInvalid(f"a1 must be positive or 'inf', got {text}")
     return a1
 
@@ -594,19 +586,22 @@ def run(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     params = _merge_params(ns)
     tol = params["tol"] if params["tol"] is not None else _default_tol()
+    if not isinstance(tol, (int, float)) or not 0.0 < tol < 1.0:
+        raise ConfigInvalid(f"tol must be in (0, 1), got {tol}")
     handler, _ = SUBCOMMANDS[ns.subcommand]
     report = handler(params, tol)
     report["subcommand"] = ns.subcommand
     report["tol"] = tol
-    report["ok"] = all(c["ok"] for c in report["checks"])
+    # a report that ran no checks claims nothing: ok is null, exit 0
+    report["ok"] = (all(c["ok"] for c in report["checks"])
+                    if report["checks"] else None)
     report["timestamp"] = datetime.datetime.now(
         datetime.timezone.utc).isoformat()
     _emit(report, params)
-    return 0 if report["ok"] else 1
+    return 1 if report["ok"] is False else 0
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
     try:
         return run(argv)
     except (ConfigInvalid, EpsilonBarrier, OutOfRange, BadParameterRange,
@@ -614,9 +609,6 @@ def main(argv=None) -> int:
             ConstantTermPresent) as exc:
         print(f"normlab: invalid configuration: {exc}", file=sys.stderr)
         return 2
-    except CheckFailed as exc:
-        print(f"normlab: check failed: {exc}", file=sys.stderr)
-        return 1
     except NormlabError as exc:
         print(f"normlab: numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -90,8 +90,3 @@ class RangeTooLarge(NormlabError):
 
 class ConfigInvalid(NormlabError):
     """CLI/run configuration failed validation."""
-
-
-class CheckFailed(NormlabError):
-    """A verification run completed but a check missed its tolerance."""
-

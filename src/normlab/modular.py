@@ -78,18 +78,19 @@ class CuspProfile:
 
     def cell_integral(self, avals, t_lo, t_hi, tol=None, th=None):
         r"""\int_K \int_{t_lo}^{t_hi} |F(k a n_t)|^2 dt dk, vectorized
-        over ``avals`` (t_lo/t_hi broadcast against it)."""
+        over ``avals``; t_lo/t_hi broadcast against it and may stack
+        several windows in leading axes."""
         avals = np.atleast_1d(np.asarray(avals, dtype=float))
-        t_lo = np.broadcast_to(np.asarray(t_lo, dtype=float), avals.shape)
-        t_hi = np.broadcast_to(np.asarray(t_hi, dtype=float), avals.shape)
+        t_lo, t_hi, _ = np.broadcast_arrays(np.asarray(t_lo, dtype=float),
+                                            np.asarray(t_hi, dtype=float),
+                                            avals)
         # GL in t; the integrand is smooth and 1-periodic
         from .quadrature import _gl_rule
         xg, wg = _gl_rule(24)
         mid = 0.5 * (t_hi + t_lo)
         half = 0.5 * (t_hi - t_lo)
-        tg = mid[:, None] + half[:, None] * xg[None, :]
-        vals = self.value(0.0, np.repeat(avals, len(xg)),
-                          tg.ravel()).reshape(tg.shape)
+        vals = self.value(0.0, avals[:, None],
+                          mid[..., None] + half[..., None] * xg)
         kmass = TWO_PI if th is None else th[1] - th[0]
-        return kmass * np.sum(half[:, None] * wg[None, :]
-                              * np.abs(vals) ** 2, axis=1)
+        return kmass * np.sum(half[..., None] * wg * np.abs(vals) ** 2,
+                              axis=-1)

@@ -13,6 +13,13 @@ their lag sums R(D), and a cell is sum_D R(D) Phi_t(D).  For L lattice
 points and M K-types this costs O(a-nodes M (L log L + M L)) time and
 O(a-nodes M L) memory, so region norms scale with the number of
 coefficients rather than with its square.
+
+Every quadrature sits on a-grids whose amplitudes Fv_m(-n a^{-2}) are
+transformed once per call: a cell call takes stacked t-windows (the full
+cell with the remainder cell, or both ends of a window) against one lag
+sum, and the Weyl-flipped plus region shares one log-a' grid across its
+T' rows, plus one a'-node per row of its cap.  Nothing is kept between
+calls: there is no amplitude cache.
 """
 
 from __future__ import annotations
@@ -79,10 +86,9 @@ class ConstantFunction:
         return np.full(avals.shape, K_MASS * self.c ** 2)
 
     def cell_integral(self, avals, t_lo, t_hi, tol=None, th=None):
-        avals = np.atleast_1d(np.asarray(avals, dtype=float))
-        width = np.broadcast_to(
+        width = np.broadcast_arrays(
             np.asarray(t_hi, dtype=float) - np.asarray(t_lo, dtype=float),
-            avals.shape)
+            np.atleast_1d(np.asarray(avals, dtype=float)))[0]
         kmass = K_MASS if th is None else th[1] - th[0]
         return kmass * self.c ** 2 * width
 
@@ -112,11 +118,10 @@ class WhittakerModel:
         self.js = np.array([j for j, _ in items])
         self.ns = self.js / self.period
         self.bs = np.array([b for _, b in items], dtype=complex)
-        self._amp_cache = {}
 
     def _amplitudes(self, avals):
         """A[i_m, i_a, i_n] = Fv_m(-n a^{-2}), one transform batch per
-        K-type."""
+        K-type over the distinct a-values."""
         from .principal import CayleySum
         ua, idx = np.unique(avals, return_inverse=True)
         xi = (-np.outer(1.0 / ua ** 2, self.ns)).ravel()
@@ -128,30 +133,25 @@ class WhittakerModel:
             out[i] = fv.reshape(len(ua), len(self.ns))[idx]
         return out
 
-    def _cached_amplitudes(self, avals):
-        """``_amplitudes`` kept per a-grid, for the cell integrals of the
-        region quadratures, which revisit their a-nodes."""
-        avals = np.asarray(avals, dtype=float)
-        key = avals.tobytes()
-        if key not in self._amp_cache:
-            if len(self._amp_cache) > 64:
-                self._amp_cache.clear()
-            self._amp_cache[key] = self._amplitudes(avals)
-        return self._amp_cache[key]
-
     def _fm(self, a_flat, t_flat):
-        """Per-K-type Whittaker values f_m(a n_t), shape (m, pts).  Points
-        go in chunks of FM_CHUNK point-coefficient pairs and their
-        amplitudes are not cached, so memory stays bounded whatever the
-        number of points."""
+        """Per-K-type Whittaker values f_m(a n_t), shape (m, pts).  Each
+        distinct a is transformed once; the distinct a-values, and then
+        their points, go in chunks of FM_CHUNK point-coefficient pairs,
+        so memory stays bounded whatever the number of points."""
+        ua, inv = np.unique(a_flat, return_inverse=True)
+        order = np.argsort(inv, kind="stable")
+        first = np.searchsorted(inv[order], np.arange(len(ua) + 1))
         out = np.empty((len(self.ms), len(a_flat)), dtype=complex)
         step = max(1, FM_CHUNK // len(self.ns))
-        for lo in range(0, len(a_flat), step):
-            a, t = a_flat[lo:lo + step], t_flat[lo:lo + step]
-            amp = self._amplitudes(a) * self.bs[None, None, :]
-            phase = np.exp(-2j * math.pi * np.outer(t, self.ns))
-            out[:, lo:lo + step] = (a ** (-1.0 - self.u)) * np.einsum(
-                "mpn,pn->mp", amp, phase)
+        for lo in range(0, len(ua), step):
+            hi = min(lo + step, len(ua))
+            amp = self._amplitudes(ua[lo:hi]) * self.bs[None, None, :]
+            pts = order[first[lo]:first[hi]]
+            for q in range(0, len(pts), step):
+                sel = pts[q:q + step]
+                phase = np.exp(-2j * math.pi * np.outer(t_flat[sel], self.ns))
+                out[:, sel] = (a_flat[sel] ** (-1.0 - self.u)) * np.einsum(
+                    "mpn,pn->mp", amp[:, inv[sel] - lo], phase)
         return out
 
     def value(self, theta, a, t):
@@ -184,15 +184,19 @@ class WhittakerModel:
         integral of e^{-2 pi i t D/p} over [t_lo, t_hi].  R comes from one
         FFT per K-type over the L lattice points, zero-padded past 2L - 1
         so that no lag wraps, with the K weight contracted in frequency
-        space.  A call costs O(a-nodes M (L log L + M L)) time and
-        O(a-nodes M L) memory for M K-types."""
+        space.  t_lo and t_hi may stack several windows in leading axes
+        (shape (..., a-nodes)): every window reads the same lag sums, so a
+        call transforms its amplitudes once.  It costs O(a-nodes M (L log L
+        + M L)) time and O(a-nodes M L) memory for M K-types, plus
+        O(a-nodes L) per window."""
         avals = np.atleast_1d(np.asarray(avals, dtype=float))
-        t_lo = np.broadcast_to(np.asarray(t_lo, dtype=float), avals.shape)
-        t_hi = np.broadcast_to(np.asarray(t_hi, dtype=float), avals.shape)
+        t_lo, t_hi, _ = np.broadcast_arrays(np.asarray(t_lo, dtype=float),
+                                            np.asarray(t_hi, dtype=float),
+                                            avals)
         L = int(self.js[-1] - self.js[0]) + 1
         lattice = np.zeros((len(self.ms), len(avals), L), dtype=complex)
         lattice[..., self.js - self.js[0]] = (
-            self._cached_amplitudes(avals) * self.bs[None, None, :])
+            self._amplitudes(avals) * self.bs[None, None, :])
         g = np.fft.fft(lattice, n=1 << (2 * L - 2).bit_length())
         mm = np.array(self.ms, dtype=float)
         dm = mm[None, :] - mm[:, None]  # q - m from e^{-i(m-q)theta}
@@ -208,12 +212,15 @@ class WhittakerModel:
         r = np.fft.ifft(np.einsum("mq,mpk,qpk->pk", w_mq, g, g.conj()))
         r = r[:, lags]
         z = -2j * math.pi * lags / self.period
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi = (np.exp(np.outer(t_hi, z)) - np.exp(np.outer(t_lo, z))) / z
-        phi[:, L - 1] = t_hi - t_lo
-        u0 = self.u.real
-        return (avals ** (-2.0 - 2.0 * u0)) * np.einsum(
-            "pd,pd->p", r, phi).real
+        out = np.empty(t_lo.shape)
+        for k in np.ndindex(t_lo.shape[:-1]):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                phi = (np.exp(np.outer(t_hi[k], z))
+                       - np.exp(np.outer(t_lo[k], z))) / z
+            phi[:, L - 1] = t_hi[k] - t_lo[k]
+            out[k] = (avals ** (-2.0 - 2.0 * self.u.real)) * np.einsum(
+                "pd,pd->p", r, phi).real
+        return out
 
 
 def _require(flag: bool, what: str):
@@ -237,17 +244,42 @@ def _segment_edges(T1, a1, period):
         hi, j = b, j + 1
 
 
-def _minus_value(model, T1, a1, eps, kind, tol):
-    """kind: 'exact' | 'lower' | 'upper' (the floor-sandwich bounds).
+def _period_and_rest(f, a, rem, T1, tol):
+    """The full period cell P and the remainder cell R at each a, from one
+    cell pass: R covers [0, rem] for T1 >= 0 and [p - rem, p] otherwise."""
+    p = float(f.period)
+    if T1 >= 0:
+        return f.cell_integral(a, 0.0, np.stack([np.full_like(a, p), rem]),
+                               tol)
+    return f.cell_integral(a, np.stack([np.zeros_like(a), p - rem]), p, tol)
+
+
+def _outward(chunk, lo, hi, tol):
+    """chunk(lo, hi) plus chunks over doubling a-ranges past hi, until one
+    adds less than 1e-3 tol of the total or a reaches 1e4."""
+    total = chunk(lo, hi)
+    while hi < 1e4:
+        piece = chunk(hi, 2.0 * hi)
+        total += piece
+        hi *= 2.0
+        if abs(piece) < 1e-3 * tol * max(abs(total), 1e-300):
+            break
+    return total
+
+
+def _minus_value(model, T1, a1, eps, kinds, tol):
+    """The minus-region value for each of ``kinds``: 'exact', 'lower' or
+    'upper' (the floor-sandwich bounds), all from one cell pass a batch.
 
     Segments are processed in batches from the top down; once a batch
-    contributes nothing at working precision (rapid cuspidal decay in a)
-    the remaining range is folded into the smooth-surrogate piece.
+    contributes nothing at working precision to any kind (rapid cuspidal
+    decay in a) the remaining range is folded into the smooth-surrogate
+    piece.
     """
     p = model.period
     xg, wg = _gl_rule(16)
     segs = list(_segment_edges(T1, a1, p))
-    val = 0.0
+    vals = np.zeros(len(kinds))
     a_cut = A_MIN
     batch = 64
     for b0 in range(0, len(segs), batch):
@@ -261,35 +293,28 @@ def _minus_value(model, T1, a1, eps, kind, tol):
         a = np.concatenate(a_nodes)
         w = np.concatenate(weights)
         fl = np.concatenate(floors)
-        rem = abs(T1) / a ** 2 - fl * p
-        P = model.cell_integral(a, 0.0, float(p), tol)
-        if kind == "exact":
-            if T1 >= 0:
-                R = model.cell_integral(a, 0.0, rem, tol)
-            else:
-                R = model.cell_integral(a, p - rem, float(p), tol)
-            inner = fl * P + R
-        elif kind == "lower":
-            inner = fl * P
+        if "exact" in kinds:
+            P, R = _period_and_rest(model, a, abs(T1) / a ** 2 - fl * p,
+                                    T1, tol)
         else:
-            inner = (fl + 1) * P
-        piece = float(np.sum(w * a ** (2.0 + eps) * inner / a))
-        val += piece
+            P, R = model.cell_integral(a, 0.0, float(p), tol), 0.0
+        extra = {"exact": R, "lower": 0.0, "upper": P}
+        pieces = np.array([np.sum(w * a ** (2.0 + eps)
+                                  * (fl * P + extra[k]) / a) for k in kinds])
+        vals += pieces
         a_cut = chunk[-1][0]
-        if abs(piece) < 1e-16 * max(abs(val), 1e-300):
-            return val  # integrand dead; deeper a contributes nothing
+        if np.all(np.abs(pieces) < 1e-16 * np.maximum(np.abs(vals), 1e-300)):
+            return tuple(map(float, vals))  # deeper a contributes nothing
     if a_cut > A_MIN * (1 + 1e-12):
         lg, lw = gauss_panels(math.log(A_MIN), math.log(a_cut),
                               max(8, int(6 * math.log(a_cut / A_MIN))), 16)
         ab, wb = np.exp(lg), lw
         Pb = model.cell_integral(ab, 0.0, float(p), tol)
         x = abs(T1) / (p * ab ** 2)  # smooth floor surrogate, err <= 1 cell
-        if kind == "lower":
-            x = np.maximum(x - 1.0, 0.0)
-        elif kind == "upper":
-            x = x + 1.0
-        val += float(np.sum(wb * ab ** (2.0 + eps) * x * Pb))
-    return val
+        shift = {"exact": 0.0, "lower": -1.0, "upper": 1.0}
+        vals += [np.sum(wb * ab ** (2.0 + eps) * np.maximum(x + shift[k], 0.0)
+                        * Pb) for k in kinds]
+    return tuple(map(float, vals))
 
 
 def region_norm_minus(f, spec: RegionSpec, tol: float = None) -> float:
@@ -299,15 +324,15 @@ def region_norm_minus(f, spec: RegionSpec, tol: float = None) -> float:
     _require(f.flags.hasPeriod, "period")
     if spec.side != "minus":
         raise OutOfRange("region_norm_minus needs spec.side == 'minus'")
-    return _minus_value(f, spec.T1, spec.a1, spec.eps, "exact", tol)
+    return _minus_value(f, spec.T1, spec.a1, spec.eps, ("exact",), tol)[0]
 
 
 def floor_sandwich(f, spec: RegionSpec, tol: float = None):
     """The two floor-expression bounds around the minus-region norm."""
     tol = DEFAULT_TOL if tol is None else tol
     _require(f.flags.hasPeriod, "period")
-    return (_minus_value(f, spec.T1, spec.a1, spec.eps, "lower", tol),
-            _minus_value(f, spec.T1, spec.a1, spec.eps, "upper", tol))
+    return _minus_value(f, spec.T1, spec.a1, spec.eps, ("lower", "upper"),
+                        tol)
 
 
 def region_norm_plus_via_weyl(f, spec: RegionSpec, tol: float = None):
@@ -319,8 +344,8 @@ def region_norm_plus_via_weyl(f, spec: RegionSpec, tol: float = None):
     _require(f.flags.hasWeyl, "Weyl-symmetry")
     T1, a1, eps = spec.T1, spec.a1, spec.eps
     s = math.sqrt(T1 ** 2 + 1.0)
-    inner = _minus_value(f, -T1, 1.0 / a1, -eps, "exact", tol)
-    outer = _minus_value(f, -T1, s / a1, -eps, "exact", tol)
+    inner, = _minus_value(f, -T1, 1.0 / a1, -eps, ("exact",), tol)
+    outer, = _minus_value(f, -T1, s / a1, -eps, ("exact",), tol)
     if eps >= 0:
         return {"lower": inner, "upper": s ** eps * outer}
     return {"lower": s ** eps * inner, "upper": outer}
@@ -334,63 +359,51 @@ def region_norm_plus_direct(f, spec: RegionSpec, tol: float = None) -> float:
     _require(f.flags.hasPeriod, "period")
     p = f.period
     Tabs = abs(spec.T1)
-    xg, wg = _gl_rule(16)
 
     def chunk(lo, hi):
         n_pan = max(6, int(8 * math.log(hi / lo)))
         lg, lw = gauss_panels(math.log(lo), math.log(hi), n_pan, 16)
         a = np.exp(lg)
         fl = np.floor(Tabs / (p * a ** 2))
-        rem = Tabs / a ** 2 - fl * p
-        P = f.cell_integral(a, 0.0, float(p), tol)
-        if spec.T1 >= 0:
-            R = f.cell_integral(a, 0.0, rem, tol)
-        else:
-            R = f.cell_integral(a, p - rem, float(p), tol)
-        dens = a ** (2.0 + spec.eps) * (fl * P + R)
-        return float(np.sum(lw * dens)), float(dens[-1])
+        P, R = _period_and_rest(f, a, Tabs / a ** 2 - fl * p, spec.T1, tol)
+        return float(np.sum(lw * a ** (2.0 + spec.eps) * (fl * P + R)))
 
-    a_lo, a_hi = spec.a1, max(4.0 * spec.a1, 8.0)
-    total, edge = chunk(a_lo, a_hi)
-    while a_hi < 1e4:
-        piece, edge = chunk(a_hi, 2.0 * a_hi)
-        total += piece
-        a_hi *= 2.0
-        if abs(piece) < 1e-3 * tol * max(abs(total), 1e-300):
-            break
-    return total
+    return _outward(chunk, spec.a1, max(4.0 * spec.a1, 8.0), tol)
 
 
 def region_norm_plus_weyl_exact(f, spec: RegionSpec,
                                 tol: float = None) -> float:
     """The plus-region norm computed exactly through the Weyl flip:
     the transported region is {-T1 <= T' <= 0, a' <= sqrt(T'^2+1)/a1}
-    with weight (sqrt(T'^2+1))^eps (a')^{-eps} dT' da'/a' dk.  Exact for
-    genuinely Weyl-symmetric f; for asserted symmetry it is the value
-    the symmetrized model would have."""
+    with weight (sqrt(T'^2+1))^eps (a')^{-eps} dT' da'/a' dk.  It splits
+    into the rectangle a' <= 1/a1, on one log-a' grid shared by every T'
+    row, and the cap a' = sqrt(1+s^2)/a1, 0 <= s <= T1, where T' runs over
+    [-T1, -s] and da'/a' = s ds/(1+s^2), so no sqrt-kink at a' = 1/a1
+    meets the quadrature.  Exact for genuinely Weyl-symmetric f; for
+    asserted symmetry it is the value the symmetrized model would have."""
     tol = DEFAULT_TOL if tol is None else tol
     _require(f.flags.hasPeriod, "period")
     _require(f.flags.hasWeyl, "Weyl-symmetry")
     T1, a1, eps = spec.T1, spec.a1, spec.eps
-    Tg, Tw = gauss_panels(-T1, 0.0, max(8, int(4 * T1) + 4), 12)
-    total = 0.0
-    a_rows, t_rows, w_rows = [], [], []
-    for Tp, wT in zip(Tg, Tw):
-        lim = math.sqrt(Tp ** 2 + 1.0) / a1
-        if lim <= A_MIN * (1 + 1e-12):
-            continue
-        lg, lw = gauss_panels(math.log(A_MIN), math.log(lim),
-                              max(8, int(4 * math.log(lim / A_MIN))), 8)
-        ap = np.exp(lg)
-        a_rows.append(ap)
-        t_rows.append(Tp / ap ** 2)
-        w_rows.append(wT * lw * (Tp ** 2 + 1.0) ** (0.5 * eps)
-                      * ap ** (-eps))
-    a_all = np.concatenate(a_rows)
-    t_all = np.concatenate(t_rows)
-    w_all = np.concatenate(w_rows)
-    vals = f.ksq(a_all, t_all, tol)
-    return float(np.sum(w_all * vals))
+    n_T = max(8, int(4 * T1) + 4)
+    xu, wu = gauss_panels(0.0, 1.0, n_T, 12)  # unit rule for T' spans
+    blocks = []  # (a', T', weight), broadcast to (a'-rows, T'-nodes)
+    if a1 * A_MIN < 1.0:
+        lg, lw = gauss_panels(math.log(A_MIN), -math.log(a1),
+                              max(8, int(-4 * math.log(a1 * A_MIN))), 12)
+        blocks.append((np.exp(lg)[:, None], -T1 * xu[None, :],
+                       lw[:, None] * T1 * wu[None, :]))
+    s0 = math.sqrt(max((a1 * A_MIN) ** 2 - 1.0, 0.0))
+    if s0 < T1:
+        sg, sw = gauss_panels(s0, T1, max(4, n_T // 2), 12)
+        span = (T1 - sg)[:, None]
+        blocks.append((np.sqrt(1.0 + sg ** 2)[:, None] / a1,
+                       -sg[:, None] - span * xu[None, :],
+                       (sw * sg / (1.0 + sg ** 2))[:, None] * span * wu))
+    ap, Tp, w = (np.concatenate([np.broadcast_to(blk[i], blk[2].shape).ravel()
+                                 for blk in blocks]) for i in range(3))
+    w = w * (Tp ** 2 + 1.0) ** (0.5 * eps) * ap ** (-eps)
+    return float(np.sum(w * f.ksq(ap, Tp / ap ** 2, tol)))
 
 
 def region_norm_full(f, spec: RegionSpec, tol: float = None) -> float:
@@ -475,15 +488,14 @@ def omega_a_norm(f, omega, eps: float, tol: float = None) -> float:
     p = f.period
 
     def window(a):
-        """G(t1) - G(t0) with G(t) = floor(t/p) P + cell(0, t mod p)."""
-        P = f.cell_integral(a, 0.0, float(p), tol, th=th)
-
-        def G(tv):
-            cells = np.floor(tv / p)
-            frac = tv - cells * p
-            return cells * P + f.cell_integral(a, 0.0, frac, tol, th=th)
-
-        return G(T_hi / a ** 2) - G(T_lo / a ** 2)
+        """G(t1) - G(t0) with G(t) = floor(t/p) P + cell(0, t mod p), all
+        cells from one pass."""
+        t_ends = np.stack([T_hi / a ** 2, T_lo / a ** 2])
+        cells = np.floor(t_ends / p)
+        P, c_hi, c_lo = f.cell_integral(
+            a, 0.0, np.concatenate([np.full((1, len(a)), float(p)),
+                                    t_ends - cells * p]), tol, th=th)
+        return (cells[0] * P + c_hi) - (cells[1] * P + c_lo)
 
     def a_chunk(lo, hi):
         # split at the a-positions where either t-window edge crosses a
@@ -510,18 +522,9 @@ def omega_a_norm(f, omega, eps: float, tol: float = None) -> float:
         lg = np.concatenate(nodes)
         lw = np.concatenate(wts)
         a = np.exp(lg)
-        dens = a ** (2.0 + eps) * window(a)
-        return float(np.sum(lw * dens)), float(dens[-1])
+        return float(np.sum(lw * a ** (2.0 + eps) * window(a)))
 
-    total, edge = a_chunk(A_MIN, 8.0)
-    hi = 8.0
-    while hi < 1e4:
-        piece, edge = a_chunk(hi, 2.0 * hi)
-        total += piece
-        hi *= 2.0
-        if abs(piece) < 1e-3 * tol * max(abs(total), 1e-300):
-            break
-    return total
+    return _outward(a_chunk, A_MIN, 8.0, tol)
 
 
 def eisenstein_scenario(tau, lam: float, eps: float, T1: float,

@@ -99,6 +99,18 @@ def test_gen_coeffs_roundtrip(tmp_path):
     assert main(["gen-coeffs", "--model", "ramanujan-tau:N=20"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["region-norm", "--profile", "constant:2", "--side", "plus"],
+    ["gen-coeffs", "--model", "ramanujan-tau:N=5", "--out-coeffs", "P"],
+])
+def test_report_without_checks_claims_nothing(argv, tmp_path):
+    argv = [str(tmp_path / "c.json") if x == "P" else x for x in argv]
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    rep = _report(out)
+    assert rep["checks"] == [] and rep["ok"] is None
+
+
 def test_regress_against_frozen_tables():
     assert main(["regress"]) == 0
 
@@ -113,6 +125,10 @@ def test_regress_against_frozen_tables():
     ["decompose", "--n", "-5"],
     ["gen-coeffs", "--model", "foo:N=3", "--out-coeffs", "P"],
     ["region-norm", "--profile", "constant:x"],
+    ["comp-norm-scan", "--tol", "0"],
+    ["decompose", "--tol", "0"],
+    ["decompose", "--tol", "-1"],
+    ["verify-whittaker", "--a1", "nan"],
 ])
 def test_malformed_input_exits_2(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "r.json")]) == 2

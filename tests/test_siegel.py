@@ -59,21 +59,21 @@ def test_whittaker_model_value_matches_eval():
         assert got == pytest.approx(ev.value, rel=1e-9)
 
 
-def _cell_table(name):
+def _cell_table(name, weyl=False):
     """A Whittaker model by name: the small two-coefficient model, the
-    16-numerator divisor table or a drawn 64-numerator table."""
+    16-numerator divisor table or a drawn table ("drawn8", "drawn64")."""
     if name == "small":
-        return _model(coeffs={1: 1.0, -1: 0.5 + 0.25j}, m=2)
+        return _model(coeffs={1: 1.0, -1: 0.5 + 0.25j}, m=2, weyl=weyl)
     if name == "divisor16":
         tau = generate(CoeffModel("divisor", N=16, lam=0.7))
     else:
         rng = np.random.default_rng(11)
         coeffs = {sj: complex(*rng.standard_normal(2)) * j ** -0.75
-                  for j in range(1, 65) for sj in (j, -j)}
+                  for j in range(1, int(name[5:]) + 1) for sj in (j, -j)}
         tau = PeriodicDistribution(1, coeffs, ReprParams(0.7j, "+"))
     u = complex(tau.params.u)
     v = SmoothVector(ReprParams(-u, "+"), {0: 1.0, 2: 0.3 - 0.2j})
-    return WhittakerModel(tau, v)
+    return WhittakerModel(tau, v, assert_weyl=weyl)
 
 
 def _gl(lo, hi, n_panels, order=16):
@@ -114,9 +114,89 @@ def test_whittaker_cell_integral_brute_force(table, cell):
         assert got[i] == pytest.approx(ref, rel=1e-10)
 
 
+@pytest.mark.parametrize("name", ["divisor16", "cusp", "constant"])
+def test_stacked_windows_equal_separate_calls(name):
+    f = {"cusp": CuspProfile, "constant": lambda: ConstantFunction(1.3),
+         "divisor16": lambda: _cell_table("divisor16")}[name]()
+    avals = np.array([0.35, 0.6, 0.9, 1.3])
+    t_lo = np.array([[0.0, 0.0, 0.0, 0.0], [0.1, 0.0, 0.55, 0.3],
+                     [0.4, 0.25, 0.0, 0.9]])
+    t_hi = np.array([[1.0, 1.0, 1.0, 1.0], [0.7, 0.2, 0.95, 1.0],
+                     [0.6, 0.75, 0.05, 1.0]])
+    for th in (None, (0.3, 2.1)):
+        got = f.cell_integral(avals, t_lo, t_hi, th=th)
+        assert got.shape == (3, 4)
+        for k in range(3):
+            one = f.cell_integral(avals, t_lo[k], t_hi[k], th=th)
+            np.testing.assert_allclose(got[k], one, rtol=1e-14, atol=0)
+        # a scalar edge broadcasts against stacked ones
+        got = f.cell_integral(avals, 0.0, t_hi[1:], th=th)
+        one = f.cell_integral(avals, 0.0, t_hi[2], th=th)
+        np.testing.assert_allclose(got[1], one, rtol=1e-14, atol=0)
+
+
+def _plus_rows_reference(f, T1, a1, refine):
+    """ksq and the eps-free parts of the weights on the per-row layout of
+    the Weyl-flipped plus region: every T' row has its own log-a' grid up
+    to sqrt(T'^2+1)/a1, and both rules are refined ``refine``-fold."""
+    Tg, Tw = gauss_panels(-T1, 0.0, refine * max(8, int(4 * T1) + 4), 12)
+    a, T, w = [], [], []
+    for Tp, wT in zip(Tg, Tw):
+        lim = math.sqrt(Tp ** 2 + 1.0) / a1
+        lg, lw = gauss_panels(math.log(A_MIN), math.log(lim), refine * max(
+            8, int(4 * math.log(lim / A_MIN))), 8)
+        a.append(np.exp(lg))
+        T.append(np.full(lg.shape, Tp))
+        w.append(wT * lw)
+    a, T, w = map(np.concatenate, (a, T, w))
+    return f.ksq(a, T / a ** 2), a, T, w
+
+
+@pytest.mark.parametrize("a1", [1.0, 0.75])
+@pytest.mark.parametrize("name,T1", [
+    ("drawn8", 1.0), ("divisor16", 1.0),
+    ("cusp", 0.5), ("cusp", 1.0), ("cusp", 2.0)])
+def test_plus_weyl_exact_against_refined_rows(name, T1, a1):
+    # the shared a'-grid and the cap against the per-row layout with 2x
+    # the panels in T' and in a' (4x the nodes)
+    f = CuspProfile() if name == "cusp" else _cell_table(name, weyl=True)
+    vals, a, T, w = _plus_rows_reference(f, T1, a1, 2)
+    for eps in (0.5, -0.5):
+        ref = np.sum(w * (T ** 2 + 1.0) ** (0.5 * eps) * a ** -eps * vals)
+        got = region_norm_plus_weyl_exact(
+            f, RegionSpec(T1, eps, a1=a1, side="plus"))
+        assert got == pytest.approx(ref, rel=1e-9, abs=0)
+
+
+def test_ksq_transforms_each_distinct_a_once(monkeypatch):
+    import normlab.siegel as siegel
+    model = _cell_table("divisor16")
+    a_nodes = np.linspace(0.3, 1.5, 300)
+    T = np.linspace(-1.0, 0.0, 40)
+    a = np.tile(a_nodes, len(T))
+    t = np.repeat(T, len(a_nodes)) / a ** 2
+    whole = model.ksq(a, t)
+    freqs = []
+    real = siegel.fourier_transform_batch
+
+    def counting(v, xis, tol=None, **kw):
+        freqs.append(np.size(xis))
+        return real(v, xis, tol, **kw)
+
+    monkeypatch.setattr(siegel, "fourier_transform_batch", counting)
+    # chunks of 64 distinct a-values and of 64 points
+    monkeypatch.setattr(siegel, "FM_CHUNK", 64 * len(model.ns))
+    chunked = model.ksq(a, t)
+    assert sum(freqs) == len(a_nodes) * len(model.ns) * len(model.ms)
+    # octave bins differ between batches, so values agree to the
+    # transform's absolute error
+    np.testing.assert_allclose(chunked, whole, rtol=0,
+                               atol=1e-13 * np.max(whole))
+
+
 def test_cell_integral_memory_is_linear():
-    # the cell of 512 a-nodes x 64 numerators x 2 K-types; amplitudes
-    # cached first so that only the cell's own arrays count
+    # the cell of 512 a-nodes x 64 numerators x 2 K-types; a warm-up call
+    # first, so that only the cell's own arrays count
     model = _cell_table("drawn64")
     avals = np.linspace(0.3, 1.5, 512)
     model.cell_integral(avals, 0.0, 1.0)
@@ -154,7 +234,17 @@ def test_ksq_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
     assert np.all(np.isfinite(vals)) and np.max(vals) > 0.0
-    assert model._amp_cache == {}
+    # a region norm keeps nothing once it returns
+    model = WhittakerModel(tau, SmoothVector.single(0, -0.5j, "+"),
+                           assert_weyl=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        region_norm_full(model, RegionSpec(1.0, 0.5))
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 2 ** 20
 
 
 def test_floor_sandwich_encloses_exact():
