@@ -24,9 +24,7 @@ from .errors import (ConstantTermPresent, DivergentIntegral,
 from .fourier import fourier_transform_batch
 from .group import KanCoords
 from .principal import CayleySum, ReprParams, SmoothVector
-from .quadrature import DEFAULT_TOL, gauss_panels, tanh_sinh_map
-
-TWO_PI = 2.0 * math.pi
+from .quadrature import DEFAULT_TOL, TWO_PI, gauss_panels, tanh_sinh_map
 
 
 @dataclass

@@ -34,6 +34,7 @@ from .modular import CuspProfile
 from .norms import (comp_norm, g_normalizer, g_normalizer_closed,
                     intertwine_apply, intertwine_constant, triple_norm)
 from .principal import CayleySum, ReprParams, SmoothVector, ktype_eval
+from .quadrature import DEFAULT_TOL
 from .siegel import (ConstantFunction, RegionSpec, WhittakerModel,
                      eisenstein_scenario, floor_sandwich, main2_check,
                      omega_a_norm, region_norm_full, region_norm_minus,
@@ -42,10 +43,6 @@ from .siegel import (ConstantFunction, RegionSpec, WhittakerModel,
 
 TESTDATA = os.path.join(os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__)))), "testdata")
-
-
-def _default_tol() -> float:
-    return float(os.environ.get("NORMLAB_TOL", "1e-8"))
 
 
 def _check(name, value, bound, invariant):
@@ -585,7 +582,7 @@ def _emit(report, params):
 def run(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     params = _merge_params(ns)
-    tol = params["tol"] if params["tol"] is not None else _default_tol()
+    tol = params["tol"] if params["tol"] is not None else DEFAULT_TOL
     if not isinstance(tol, (int, float)) or not 0.0 < tol < 1.0:
         raise ConfigInvalid(f"tol must be in (0, 1), got {tol}")
     handler, _ = SUBCOMMANDS[ns.subcommand]

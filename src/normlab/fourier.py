@@ -18,10 +18,8 @@ import numpy as np
 
 from .errors import NonIntegrableExponent, NotIntegrable, ZeroFrequency
 from .principal import CayleySum, SmoothVector
-from .quadrature import (DEFAULT_TOL, _gl_rule, expint, gauss_panels,
-                         oscillatory_integral)
-
-TWO_PI = 2.0 * math.pi
+from .quadrature import (DEFAULT_TOL, TWO_PI, _gl_rule, expint, gauss_panels,
+                         oscillatory_integral, tanh_sinh_map)
 
 
 def _as_cayley(v):
@@ -74,9 +72,7 @@ def fourier_transform(v, xi: float, tol: float = None):
     """F[v](xi) for a CayleySum / SmoothVector or a rapidly decaying
     callable.  Returns a complex value; raises NotIntegrable when the
     integral genuinely diverges (xi = 0 with decay exponent <= 1)."""
-    val, err, _ = fourier_transform_batch(v, np.array([float(xi)]), tol,
-                                          return_err=True)
-    return val[0]
+    return fourier_transform_batch(v, np.array([float(xi)]), tol)[0]
 
 
 def fourier_transform_batch(v, xis, tol: float = None, return_err: bool = False):
@@ -159,12 +155,12 @@ def _transform_cayley(cs: CayleySum, xis, tol):
                               np.exp(-2j * h * np.outer(om, np.arange(B))))
             sorted_vals[first + c0:first + c0 + len(om)] = np.einsum(
                 "fb,fb->f", inner, np.exp(-1j * np.outer(om, mids[::B])))
-        # error representative: worst (largest-omega) frequency in the bin
+        # error representative: worst (largest-omega) frequency in the bin,
+        # its 16-point core (tails are added below) against a 12-point rule
         rep = int(np.argmax(np.abs(oms)))
         nodes8, weights8 = gauss_panels(-X, X, n_panels, 12)
-        core = np.sum(gv * np.exp(-1j * oms[rep] * nodes))
         core8 = np.sum(weights8 * cs(nodes8) * np.exp(-1j * oms[rep] * nodes8))
-        max_err = max(max_err, abs(core - core8) + tail_b)
+        max_err = max(max_err, abs(sorted_vals[first + rep] - core8) + tail_b)
     # tails in one vectorized sweep across every frequency
     up, lo = ([(c, s0 + n) for s0, a in series[side]
                for n, c in enumerate(a[:J].tolist())]
@@ -199,8 +195,9 @@ def _cayley_tails(up, lo, X, oms):
     The orders s0, s0 + 1, ... of one chain obey E_{s+1}(z) = (e^{-z} -
     z E_s(z))/s (DLMF 8.19.12).  Run upward it damps errors where
     |s| > |z|, run downward where |s| < |z| (Gautschi, SIAM Rev. 1967).
-    So each z is seeded at the chain order nearest |z|, with one
-    ``expint`` call per distinct seed order, and recurred away from it."""
+    So each z is seeded at the chain order nearest |z|, all of a chain's
+    seeds in one ``expint`` call with an array of orders (which raises
+    AccuracyNotReached off its domain), and recurred away from it."""
     vals = np.zeros(oms.shape, dtype=complex)
     for series, sign in ((up, 1j), (lo, -1j)):
         z = sign * oms * X
@@ -220,13 +217,11 @@ def _chain_tail(s0, a, X, z):
     # seed order: |s_k| nearest |z|; sorted by it, the z seeded at order
     # k are the run first[k]:first[k+1]
     k0 = np.clip(np.rint(np.sqrt(np.maximum(
-        np.abs(z) ** 2 - s0.imag ** 2, 0.0)) - s0.real), 0, n - 1)
+        np.abs(z) ** 2 - s0.imag ** 2, 0.0)) - s0.real), 0, n - 1).astype(int)
     perm = np.argsort(k0, kind="stable")
     k0, z = k0[perm], z[perm]
     first = np.searchsorted(k0, np.arange(n + 1))
-    seed = np.empty(z.shape, dtype=complex)
-    for k in np.unique(k0).astype(int):
-        seed[first[k]:first[k + 1]] = expint(s[k], z[first[k]:first[k + 1]])
+    seed = expint(s[k0], z)
     ez = np.exp(-z)
     acc = np.zeros(z.shape, dtype=complex)
     # downward to order 0 from each seed: E_k = (e^{-z} - s_k E_{k+1})/z
@@ -268,24 +263,16 @@ def _transform_generic(v, xis, tol):
 
 
 def regularized_pairing(n: float, v, tol: float = None):
-    r"""< exp(2 pi i n x), v > for nonzero n, interpreted through
-    integration by parts: -(1/(2 pi i n)) \int exp(2 pi i n x) v'(x) dx.
-
-    ``v`` may be a SmoothVector/CayleySum (exact derivative) or a pair
-    (sampler, derivative_sampler) of callables.
-    """
+    r"""< exp(2 pi i n x), v > for nonzero n and a SmoothVector/CayleySum
+    v, interpreted through integration by parts with the exact derivative:
+    -(1/(2 pi i n)) \int exp(2 pi i n x) v'(x) dx."""
     if n == 0:
         raise ZeroFrequency("n = 0: constant term excluded for cuspidal data")
     cs = _as_cayley(v)
-    if cs is not None:
-        dv = cs.derivative()
-    elif isinstance(v, tuple) and len(v) == 2:
-        dv = v[1]
-    else:
-        raise TypeError("need CayleySum/SmoothVector or (v, dv) pair")
+    if cs is None:
+        raise TypeError("need a CayleySum or SmoothVector")
     # \int e^{2 pi i n x} v'(x) dx = F[v'](-n)
-    fd = fourier_transform(dv, -n, tol)
-    return -fd / (TWO_PI * 1j * n)
+    return -fourier_transform(cs.derivative(), -n, tol) / (TWO_PI * 1j * n)
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +372,7 @@ def series_coefficient_quadrature(s: complex, j: int, level: int = 10):
     b_{j} of the sign-twisted multiplier (the (pi, 2pi) half contributes
     the same amount for odd j, and cancels for even).  tanh-sinh handles
     the endpoint singularities for Re(s) < 0."""
-    from .quadrature import tanh_sinh_integrate
     _check_exponent(s)
-
-    def f(theta):
-        return np.exp(complex(s) * np.log(np.sin(theta))) \
-            * np.exp(-1j * j * theta)
-
-    return tanh_sinh_integrate(f, 0.0, math.pi, level) / math.pi
+    theta, w = tanh_sinh_map(0.0, math.pi, level)
+    f = np.exp(complex(s) * np.log(np.sin(theta))) * np.exp(-1j * j * theta)
+    return np.sum(w * f) / math.pi

@@ -19,12 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonUnimodular, UnknownChart
+from .quadrature import TWO_PI
 
 DET_TOL = 1e-9
-RECON_TOL = 1e-12
-K_MASS = 2.0 * math.pi
-
-TWO_PI = 2.0 * math.pi
+K_MASS = TWO_PI
 
 
 @dataclass(frozen=True)
@@ -97,9 +95,6 @@ class KnaCoords:
 
     def reconstruct(self) -> GroupElement:
         return rotation(self.theta) @ unipotent(self.T) @ diagonal(self.a)
-
-    def to_kan(self) -> KanCoords:
-        return KanCoords(self.theta, self.a, self.T / self.a ** 2)
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,10 @@ coordinates, z = -t + i a^{-2} independently of k.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .coeffs import ramanujan_tau_table
-
-TWO_PI = 2.0 * math.pi
+from .quadrature import TWO_PI
 
 
 def reduce_to_fundamental(x, y, max_steps=200):

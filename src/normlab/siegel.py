@@ -184,20 +184,17 @@ class WhittakerModel:
         integral of e^{-2 pi i t D/p} over [t_lo, t_hi].  R comes from one
         FFT per K-type over the L lattice points, zero-padded past 2L - 1
         so that no lag wraps, with the K weight contracted in frequency
-        space.  t_lo and t_hi may stack several windows in leading axes
-        (shape (..., a-nodes)): every window reads the same lag sums, so a
-        call transforms its amplitudes once.  It costs O(a-nodes M (L log L
-        + M L)) time and O(a-nodes M L) memory for M K-types, plus
-        O(a-nodes L) per window."""
+        space pair by pair (over all of K only the diagonal pairs weigh).
+        t_lo and t_hi may stack several windows in leading axes (shape
+        (..., a-nodes)): every window reads the same lag sums, so a call
+        transforms its amplitudes once.  It costs O(a-nodes M (L log L +
+        M L)) time, O(a-nodes L) per window, and memory for M L values per
+        a-node of a chunk of FM_CHUNK point-coefficient pairs."""
         avals = np.atleast_1d(np.asarray(avals, dtype=float))
         t_lo, t_hi, _ = np.broadcast_arrays(np.asarray(t_lo, dtype=float),
                                             np.asarray(t_hi, dtype=float),
                                             avals)
         L = int(self.js[-1] - self.js[0]) + 1
-        lattice = np.zeros((len(self.ms), len(avals), L), dtype=complex)
-        lattice[..., self.js - self.js[0]] = (
-            self._amplitudes(avals) * self.bs[None, None, :])
-        g = np.fft.fft(lattice, n=1 << (2 * L - 2).bit_length())
         mm = np.array(self.ms, dtype=float)
         dm = mm[None, :] - mm[:, None]  # q - m from e^{-i(m-q)theta}
         if th is None:
@@ -208,18 +205,34 @@ class WhittakerModel:
                 phik = (np.exp(zk * th[1]) - np.exp(zk * th[0])) / zk
             phik = np.where(dm == 0, th[1] - th[0] + 0j, phik)
         w_mq = (self.cm[:, None] * np.conj(self.cm)[None, :]) * phik
+        pairs = [(m, q) for m in range(len(mm)) for q in range(len(mm))
+                 if th is not None or m == q]
         lags = np.arange(1 - L, L)  # negative lags index from the end
-        r = np.fft.ifft(np.einsum("mq,mpk,qpk->pk", w_mq, g, g.conj()))
-        r = r[:, lags]
         z = -2j * math.pi * lags / self.period
         out = np.empty(t_lo.shape)
-        for k in np.ndindex(t_lo.shape[:-1]):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                phi = (np.exp(np.outer(t_hi[k], z))
-                       - np.exp(np.outer(t_lo[k], z))) / z
-            phi[:, L - 1] = t_hi[k] - t_lo[k]
-            out[k] = (avals ** (-2.0 - 2.0 * self.u.real)) * np.einsum(
-                "pd,pd->p", r, phi).real
+        step = max(1, FM_CHUNK // len(self.ns))
+        for c0 in range(0, len(avals), step):
+            sel = slice(c0, c0 + step)
+            a = avals[sel]
+            g = np.zeros((len(mm), len(a), 1 << (2 * L - 2).bit_length()),
+                         dtype=complex)
+            g[..., self.js - self.js[0]] = (
+                self._amplitudes(a) * self.bs[None, None, :])
+            for m in range(len(mm)):
+                g[m] = np.fft.fft(g[m])
+            spec = np.zeros(g.shape[1:], dtype=complex)
+            for m, q in pairs:
+                spec += w_mq[m, q] * g[m] * np.conj(g[q])
+            del g  # before the next chunk allocates its own
+            r = np.fft.ifft(spec)[:, lags]
+            for k in np.ndindex(t_lo.shape[:-1]):
+                lo, hi = t_lo[k][sel], t_hi[k][sel]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    phi = (np.exp(np.outer(hi, z))
+                           - np.exp(np.outer(lo, z))) / z
+                phi[:, L - 1] = hi - lo
+                out[k][sel] = (a ** (-2.0 - 2.0 * self.u.real)) * np.einsum(
+                    "pd,pd->p", r, phi).real
         return out
 
 

@@ -4,7 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from normlab.errors import NonIntegrableExponent, NotIntegrable, ZeroFrequency
+import normlab.fourier
+import normlab.quadrature
+from normlab.errors import (AccuracyNotReached, NonIntegrableExponent,
+                            NotIntegrable, ZeroFrequency)
 from normlab.fourier import (_cayley_tails, _split_radius, _tail_order,
                              fourier_transform, fourier_transform_batch,
                              regularized_pairing,
@@ -190,6 +193,99 @@ def test_expint_meets_1e13_on_both_axes(axis):
                 assert abs(g - ref) <= 1e-13 * abs(ref), (s, z)
     finally:
         mpmath.mp.dps = 15
+
+
+def _mp_expint(s, z):
+    return complex(mpmath.expint(mpmath.mpc(s.real, s.imag),
+                                 mpmath.mpc(z.real, z.imag)))
+
+
+@pytest.mark.parametrize("conj", [False, True])
+def test_expint_raises_off_its_domain(conj):
+    # Im s = 50 against z on the opposite axis: the series and the
+    # fraction were off by 5.6e-6 at z = -20i and 5.8e-8 at z = -21i, and
+    # the fraction's stop test passed on the wrong value
+    s = 1.25 + 50j
+    flip = np.conj if conj else (lambda x: x)
+    for z in (-20j, -21j, -8j, -40j):
+        with pytest.raises(AccuracyNotReached):
+            expint(flip(s), flip(z))
+    # one element off the domain fails the whole batch
+    with pytest.raises(AccuracyNotReached):
+        expint(flip(np.array([1.25, s])), flip(np.array([-20j, -20j])))
+    # the same axis goes to the fraction, which is accurate there; just
+    # outside the raising band both branches are
+    mpmath.mp.dps = 30
+    try:
+        for sv, z in ((s, 20j), (s, 21j), (s, 2.5j), (s, -7.5j), (s, -41j),
+                      (1.25 + 15j, -10j), (30.25 + 40j, -33j)):
+            sv, z = flip(sv), flip(z)
+            ref = _mp_expint(sv, z)
+            assert abs(expint(sv, z) - ref) <= 1e-13 * abs(ref), (sv, z)
+    finally:
+        mpmath.mp.dps = 15
+
+
+@pytest.mark.parametrize("axis", [1j, -1j])
+def test_expint_mixed_orders_match_scalar_calls(axis):
+    # every order against every |z| of both branches (series for |z| <= 2,
+    # the fraction beyond), integer orders included, shuffled into one
+    # batch; each element must equal its own scalar-order call
+    orders = np.array([0.25, 1.0, 2.0, 3.0, 3.25, 10.25, 45.75, 1.0 + 0.6j,
+                       0.5 - 0.4j, 2.25 + 3.0j])
+    radii = np.array([0.05, 0.7, 1.5, 1.99, 2.01, 3.0, 7.9, 12.0, 40.0])
+    s, z = (a.ravel() for a in np.meshgrid(orders, radii * axis))
+    perm = np.random.default_rng(5).permutation(len(s))
+    s, z = s[perm], z[perm]
+    got = expint(s, z)
+    for sk, zk, g in zip(s, z, got):
+        one = expint(sk, np.array([zk]))[0]
+        assert abs(g - one) <= 1e-14 * abs(one), (sk, zk)
+    # orders broadcast against arguments
+    grid = expint(orders[:, None], radii * axis)
+    assert grid.shape == (len(orders), len(radii))
+    one = expint(orders[3], radii[4] * axis)
+    assert abs(grid[3, 4] - one) <= 1e-14 * abs(one)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("u", [0.0, 0.5, -0.5, 0.3])
+def test_error_estimate_covers_bessel_oracle(u, tol):
+    # the per-bin estimate reuses the main pass's 16-point value; it must
+    # still bound the true error against the closed form
+    s = (1.0 + u) / 2.0
+    cs = CayleySum.ktype(0, u)
+    xis = np.array([0.01, 0.1, 0.25, 1.0, 3.0, -0.4])
+    vals, err, _ = fourier_transform_batch(cs, xis, tol, return_err=True)
+    for xi, got in zip(xis, vals):
+        expect = 2.0 * mpmath.pi ** s * abs(xi) ** (s - 0.5) \
+            * mpmath.besselk(s - 0.5, TWO_PI * abs(xi)) / mpmath.gamma(s)
+        assert abs(got - float(expect)) <= err, xi
+
+
+def test_every_expint_call_goes_through_a_traceable_binding(monkeypatch):
+    # a tracer wraps fourier.expint and quadrature.expint by name: a
+    # transform's tails must reach expint only through fourier's binding,
+    # one element per frequency and side (one chain per side here), and
+    # expint must not call itself through its public name
+    seen = {"fourier": 0, "quadrature": 0}
+    original = normlab.quadrature.expint
+
+    def counting(owner):
+        def wrapped(s, z):
+            seen[owner] += np.broadcast(s, z).size
+            return original(s, z)
+        return wrapped
+
+    monkeypatch.setattr(normlab.fourier, "expint", counting("fourier"))
+    monkeypatch.setattr(normlab.quadrature, "expint", counting("quadrature"))
+    xis = np.linspace(-3.0, 3.0, 40)
+    fourier_transform_batch(CayleySum.ktype(4, 0.3), xis)
+    assert seen == {"fourier": 2 * len(xis), "quadrature": 0}
+    for s, z in ((2.25, np.array([0.5j, 3.0j, -30.0j])),
+                 (np.array([1.0, 2.5 + 1j, 7.25]), np.array([1.5j, -4j, 9j]))):
+        original(s, z)
+    assert seen["quadrature"] == 0
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-6])

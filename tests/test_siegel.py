@@ -209,6 +209,45 @@ def test_cell_integral_memory_is_linear():
     assert peak < 64 * 2 ** 20
 
 
+@pytest.mark.parametrize("th", [None, (0.3, 2.0)])
+def test_cell_integral_memory_is_bounded_by_chunks(th):
+    # 1024 a-nodes of the divisor model N = 256 (numerators -256..256, so
+    # 1024-point lattice FFTs padded to 2048) with 2 K-types: taken at
+    # once, the FFT array and its conjugate made one call peak at 176 MB
+    tau = generate(CoeffModel("divisor", N=256, lam=0.5))
+    u = complex(tau.params.u)
+    model = WhittakerModel(tau, SmoothVector(ReprParams(-u, "+"),
+                                             {0: 1.0, 2: 0.3 - 0.2j}))
+    avals = np.linspace(0.3, 1.5, 1024)
+    t_hi = np.stack([np.ones_like(avals), np.full_like(avals, 0.4)])
+    model.cell_integral(avals[:8], 0.0, 1.0, th=th)
+    tracemalloc.start()
+    try:
+        vals = model.cell_integral(avals, 0.0, t_hi, th=th)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    # [0, 1] holds [0, 0.4]: the cells are integrals of |f|^2
+    assert np.all(np.isfinite(vals))
+    assert np.all(vals[0] >= vals[1] - 1e-13 * np.max(vals))
+
+
+@pytest.mark.parametrize("th", [None, (0.3, 2.0)])
+def test_cell_integral_chunks_equal_one_pass(monkeypatch, th):
+    import normlab.siegel as siegel
+    model = _cell_table("drawn64")
+    avals = np.linspace(0.3, 1.5, 300)
+    t_lo = np.stack([np.zeros_like(avals), np.full_like(avals, 0.25)])
+    whole = model.cell_integral(avals, t_lo, 0.8, th=th)
+    # chunks of 64 a-nodes; octave bins differ between transform batches,
+    # so values agree to the transform's absolute error
+    monkeypatch.setattr(siegel, "FM_CHUNK", 64 * len(model.ns))
+    chunked = model.cell_integral(avals, t_lo, 0.8, th=th)
+    np.testing.assert_allclose(chunked, whole, rtol=0,
+                               atol=1e-13 * np.max(np.abs(whole)))
+
+
 def test_ksq_memory_is_bounded():
     # one ksq call on the nodes of the Weyl-flipped plus region (T1 =
     # a1 = 1; 96 T-nodes x 288-304 a-nodes) of a 256-numerator divisor
