@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NonIntegrableExponent, NotIntegrable, ZeroFrequency
 from .principal import CayleySum, SmoothVector
 from .quadrature import (DEFAULT_TOL, TWO_PI, _gl_rule, expint, gauss_panels,
-                         oscillatory_integral, tanh_sinh_map)
+                         oscillatory_integral)
 
 
 def _as_cayley(v):
@@ -372,7 +372,11 @@ def series_coefficient_quadrature(s: complex, j: int, level: int = 10):
     b_{j} of the sign-twisted multiplier (the (pi, 2pi) half contributes
     the same amount for odd j, and cancels for even).  tanh-sinh handles
     the endpoint singularities for Re(s) < 0."""
+    from .quadrature import tanh_sinh_integrate
     _check_exponent(s)
-    theta, w = tanh_sinh_map(0.0, math.pi, level)
-    f = np.exp(complex(s) * np.log(np.sin(theta))) * np.exp(-1j * j * theta)
-    return np.sum(w * f) / math.pi
+
+    def f(theta):
+        return np.exp(complex(s) * np.log(np.sin(theta))) \
+            * np.exp(-1j * j * theta)
+
+    return tanh_sinh_integrate(f, 0.0, math.pi, level) / math.pi

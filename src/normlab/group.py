@@ -22,6 +22,7 @@ from .errors import NonUnimodular, UnknownChart
 from .quadrature import TWO_PI
 
 DET_TOL = 1e-9
+RECON_TOL = 1e-12
 K_MASS = TWO_PI
 
 
@@ -95,6 +96,9 @@ class KnaCoords:
 
     def reconstruct(self) -> GroupElement:
         return rotation(self.theta) @ unipotent(self.T) @ diagonal(self.a)
+
+    def to_kan(self) -> KanCoords:
+        return KanCoords(self.theta, self.a, self.T / self.a ** 2)
 
 
 @dataclass(frozen=True)

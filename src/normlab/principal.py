@@ -61,6 +61,9 @@ class ReprParams:
         return (self.parity == "+" and abs(self.u1) < 1e-14
                 and 1e-14 < abs(self.u0) < 1.0)
 
+    def weight_ok(self, m: int) -> bool:
+        return (m % 2 == 0) == (self.parity == "+")
+
     def dual(self) -> "ReprParams":
         return ReprParams(-complex(self.u), self.parity)
 

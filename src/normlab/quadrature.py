@@ -80,6 +80,12 @@ def tanh_sinh_map(a, b, level=7, new_only=False):
     return x, half * w
 
 
+def tanh_sinh_integrate(f, a, b, level=7):
+    """Integral of f over (a, b) by tanh-sinh; endpoints are never sampled.r"""
+    x, w = tanh_sinh_map(a, b, level)
+    return np.sum(w * f(x))
+
+
 # ---------------------------------------------------------------------------
 # Oscillatory finite-range integrals: \int_{-X}^{X} f(x) e^{-i omega x} dx
 # ---------------------------------------------------------------------------
@@ -138,18 +144,15 @@ def _expint_series(s, z):
     n = np.rint(s.real)
     integer = (np.abs(s.imag) < 1e-12) & (np.abs(s.real - n) < 1e-9) & (n >= 1)
     out = np.empty_like(z)
-    if np.any(integer):
-        zi, ni = z[integer], n[integer]
-        e = -_EULER - np.log(zi) - _power_sum(1.0, zi, 0.0)
-        ez = np.exp(-zi)
-        for m in range(1, int(ni.max())):
-            e = np.where(m < ni, (ez - zi * e) / m, e)
-        out[integer] = e
-    rest = ~integer
-    if np.any(rest):
-        sr, zr = s[rest], z[rest]
-        out[rest] = _gamma(1.0 - sr) * np.power(zr, sr - 1.0) \
-            - _power_sum(sr, zr, 1.0 / (1.0 - sr))
+    zi, ni = z[integer], n[integer]
+    e = -_EULER - np.log(zi) - _power_sum(1.0, zi, 0.0)
+    ez = np.exp(-zi)
+    for m in range(1, int(ni.max(initial=1))):
+        e = np.where(m < ni, (ez - zi * e) / m, e)
+    out[integer] = e
+    sr, zr = s[~integer], z[~integer]
+    out[~integer] = _gamma(1.0 - sr) * np.power(zr, sr - 1.0) \
+        - _power_sum(sr, zr, 1.0 / (1.0 - sr))
     return out
 
 
@@ -161,8 +164,7 @@ def _expint_cf(s, z, iters=1000):
     out, idx = np.empty_like(z), np.arange(len(z))
     b = z + s
     c = np.full_like(z, 1.0 / 1e-290)  # 1 / tiny
-    d = 1.0 / b
-    h = d.copy()
+    d = h = 1.0 / b
     for i in range(1, iters):
         a = -i * (s + (i - 1.0))
         b = b + 2.0
@@ -174,9 +176,9 @@ def _expint_cf(s, z, iters=1000):
             done = np.abs(delta - 1.0) < 1e-15
             if np.any(done):
                 out[idx[done]] = h[done]
-                if np.all(done):
-                    return np.exp(-z) * out
                 idx, s, b, c, d, h = (v[~done] for v in (idx, s, b, c, d, h))
+            if not len(idx):
+                return np.exp(-z) * out
     raise AccuracyNotReached("expint continued fraction did not converge")
 
 
@@ -200,28 +202,20 @@ def expint(s, z):
     shape, s, z = z.shape, s.ravel(), z.ravel()
     out = np.empty_like(z)
     zero = z == 0.0
-    if np.any(zero):
-        if np.any(s[zero].real <= 1.0):
-            raise ValueError("E_s(0) diverges for Re(s) <= 1")
-        out[zero] = 1.0 / (s[zero] - 1.0)
+    if np.any(s[zero].real <= 1.0):
+        raise ValueError("E_s(0) diverges for Re(s) <= 1")
+    out[zero] = 1.0 / (s[zero] - 1.0)
     r, t = np.abs(z), np.abs(s.imag)
-    series = r <= 2.0
-    if np.max(t, initial=0.0) > 5.0:  # else 0.4 |Im s| <= 2
-        opposite = s.imag * z.imag < 0.0
-        off = opposite & (t >= 16.0) & (r >= 8.0) & (r <= 0.8 * t)
-        if np.any(off):
-            i = np.argmax(off)
-            raise AccuracyNotReached(f"E_s(z) off expint's domain at s = "
-                                     f"{s[i]:.6g}, z = {z[i]:.6g}")
-        series |= opposite & (r <= 0.4 * t)
+    opposite = s.imag * z.imag < 0.0
+    off = opposite & (t >= 16.0) & (r >= 8.0) & (r <= 0.8 * t)
+    if np.any(off):
+        i = np.argmax(off)
+        raise AccuracyNotReached(f"E_s(z) off domain: s={s[i]}, z={z[i]}")
+    series = (r <= 2.0) | (opposite & (r <= 0.4 * t))
     large = (~zero) & (~series | (z.real > 1.0))
-    if np.all(large):
-        return _expint_cf(s, z).reshape(shape)[()]
     small = (~zero) & ~large
-    if np.any(small):
-        out[small] = _expint_series(s[small], z[small])
-    if np.any(large):
-        out[large] = _expint_cf(s[large], z[large])
+    out[small] = _expint_series(s[small], z[small])
+    out[large] = _expint_cf(s[large], z[large])
     return out.reshape(shape)[()]
 
 

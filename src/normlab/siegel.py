@@ -185,11 +185,10 @@ class WhittakerModel:
         FFT per K-type over the L lattice points, zero-padded past 2L - 1
         so that no lag wraps, with the K weight contracted in frequency
         space pair by pair (over all of K only the diagonal pairs weigh).
-        t_lo and t_hi may stack several windows in leading axes (shape
-        (..., a-nodes)): every window reads the same lag sums, so a call
-        transforms its amplitudes once.  It costs O(a-nodes M (L log L +
-        M L)) time, O(a-nodes L) per window, and memory for M L values per
-        a-node of a chunk of FM_CHUNK point-coefficient pairs."""
+        t_lo and t_hi may stack windows in leading axes (shape (...,
+        a-nodes)), which all read the same lag sums.  It costs O(a-nodes M
+        (L log L + M L)) time, O(a-nodes L) per window, and O(M FM_CHUNK)
+        memory: the a-nodes go in chunks of FM_CHUNK // L."""
         avals = np.atleast_1d(np.asarray(avals, dtype=float))
         t_lo, t_hi, _ = np.broadcast_arrays(np.asarray(t_lo, dtype=float),
                                             np.asarray(t_hi, dtype=float),
@@ -210,16 +209,14 @@ class WhittakerModel:
         lags = np.arange(1 - L, L)  # negative lags index from the end
         z = -2j * math.pi * lags / self.period
         out = np.empty(t_lo.shape)
-        step = max(1, FM_CHUNK // len(self.ns))
+        step = max(1, FM_CHUNK // L)
         for c0 in range(0, len(avals), step):
             sel = slice(c0, c0 + step)
             a = avals[sel]
-            g = np.zeros((len(mm), len(a), 1 << (2 * L - 2).bit_length()),
-                         dtype=complex)
-            g[..., self.js - self.js[0]] = (
+            lattice = np.zeros((len(mm), len(a), L), dtype=complex)
+            lattice[..., self.js - self.js[0]] = (
                 self._amplitudes(a) * self.bs[None, None, :])
-            for m in range(len(mm)):
-                g[m] = np.fft.fft(g[m])
+            g = np.fft.fft(lattice, n=1 << (2 * L - 2).bit_length())
             spec = np.zeros(g.shape[1:], dtype=complex)
             for m, q in pairs:
                 spec += w_mq[m, q] * g[m] * np.conj(g[q])

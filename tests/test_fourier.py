@@ -248,6 +248,14 @@ def test_expint_mixed_orders_match_scalar_calls(axis):
     assert abs(grid[3, 4] - one) <= 1e-14 * abs(one)
 
 
+def test_empty_inputs_give_empty_outputs():
+    assert expint(2.5, np.array([])).shape == (0,)
+    assert expint(np.array([[1.5], [2.5]]), np.array([])).shape == (2, 0)
+    vals, err, _ = fourier_transform_batch(CayleySum.ktype(2, 0.3),
+                                           np.array([]), return_err=True)
+    assert vals.shape == (0,) and err == 0.0
+
+
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
 @pytest.mark.parametrize("u", [0.0, 0.5, -0.5, 0.3])
 def test_error_estimate_covers_bessel_oracle(u, tol):

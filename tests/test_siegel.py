@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from normlab.automorphic import PeriodicDistribution
-from normlab.coeffs import CoeffModel, generate
+from normlab.coeffs import CoeffModel, generate, parse_model_spec
 from normlab.errors import (EpsilonBarrier, MissingSymmetry, OutOfRange,
                             UnboundedOmega)
 from normlab.group import KanCoords
@@ -194,43 +194,39 @@ def test_ksq_transforms_each_distinct_a_once(monkeypatch):
                                atol=1e-13 * np.max(whole))
 
 
-def test_cell_integral_memory_is_linear():
-    # the cell of 512 a-nodes x 64 numerators x 2 K-types; a warm-up call
-    # first, so that only the cell's own arrays count
-    model = _cell_table("drawn64")
-    avals = np.linspace(0.3, 1.5, 512)
-    model.cell_integral(avals, 0.0, 1.0)
-    tracemalloc.start()
-    try:
-        model.cell_integral(avals, 0.0, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
-
-
-@pytest.mark.parametrize("th", [None, (0.3, 2.0)])
-def test_cell_integral_memory_is_bounded_by_chunks(th):
-    # 1024 a-nodes of the divisor model N = 256 (numerators -256..256, so
-    # 1024-point lattice FFTs padded to 2048) with 2 K-types: taken at
-    # once, the FFT array and its conjugate made one call peak at 176 MB
-    tau = generate(CoeffModel("divisor", N=256, lam=0.5))
+def _ktype_pair_model(spec):
+    tau = generate(parse_model_spec(spec))
     u = complex(tau.params.u)
-    model = WhittakerModel(tau, SmoothVector(ReprParams(-u, "+"),
-                                             {0: 1.0, 2: 0.3 - 0.2j}))
+    return WhittakerModel(tau, SmoothVector(ReprParams(-u, "+"),
+                                            {0: 1.0, 2: 0.3 - 0.2j}))
+
+
+def test_cell_integral_memory_is_linear():
+    # each cell call after a warm-up, so that only its own arrays count:
+    # 512 a-nodes of a drawn 64-numerator table; 1024 a-nodes of the
+    # divisor model N = 256 (numerators -256..256, so 513-point lattice
+    # FFTs padded to 2048) over all of K and windowed, which peaked at
+    # 176 MB taken at once; and a sparse table whose 2 numerators span a
+    # 4096-point lattice, so a chunk must be sized by the lattice span
     avals = np.linspace(0.3, 1.5, 1024)
-    t_hi = np.stack([np.ones_like(avals), np.full_like(avals, 0.4)])
-    model.cell_integral(avals[:8], 0.0, 1.0, th=th)
-    tracemalloc.start()
-    try:
-        vals = model.cell_integral(avals, 0.0, t_hi, th=th)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
-    # [0, 1] holds [0, 0.4]: the cells are integrals of |f|^2
-    assert np.all(np.isfinite(vals))
-    assert np.all(vals[0] >= vals[1] - 1e-13 * np.max(vals))
+    two = np.stack([np.ones_like(avals), np.full_like(avals, 0.4)])
+    divisor = _ktype_pair_model("divisor:N=256,lam=0.5")
+    cases = [(_cell_table("drawn64"), avals[::2], 1.0, None),
+             (divisor, avals, two, None), (divisor, avals, two, (0.3, 2.0)),
+             (_ktype_pair_model("finite:b1=1,b4096=1"), avals, two, None)]
+    for model, a, t_hi, th in cases:
+        model.cell_integral(a[:8], 0.0, 1.0, th=th)
+        tracemalloc.start()
+        try:
+            vals = model.cell_integral(a, 0.0, t_hi, th=th)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20, (model.ns[-1], th)
+        assert np.all(np.isfinite(vals))
+        if vals.ndim == 2:
+            # [0, 1] holds [0, 0.4]: the cells are integrals of |f|^2
+            assert np.all(vals[0] >= vals[1] - 1e-13 * np.max(vals))
 
 
 @pytest.mark.parametrize("th", [None, (0.3, 2.0)])
@@ -242,7 +238,8 @@ def test_cell_integral_chunks_equal_one_pass(monkeypatch, th):
     whole = model.cell_integral(avals, t_lo, 0.8, th=th)
     # chunks of 64 a-nodes; octave bins differ between transform batches,
     # so values agree to the transform's absolute error
-    monkeypatch.setattr(siegel, "FM_CHUNK", 64 * len(model.ns))
+    L = model.js[-1] - model.js[0] + 1
+    monkeypatch.setattr(siegel, "FM_CHUNK", 64 * L)
     chunked = model.cell_integral(avals, t_lo, 0.8, th=th)
     np.testing.assert_allclose(chunked, whole, rtol=0,
                                atol=1e-13 * np.max(np.abs(whole)))
