@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from .errors import (ConstantTermPresent, DivergentIntegral,
                      HypothesisUnverifiable, OutOfRange, TailNotControlled)
 from .fourier import fourier_transform_batch
 from .group import KanCoords
-from .principal import CayleySum, ReprParams, SmoothVector
-from .quadrature import DEFAULT_TOL, TWO_PI, gauss_panels, tanh_sinh_map
+from .principal import ReprParams, SmoothVector, as_cayley
+from .quadrature import TWO_PI, gauss_panels, resolve_tol, tanh_sinh_map
 
 
 @dataclass
@@ -57,9 +57,13 @@ class PeriodicDistribution:
     def is_finite(self) -> bool:
         return self.growth_C is None
 
-    def frequencies(self):
-        """Sorted frequencies n = j / p with their coefficients."""
-        return sorted((j / self.period, b) for j, b in self.coeffs.items())
+    def coefficient_arrays(self):
+        """(js, ns, bs): the numerators j, the frequencies n = j / p and
+        the coefficients b_n, sorted by numerator."""
+        items = sorted(self.coeffs.items())
+        js = np.array([j for j, _ in items])
+        bs = np.array([b for _, b in items], dtype=complex)
+        return js, js / self.period, bs
 
     def max_numerator(self) -> int:
         return max((abs(j) for j in self.coeffs), default=0)
@@ -98,10 +102,6 @@ class WhittakerEvaluation:
         return self.tailEstimate < 0.01 * max(abs(self.value), 1e-300)
 
 
-def _dual_sampler(v) -> CayleySum:
-    return v.sampler if isinstance(v, SmoothVector) else v
-
-
 def whittaker_eval(tau: PeriodicDistribution, v, coords: KanCoords,
                    tol: float = None) -> WhittakerEvaluation:
     """f(k a n_t) = <pi(k a n_t) tau, v> through the Whittaker expansion.
@@ -110,23 +110,19 @@ def whittaker_eval(tau: PeriodicDistribution, v, coords: KanCoords,
     <pi(k a n_t) tau, v> = <pi(a n_t) tau, pi(k^{-1}) v>, which for a
     finite K-type expansion is an exact phase change c_m -> e^{-i m th} c_m.
     """
-    tol = DEFAULT_TOL if tol is None else tol
+    tol = resolve_tol(tol)
     if not (math.isfinite(coords.a) and coords.a > 0):
         raise OutOfRange(f"a must be positive and finite, got {coords.a}")
     if abs(coords.theta) > 1e-15:
         if not isinstance(v, SmoothVector):
             raise TypeError("K-part absorption needs a SmoothVector")
         v = v.rotated(-coords.theta)
-    cs = _dual_sampler(v)
+    cs = as_cayley(v)
     u = complex(tau.params.u)
-    a, t, p = coords.a, coords.t, tau.period
-
-    items = sorted(tau.coeffs.items())
-    if not items:
+    a, t = coords.a, coords.t
+    if not tau.coeffs:
         return WhittakerEvaluation(coords, 0.0 + 0.0j, 0, 0.0)
-    js = np.array([j for j, _ in items])
-    bs = np.array([b for _, b in items], dtype=complex)
-    ns = js / p
+    _, ns, bs = tau.coefficient_arrays()
     xi = -ns / a ** 2
     fv = fourier_transform_batch(cs, xi, tol)
     value = a ** (-1.0 - u) * np.sum(fv * bs * np.exp(-2j * math.pi * t * ns))
@@ -163,14 +159,12 @@ def t_average_sq(tau: PeriodicDistribution, v, a: float,
                  tol: float = None) -> float:
     r"""\int_0^p |f(a n_t)|^2 dt by the coefficient-sum (Parseval) form:
     p * sum_n a^{-2-2u0} |b_n|^2 |Fv(-n a^{-2})|^2."""
-    tol = DEFAULT_TOL if tol is None else tol
-    cs = _dual_sampler(v)
+    tol = resolve_tol(tol)
+    cs = as_cayley(v)
     u0 = tau.params.u0
-    items = sorted(tau.coeffs.items())
-    if not items:
+    if not tau.coeffs:
         return 0.0
-    ns = np.array([j for j, _ in items]) / tau.period
-    bs = np.array([b for _, b in items], dtype=complex)
+    _, ns, bs = tau.coefficient_arrays()
     fv = fourier_transform_batch(cs, -ns / a ** 2, tol)
     return float(tau.period * a ** (-2.0 - 2.0 * u0)
                  * np.sum(np.abs(bs) ** 2 * np.abs(fv) ** 2))
@@ -200,14 +194,13 @@ def coeff_sum(tau: PeriodicDistribution, eps: float, u0: float, k: float,
 def weighted_fv_integral(v, p: float, lo: float, sign: int,
                          tol: float = None) -> float:
     r"""\int_lo^infty a^p |Fv(sign * a)|^2 da with endpoint care at 0."""
-    tol = DEFAULT_TOL if tol is None else tol
-    cs = _dual_sampler(v)
-    if isinstance(cs, CayleySum):
-        d = cs.min_decay
-        if lo == 0.0 and p + 2.0 * min(d - 1.0, 0.0) <= -1.0:
-            raise DivergentIntegral(
-                f"transform-integral side diverges at a -> 0 "
-                f"(p={p}, decay {d:.3f})")
+    tol = resolve_tol(tol)
+    cs = as_cayley(v)
+    d = cs.min_decay
+    if lo == 0.0 and p + 2.0 * min(d - 1.0, 0.0) <= -1.0:
+        raise DivergentIntegral(
+            f"transform-integral side diverges at a -> 0 "
+            f"(p={p}, decay {d:.3f})")
     grid, gw = _fv_rule(cs, lo, tol)
     dens = np.abs(fourier_transform_batch(cs, sign * grid, tol)) ** 2 \
         * grid ** p
@@ -217,8 +210,7 @@ def weighted_fv_integral(v, p: float, lo: float, sign: int,
 def _fv_rule(cs, lo, tol):
     """Nodes and weights of weighted_fv_integral on [lo, Xi]; the last
     node's density / (4 pi) stands in for the rest."""
-    mw = cs.max_weight if isinstance(cs, CayleySum) else 0.0
-    Xi = max(mw / TWO_PI + 4.5, lo + 4.0)
+    Xi = max(cs.max_weight / TWO_PI + 4.5, lo + 4.0)
     pieces = []
     if lo < 1.0:
         x0, w0 = tanh_sinh_map(lo, 1.0, 6 if tol >= 1e-8 else 7)
@@ -239,7 +231,7 @@ def p0_weighted_norm(tau: PeriodicDistribution, v, a1, eps: float,
     (with the n <= a * a1^2 cutoff; closed boundary).
     method="geometric": direct two-dimensional quadrature of |f|^2.
     """
-    tol = DEFAULT_TOL if tol is None else tol
+    tol = resolve_tol(tol)
     if not tau.coeffs:
         return 0.0
     if not tau.is_finite:
@@ -263,7 +255,7 @@ def _p0_spectral(tau, v, a1, eps, tol):
     u0 = tau.params.u0
     p = tau.period
     pw = -0.5 * eps + u0
-    cs = _dual_sampler(v)
+    cs = as_cayley(v)
     total = 0.0
     for sign in (+1, -1):
         ns = sorted(abs(j) / p for j in tau.coeffs if sign * j > 0)
@@ -302,13 +294,10 @@ def _segment_rule(pw, lo, hi, tol):
 def _p0_geometric(tau, v, a1, eps, tol):
     """Direct quadrature of the double integral; t by trapezoid (exact
     for the finite trigonometric polynomial), a by panels in log a."""
-    cs = _dual_sampler(v)
+    cs = as_cayley(v)
     u = complex(tau.params.u)
     p = tau.period
-    items = sorted(tau.coeffs.items())
-    js = np.array([j for j, _ in items])
-    bs = np.array([b for _, b in items], dtype=complex)
-    ns = js / p
+    js, ns, bs = tau.coefficient_arrays()
     n_min = np.min(np.abs(ns))
     # below a_lo the transform argument exceeds the decay range of Fv
     a_lo = math.sqrt(n_min / 12.0)
@@ -369,10 +358,10 @@ def l2p_bound_check(tau: PeriodicDistribution, v, eps: float, a1,
     eps > 0: lhs <= C * a1^eps * p * sum_{+-} \int a^{u0} |Fv|^2, with C
     fitted as max_k S(k)/k^{eps/2} over the materialized support.
     """
-    tol = DEFAULT_TOL if tol is None else tol
+    tol = resolve_tol(tol)
     u0 = tau.params.u0
     p = tau.period
-    cs = _dual_sampler(v)
+    cs = as_cayley(v)
     lhs = p0_weighted_norm(tau, v, a1, eps, tol)
     lo = 0.0 if math.isinf(a1) else 1.0 / (a1 ** 2 * p)
     report = {"eps": eps, "a1": a1, "lhs": lhs}

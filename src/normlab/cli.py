@@ -24,7 +24,8 @@ from .automorphic import (PeriodicDistribution, coeff_sums, p0_weighted_norm,
 from .coeffs import generate, parse_model_spec
 from .errors import (BadParameterRange, ConfigInvalid, ConstantTermPresent,
                      EpsilonBarrier, NormlabError, OutOfRange,
-                     ParityMismatch, PoleParameter, RangeTooLarge)
+                     ParityMismatch, PoleParameter, RangeTooLarge,
+                     UnboundedOmega)
 from .fourier import (series_coefficient_quadrature, signed_sin_power_series,
                       sin_power_series)
 from .group import (KanCoords, decompose_kan, decompose_kna, measure_weight,
@@ -34,7 +35,7 @@ from .modular import CuspProfile
 from .norms import (comp_norm, g_normalizer, g_normalizer_closed,
                     intertwine_apply, intertwine_constant, triple_norm)
 from .principal import CayleySum, ReprParams, SmoothVector, ktype_eval
-from .quadrature import DEFAULT_TOL
+from .quadrature import resolve_tol
 from .siegel import (ConstantFunction, RegionSpec, WhittakerModel,
                      eisenstein_scenario, floor_sandwich, main2_check,
                      omega_a_norm, region_norm_full, region_norm_minus,
@@ -108,8 +109,6 @@ def _profile_from(p, tol):
 # ---------------------------------------------------------------------------
 
 def cmd_decompose(p, tol):
-    if p["n"] < 1:
-        raise ConfigInvalid(f"n must be a positive count, got {p['n']}")
     gs = random_elements(p["n"], p["seed"])
     kan_err = kna_err = chart_err = 0.0
     for g in gs:
@@ -517,6 +516,10 @@ SUBCOMMANDS = {
 }
 
 
+# count flags and the least value each admits
+_MIN_COUNT = {"n": 1, "N": 1, "K": 1, "step": 1, "m_max": 0}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="normlab",
@@ -559,6 +562,21 @@ def _merge_params(ns):
     return params
 
 
+def _check_params(params, declared):
+    """Every float flag finite and every count flag in range, checked on
+    the merged parameters so that config-file values are checked too."""
+    for arg, typ, _, _ in _COMMON + declared:
+        key = arg.replace("-", "_")
+        val = params[key]
+        if typ is float and val is not None and not (
+                isinstance(val, (int, float)) and math.isfinite(val)):
+            raise ConfigInvalid(f"{arg} must be a finite number, got {val!r}")
+        least = _MIN_COUNT.get(key)
+        if least is not None and not (isinstance(val, int) and val >= least):
+            raise ConfigInvalid(
+                f"{arg} must be an integer >= {least}, got {val!r}")
+
+
 def _emit(report, params):
     text = json.dumps(report, indent=1, sort_keys=True)
     if params["out"]:
@@ -582,10 +600,9 @@ def _emit(report, params):
 def run(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     params = _merge_params(ns)
-    tol = params["tol"] if params["tol"] is not None else DEFAULT_TOL
-    if not isinstance(tol, (int, float)) or not 0.0 < tol < 1.0:
-        raise ConfigInvalid(f"tol must be in (0, 1), got {tol}")
-    handler, _ = SUBCOMMANDS[ns.subcommand]
+    handler, declared = SUBCOMMANDS[ns.subcommand]
+    _check_params(params, declared)
+    tol = resolve_tol(params["tol"])
     report = handler(params, tol)
     report["subcommand"] = ns.subcommand
     report["tol"] = tol
@@ -603,7 +620,7 @@ def main(argv=None) -> int:
         return run(argv)
     except (ConfigInvalid, EpsilonBarrier, OutOfRange, BadParameterRange,
             ParityMismatch, PoleParameter, RangeTooLarge,
-            ConstantTermPresent) as exc:
+            ConstantTermPresent, UnboundedOmega) as exc:
         print(f"normlab: invalid configuration: {exc}", file=sys.stderr)
         return 2
     except NormlabError as exc:

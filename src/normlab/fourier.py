@@ -17,17 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonIntegrableExponent, NotIntegrable, ZeroFrequency
-from .principal import CayleySum, SmoothVector
-from .quadrature import (DEFAULT_TOL, TWO_PI, _gl_rule, expint, gauss_panels,
-                         oscillatory_integral)
-
-
-def _as_cayley(v):
-    if isinstance(v, SmoothVector):
-        return v.sampler
-    if isinstance(v, CayleySum):
-        return v
-    return None
+from .principal import CayleySum, as_cayley
+from .quadrature import (TWO_PI, _gl_rule, expint, gauss_panels, resolve_tol,
+                         tanh_sinh_map)
 
 
 def _split_radius(tol: float) -> float:
@@ -69,8 +61,8 @@ def _tail_order(cs: CayleySum, X: float, tol: float):
 
 
 def fourier_transform(v, xi: float, tol: float = None):
-    """F[v](xi) for a CayleySum / SmoothVector or a rapidly decaying
-    callable.  Returns a complex value; raises NotIntegrable when the
+    """F[v](xi) for a CayleySum or SmoothVector (anything else raises
+    TypeError).  Returns a complex value; raises NotIntegrable when the
     integral genuinely diverges (xi = 0 with decay exponent <= 1)."""
     return fourier_transform_batch(v, np.array([float(xi)]), tol)[0]
 
@@ -80,13 +72,9 @@ def fourier_transform_batch(v, xis, tol: float = None, return_err: bool = False)
 
     Returns (values, max_error_estimate, meta) when return_err, else values.
     """
-    tol = DEFAULT_TOL if tol is None else tol
+    tol = resolve_tol(tol)
     xis = np.asarray(xis, dtype=float)
-    cs = _as_cayley(v)
-    if cs is None:
-        vals, err = _transform_generic(v, xis, tol)
-    else:
-        vals, err = _transform_cayley(cs, xis, tol)
+    vals, err = _transform_cayley(as_cayley(v), xis, tol)
     if return_err:
         return vals, err, {"tol": tol}
     return vals
@@ -162,8 +150,7 @@ def _transform_cayley(cs: CayleySum, xis, tol):
         core8 = np.sum(weights8 * cs(nodes8) * np.exp(-1j * oms[rep] * nodes8))
         max_err = max(max_err, abs(sorted_vals[first + rep] - core8) + tail_b)
     # tails in one vectorized sweep across every frequency
-    up, lo = ([(c, s0 + n) for s0, a in series[side]
-               for n, c in enumerate(a[:J].tolist())]
+    up, lo = ([(s0, a[:J]) for s0, a in series[side]]
               for side in ("upper", "lower"))
     sorted_vals += _cayley_tails(up, lo, X, TWO_PI * sorted_xis)
     out[order_idx] = sorted_vals
@@ -171,26 +158,28 @@ def _transform_cayley(cs: CayleySum, xis, tol):
 
 
 def _chains(series):
-    """Merge the (c, s) terms of an asymptotic series whose orders differ
-    by integers: [(s0, a)], a[k] the coefficient of |x|^{-(s0+k)}."""
+    """Merge the series (s0, a) of ``CayleySum.asymptotic_series`` whose
+    orders differ by integers: [(s0, a)], a[k] the coefficient of
+    |x|^{-(s0+k)}."""
     chains = []
-    for c, s in sorted(series, key=lambda t: complex(t[1]).real):
-        for s0, a in chains:
-            d = s - s0
+    for s0, a in sorted(series, key=lambda t: t[0].real):
+        for i, (c0, acc) in enumerate(chains):
+            d = s0 - c0
             if abs(d.imag) < 1e-12 and abs(d.real - round(d.real)) < 1e-12:
-                k = int(round(d.real))
-                a.extend([0j] * (k + 1 - len(a)))
-                a[k] += c
+                k = round(d.real)
+                acc = np.pad(acc, (0, max(k + len(a) - len(acc), 0)))
+                acc[k:k + len(a)] += a
+                chains[i] = (c0, acc)
                 break
         else:
-            chains.append((complex(s), [complex(c)]))
-    return [(s0, np.array(a)) for s0, a in chains]
+            chains.append((s0, np.array(a, dtype=complex)))
+    return chains
 
 
 def _cayley_tails(up, lo, X, oms):
     r"""Asymptotic-tail contribution for every frequency at once: the sum
-    of c X^{1-s} E_s(+-i om X) over the terms (c, s) of ``up`` and ``lo``
-    (the form of ``CayleySum.asymptotic``).
+    of a[n] X^{1-s} E_s(+-i om X), s = s0 + n, over the series (s0, a) of
+    ``up`` and ``lo`` (the form of ``CayleySum.asymptotic_series``).
 
     The orders s0, s0 + 1, ... of one chain obey E_{s+1}(z) = (e^{-z} -
     z E_s(z))/s (DLMF 8.19.12).  Run upward it damps errors where
@@ -241,38 +230,15 @@ def _chain_tail(s0, a, X, z):
     return out
 
 
-def _transform_generic(v, xis, tol):
-    # probe decay to choose the truncation radius
-    X = 10.0
-    while X <= 640.0:
-        probe = np.max(np.abs(v(np.array([-X, X]))))
-        if probe < tol * 1e-2:
-            break
-        X *= 2.0
-    else:
-        raise NotIntegrable(
-            "sampler decays too slowly for plain truncation; "
-            "provide a CayleySum with asymptotic data")
-    out = np.empty(xis.shape, dtype=complex)
-    max_err = 0.0
-    for i, xi in enumerate(xis):
-        val, err = oscillatory_integral(v, -X, X, TWO_PI * xi)
-        out[i] = val
-        max_err = max(max_err, err + probe * X)
-    return out, max_err
-
-
 def regularized_pairing(n: float, v, tol: float = None):
     r"""< exp(2 pi i n x), v > for nonzero n and a SmoothVector/CayleySum
     v, interpreted through integration by parts with the exact derivative:
     -(1/(2 pi i n)) \int exp(2 pi i n x) v'(x) dx."""
     if n == 0:
         raise ZeroFrequency("n = 0: constant term excluded for cuspidal data")
-    cs = _as_cayley(v)
-    if cs is None:
-        raise TypeError("need a CayleySum or SmoothVector")
     # \int e^{2 pi i n x} v'(x) dx = F[v'](-n)
-    return -fourier_transform(cs.derivative(), -n, tol) / (TWO_PI * 1j * n)
+    return -fourier_transform(as_cayley(v).derivative(), -n, tol) \
+        / (TWO_PI * 1j * n)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +276,15 @@ def _check_exponent(s):
         raise NonIntegrableExponent(f"Re(s) = {complex(s).real} <= -1")
 
 
-def sin_power_series(s: complex, K: int, samples: int = 2 ** 14,
-                     richardson: bool = True) -> FourierSeriesTable:
+def _richardson(coeffs_at, s, parity_shift):
+    """The table at 2^15 samples, each coefficient's declared error its
+    change from 2^14 samples."""
+    a, a2 = coeffs_at(2 ** 14), coeffs_at(2 ** 15)
+    return FourierSeriesTable(complex(s), a2, parity_shift,
+                              {j: abs(a[j] - a2[j]) for j in a})
+
+
+def sin_power_series(s: complex, K: int) -> FourierSeriesTable:
     """Fourier coefficients a_{2k} of |sin theta|^s = sum a_{2k} e^{2ik theta}.
 
     Midpoint FFT sampling on (0, pi) with a doubled-resolution Richardson
@@ -328,17 +301,10 @@ def sin_power_series(s: complex, K: int, samples: int = 2 ** 14,
             out[2 * k] = F[k % N] * np.exp(-1j * math.pi * k / N)
         return out
 
-    a = coeffs_at(samples)
-    errs = {}
-    if richardson:
-        a2 = coeffs_at(2 * samples)
-        errs = {j: abs(a[j] - a2[j]) for j in a}
-        a = a2
-    return FourierSeriesTable(complex(s), a, "even", errs)
+    return _richardson(coeffs_at, s, "even")
 
 
-def signed_sin_power_series(s: complex, K: int, samples: int = 2 ** 14,
-                            richardson: bool = True) -> FourierSeriesTable:
+def signed_sin_power_series(s: complex, K: int) -> FourierSeriesTable:
     """Odd-harmonic coefficients b_{2k-1} of sgn(sin theta)|sin theta|^s
     = sum b_{2k-1} e^{i(2k-1) theta} over the full period 2 pi."""
     _check_exponent(s)
@@ -355,28 +321,18 @@ def signed_sin_power_series(s: complex, K: int, samples: int = 2 ** 14,
             out[r] = F[r % (2 * N)] * np.exp(-1j * math.pi * r / (2 * N))
         return out
 
-    b = coeffs_at(samples)
-    errs = {}
-    if richardson:
-        b2 = coeffs_at(2 * samples)
-        errs = {j: abs(b[j] - b2[j]) for j in b}
-        b = b2
-    return FourierSeriesTable(complex(s), b, "odd-signed", errs)
+    return _richardson(coeffs_at, s, "odd-signed")
 
 
-def series_coefficient_quadrature(s: complex, j: int, level: int = 10):
+def series_coefficient_quadrature(s: complex, j: int):
     r"""Independent single-coefficient oracle by direct quadrature:
     (1/pi) \int_0^pi sin^s(theta) e^{-i j theta} d theta.
 
     Valid for both tables -- even j gives a_{j} of |sin|^s, odd j gives
     b_{j} of the sign-twisted multiplier (the (pi, 2pi) half contributes
-    the same amount for odd j, and cancels for even).  tanh-sinh handles
-    the endpoint singularities for Re(s) < 0."""
-    from .quadrature import tanh_sinh_integrate
+    the same amount for odd j, and cancels for even).  tanh-sinh (level
+    10) handles the endpoint singularities for Re(s) < 0."""
     _check_exponent(s)
-
-    def f(theta):
-        return np.exp(complex(s) * np.log(np.sin(theta))) \
-            * np.exp(-1j * j * theta)
-
-    return tanh_sinh_integrate(f, 0.0, math.pi, level) / math.pi
+    theta, w = tanh_sinh_map(0.0, math.pi, 10)
+    f = np.exp(complex(s) * np.log(np.sin(theta))) * np.exp(-1j * j * theta)
+    return np.sum(w * f) / math.pi

@@ -22,7 +22,6 @@ from .errors import NonUnimodular, UnknownChart
 from .quadrature import TWO_PI
 
 DET_TOL = 1e-9
-RECON_TOL = 1e-12
 K_MASS = TWO_PI
 
 
@@ -51,9 +50,6 @@ class GroupElement:
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement.from_matrix(self.matrix @ other.matrix)
-
-    def inv(self) -> "GroupElement":
-        return GroupElement(self.d, -self.b, -self.c, self.a)
 
 
 def rotation(theta: float) -> GroupElement:
@@ -96,9 +92,6 @@ class KnaCoords:
 
     def reconstruct(self) -> GroupElement:
         return rotation(self.theta) @ unipotent(self.T) @ diagonal(self.a)
-
-    def to_kan(self) -> KanCoords:
-        return KanCoords(self.theta, self.a, self.T / self.a ** 2)
 
 
 @dataclass(frozen=True)
@@ -169,11 +162,12 @@ def measure_weight(chart: str, coords) -> float:
     raise UnknownChart(f"unknown chart {chart!r}")
 
 
-def random_elements(n: int, seed: int, scale: float = 1.0) -> list:
-    """Seeded random SL(2,R) elements, built as k a n products."""
+def random_elements(n: int, seed: int) -> list:
+    """Seeded random SL(2,R) elements, built as k a n products with
+    log a and t standard normal."""
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0.0, TWO_PI, n)
-    avals = np.exp(rng.normal(0.0, scale, n))
-    tvals = rng.normal(0.0, scale, n)
+    avals = np.exp(rng.normal(0.0, 1.0, n))
+    tvals = rng.normal(0.0, 1.0, n)
     return [rotation(th) @ diagonal(av) @ unipotent(tv)
             for th, av, tv in zip(thetas, avals, tvals)]

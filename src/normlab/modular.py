@@ -16,12 +16,13 @@ from .coeffs import ramanujan_tau_table
 from .quadrature import TWO_PI
 
 
-def reduce_to_fundamental(x, y, max_steps=200):
+def reduce_to_fundamental(x, y):
     """Reduce z = x + iy into the standard fundamental domain
-    (|x| <= 1/2, |z| >= 1) by integer shifts and inversions."""
+    (|x| <= 1/2, |z| >= 1) by integer shifts and inversions, at most 200
+    rounds."""
     x = np.array(x, dtype=float, copy=True)
     y = np.array(y, dtype=float, copy=True)
-    for _ in range(max_steps):
+    for _ in range(200):
         x -= np.round(x)
         r2 = x * x + y * y
         inside = r2 >= 1.0 - 1e-15
@@ -32,20 +33,21 @@ def reduce_to_fundamental(x, y, max_steps=200):
     return x, y
 
 
-def delta_profile(x, y, n_terms=40):
+def delta_profile(x, y):
     """y^6 |Delta(x+iy)| evaluated through fundamental-domain reduction.
 
     y^6 |Delta| is invariant, so reducing first makes the q-expansion
-    converge rapidly (|q| <= e^{-pi sqrt(3)} after reduction).
+    converge rapidly (|q| <= e^{-pi sqrt(3)} after reduction): 40 terms
+    are kept.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     xr, yr = reduce_to_fundamental(x, y)
-    tau_tab = ramanujan_tau_table(n_terms)
+    tau_tab = ramanujan_tau_table(40)
     q = np.exp(TWO_PI * (1j * xr - yr))
     acc = np.zeros(xr.shape, dtype=complex)
     # Horner in q, highest coefficient first; Delta = sum tau(n) q^n
-    for n in range(n_terms, 0, -1):
+    for n in range(40, 0, -1):
         acc = (acc + float(tau_tab[n])) * q
     return yr ** 6 * np.abs(acc)
 
@@ -55,7 +57,6 @@ class CuspProfile:
     periodic (period 1) and exactly Weyl-symmetric."""
 
     period = 1
-    k_order = 0  # K-invariant
 
     def __init__(self):
         from .siegel import SymmetryFlags

@@ -24,18 +24,11 @@ from .errors import (BadParameterRange, DivergentIntegral, OutOfRange,
                      ParityMismatch, PoleParameter)
 from .fourier import fourier_transform_batch
 from .group import K_MASS
-from .principal import CayleySum, ReprParams, SmoothVector
-from .quadrature import (DEFAULT_TOL, fit_powerlaw_tail, gauss_panels,
+from .principal import CayleySum, ReprParams, SmoothVector, as_cayley
+from .quadrature import (fit_powerlaw_tail, gauss_panels, resolve_tol,
                          tanh_sinh_map)
 
 _POLE_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class IntertwineEigenvalue:
-    m: int  # half-index: acts on the weight-2m K-type
-    u: complex
-    value: complex
 
 
 @dataclass
@@ -51,15 +44,17 @@ class NormValue:
         return self.tailBound < 0.01 * max(self.value, 1e-300)
 
 
-def intertwine_constant(m: int, u: complex, cross_check: bool = True):
+def intertwine_constant(m: int, u: complex):
     """Eigenvalue c_{2m}^{(u)} of A_u on the weight-2m K-type:
     A_u v_{2m}^{(u)} = c_{2m}^{(u)} v_{2m}^{(-u)}.
 
     Primary form:  (-1)^m 2^{1-u} pi Gamma(u) /
                    (Gamma((u+1)/2 + m) Gamma((u+1)/2 - m)).
-    Cross-check (reflection formula):
+    Cross-check (reflection formula), for |m| <= 100:
         2^{1-u} Gamma(u) Gamma(m + (1-u)/2) sin(pi(u+1)/2)
                  / Gamma((u+1)/2 + m).
+    Past |m| = 100 the primary form overflows, and the reflection form
+    alone is taken through log-Gamma.
     """
     u = complex(u)
     if abs(u.imag) < _POLE_EPS and abs(u.real - round(u.real)) < _POLE_EPS \
@@ -67,19 +62,16 @@ def intertwine_constant(m: int, u: complex, cross_check: bool = True):
         raise PoleParameter(f"A_u has a pole at u = {u.real:g}")
     half = (u + 1.0) / 2.0
     ma = abs(m)  # both forms are even in m
-    if ma <= 100:
-        primary = (-1.0) ** m * 2.0 ** (1.0 - u) * math.pi * _gamma(u) \
-            / (_gamma(half + ma) * _gamma(half - ma))
-        alt = 2.0 ** (1.0 - u) * _gamma(u) * _gamma(ma + (1.0 - u) / 2.0) \
-            * np.sin(np.pi * half) / _gamma(half + ma)
-    else:
-        # log-Gamma route: the direct form overflows past m ~ 100
+    if ma > 100:
         lg = _loggamma(complex(ma + (1.0 - u) / 2.0)) \
             - _loggamma(complex(half + ma))
-        alt = 2.0 ** (1.0 - u) * _gamma(u) * np.sin(np.pi * half) * np.exp(lg)
-        primary = alt
-        cross_check = False
-    if cross_check and abs(alt - primary) > 1e-9 * (1 + abs(primary)):
+        return 2.0 ** (1.0 - u) * _gamma(u) * np.sin(np.pi * half) \
+            * np.exp(lg)
+    primary = (-1.0) ** m * 2.0 ** (1.0 - u) * math.pi * _gamma(u) \
+        / (_gamma(half + ma) * _gamma(half - ma))
+    alt = 2.0 ** (1.0 - u) * _gamma(u) * _gamma(ma + (1.0 - u) / 2.0) \
+        * np.sin(np.pi * half) / _gamma(half + ma)
+    if abs(alt - primary) > 1e-9 * (1 + abs(primary)):
         raise AssertionError(
             f"closed forms disagree at m={m}, u={u}: {primary} vs {alt}")
     return primary
@@ -97,19 +89,16 @@ def intertwine_apply(v, u: float, x, tol: float = None):
         raise OutOfRange(
             f"A_u kernel integrable only for u in (0,1); got {u} "
             "(outside, the operator is defined spectrally via c_2m)")
-    tol = DEFAULT_TOL if tol is None else tol
-    cs = v.sampler if isinstance(v, SmoothVector) else v
-    if not isinstance(cs, CayleySum):
-        raise TypeError("intertwine_apply needs a CayleySum-backed sampler")
-
+    tol = resolve_tol(tol)
+    cs = as_cayley(v)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     n_gj = 24 if tol < 1e-6 else 16
     tj, wj = roots_jacobi(n_gj, 0.0, u - 1.0)
     out = np.empty(xs.shape, dtype=complex)
     # cut scales with |x| so the binomial tail ratio |x|/B stays <= ~2/3
     B = 1.5 * float(np.max(np.abs(xs))) + 41.0
-    up = cs.asymptotic("upper", 10)
-    lo = cs.asymptotic("lower", 10)
+    up = cs.asymptotic_series("upper", 10)
+    lo = cs.asymptotic_series("lower", 10)
     for i, xc in enumerate(xs):
         # |y - x| <= 1, both sides, Gauss-Jacobi in the weight |y-x|^{u-1}
         acc = 0.5 ** u * np.sum(wj * (cs(xc + 0.5 * (1.0 + tj))
@@ -143,33 +132,35 @@ def _graded_panels(lo_edge, hi_edge, xc, order=16):
             (half[:, None] * wg[None, :]).ravel())
 
 
-def _intertwine_tail(asym, xeff, B, u, max_terms=400):
-    r"""\int_B^inf (sum_n c_n y^{-s_n}) y^{u-1} (1 - xeff/y)^{u-1} dy,
-    termwise exact through the binomial series of the kernel, summed
-    adaptively in the ratio xeff/B (|ratio| < 1 by the choice of B).
+def _intertwine_tail(series, xeff, B, u):
+    r"""\int_B^inf (sum a[n] y^{-(s0+n)}) y^{u-1} (1 - xeff/y)^{u-1} dy
+    over the series (s0, a) of ``CayleySum.asymptotic_series``, termwise
+    exact through the binomial series of the kernel, summed adaptively in
+    the ratio xeff/B (|ratio| < 1 by the choice of B).
 
     Upper tail: kernel (y - xc)^{u-1}, xeff = xc.  Lower tail (after the
     substitution y -> -y): kernel (y + xc)^{u-1}, xeff = -xc.
     """
     ratio = xeff / B
     total = 0.0 + 0.0j
-    for c, s in asym:
-        base = complex(s) - (u - 1.0)  # integrand ~ y^{-base-j}
-        if base.real <= 1.0:
-            raise DivergentIntegral(
-                f"A_u tail diverges: exponent {base.real:.3f} <= 1")
-        head = c * B ** (1.0 - base)
-        bj = 1.0  # binom(u-1, j) * (-1)^j
-        rpow = 1.0
-        acc = 0.0 + 0.0j
-        for j in range(max_terms):
-            term = bj * rpow / (base + j - 1.0)
-            acc += term
-            if abs(term) < 1e-17 * max(abs(acc), 1e-30):
-                break
-            bj *= (u - 1.0 - j) / (j + 1.0) * (-1.0)
-            rpow *= ratio
-        total += head * acc
+    for s0, a in series:
+        for n, c in enumerate(a.tolist()):
+            base = s0 + n - (u - 1.0)  # integrand ~ y^{-base-j}
+            if base.real <= 1.0:
+                raise DivergentIntegral(
+                    f"A_u tail diverges: exponent {base.real:.3f} <= 1")
+            head = c * B ** (1.0 - base)
+            bj = 1.0  # binom(u-1, j) * (-1)^j
+            rpow = 1.0
+            acc = 0.0 + 0.0j
+            for j in range(400):
+                term = bj * rpow / (base + j - 1.0)
+                acc += term
+                if abs(term) < 1e-17 * max(abs(acc), 1e-30):
+                    break
+                bj *= (u - 1.0 - j) / (j + 1.0) * (-1.0)
+                rpow *= ratio
+            total += head * acc
     return total
 
 
@@ -235,8 +226,8 @@ def intertwine_pair(phi, psi, u: float, tol: float = None,
             if d is not None:
                 total += c * np.conj(d) * intertwine_constant(m // 2, u)
         return math.pi * total
-    tol = DEFAULT_TOL if tol is None else tol
-    ps = psi.sampler if isinstance(psi, SmoothVector) else psi
+    tol = resolve_tol(tol)
+    ps = as_cayley(psi)
     X = 150.0
     nx, wx = gauss_panels(-X, X, 200, 16)
     av = intertwine_apply(phi, u, nx, tol)
@@ -246,12 +237,11 @@ def intertwine_pair(phi, psi, u: float, tol: float = None,
     def integrand(xa):
         return intertwine_apply(phi, u, xa, tol) * np.conj(ps(xa))
 
-    t_up, e_up = fit_powerlaw_tail(lambda xa: np.abs(integrand(xa)), X, "upper")
+    t_up, e_up = fit_powerlaw_tail(lambda xa: np.abs(integrand(xa)), X)
     # attach the phase of the integrand at the cut to the magnitude tail
     ph_up = integrand(np.array([X * 1.05]))[0]
     ph_lo = integrand(np.array([-X * 1.05]))[0]
-    t_lo, e_lo = fit_powerlaw_tail(
-        lambda xa: np.abs(integrand(-xa)), X, "upper")
+    t_lo, e_lo = fit_powerlaw_tail(lambda xa: np.abs(integrand(-xa)), X)
     tails = t_up * ph_up / max(abs(ph_up), 1e-300) \
         + t_lo * ph_lo / max(abs(ph_lo), 1e-300)
     return core + tails
@@ -306,18 +296,15 @@ def comp_norm(v, u: float, tol: float = None) -> NormValue:
     """
     if not (-1.0 < u < 1.0):
         raise OutOfRange(f"comp_norm needs |u| < 1, got {u}")
-    tol = DEFAULT_TOL if tol is None else tol
-    cs = v.sampler if isinstance(v, SmoothVector) else v
-    if isinstance(cs, CayleySum):
-        # transform ~ |xi|^{d-1} near 0 when the decay exponent d < 1
-        d = cs.min_decay
-        if 2.0 * min(d - 1.0, 0.0) - u <= -1.0:
-            raise DivergentIntegral(
-                f"xi -> 0 end diverges: decay exponent {d:.3f}, u = {u} "
-                f"(need 2*min(d-1,0) - u > -1)")
-        mw = cs.max_weight
-    else:
-        mw = 0.0
+    tol = resolve_tol(tol)
+    cs = as_cayley(v)
+    # transform ~ |xi|^{d-1} near 0 when the decay exponent d < 1
+    d = cs.min_decay
+    if 2.0 * min(d - 1.0, 0.0) - u <= -1.0:
+        raise DivergentIntegral(
+            f"xi -> 0 end diverges: decay exponent {d:.3f}, u = {u} "
+            f"(need 2*min(d-1,0) - u > -1)")
+    mw = cs.max_weight
 
     def density(x):
         # xi^{-u} |Fv|^2 at +x and at -x
@@ -374,7 +361,7 @@ def triple_norm(v: SmoothVector, u: float, tol: float = None,
     for the finite trigonometric polynomial the orbit traces, and
     independent of the orthogonality argument.
     """
-    tol = DEFAULT_TOL if tol is None else tol
+    tol = resolve_tol(tol)
     if method == "spectral":
         val = 0.0
         tail = 0.0

@@ -61,9 +61,6 @@ class ReprParams:
         return (self.parity == "+" and abs(self.u1) < 1e-14
                 and 1e-14 < abs(self.u0) < 1.0)
 
-    def weight_ok(self, m: int) -> bool:
-        return (m % 2 == 0) == (self.parity == "+")
-
     def dual(self) -> "ReprParams":
         return ReprParams(-complex(self.u), self.parity)
 
@@ -123,9 +120,6 @@ class CayleySum:
             t[k] = t.get(k, 0.0 + 0.0j) + v
         return CayleySum(t)
 
-    def scale(self, c) -> "CayleySum":
-        return CayleySum({k: c * v for k, v in self.terms.items()})
-
     def derivative(self) -> "CayleySum":
         # d/dx (1+ix)^{-al}(1-ix)^{-be}
         #   = -i*al (1+ix)^{-al-1}(1-ix)^{-be} + i*be (1+ix)^{-al}(1-ix)^{-be-1}
@@ -177,13 +171,6 @@ class CayleySum:
             out.append((al + be, pref * np.convolve(pa, pb)[:order]))
         return out
 
-    def asymptotic(self, side: str, order: int):
-        """Coefficients (c_n, s_n) with f(x) ~ sum c_n |x|^{-s_n} as
-        x -> +inf ('upper') or x -> -inf ('lower', in powers of |x|)."""
-        return [(c, s0 + n)
-                for s0, a in self.asymptotic_series(side, order)
-                for n, c in enumerate(a.tolist())]
-
 
 def ktype_eval(m: int, u: complex, parity: str, x, picture: str = "rep"):
     """Value of the weight-m K-type basis vector at x.
@@ -231,20 +218,27 @@ class SmoothVector:
                             {m: c * cmath.exp(1j * m * theta)
                              for m, c in self.coeffs.items()})
 
-    def scale(self, c) -> "SmoothVector":
-        return SmoothVector(self.params,
-                            {m: c * v for m, v in self.coeffs.items()})
-
-    def validate(self, xs=None, tol=1e-10) -> float:
-        """Max deviation between the sampler and the term-by-term sum."""
-        if xs is None:
-            xs = np.linspace(-5.0, 5.0, 41)
+    def validate(self) -> float:
+        """Max deviation between the sampler and the term-by-term sum on
+        41 points of [-5, 5]; above 1e-10 it raises AssertionError."""
+        xs = np.linspace(-5.0, 5.0, 41)
         direct = sum(c * ktype_eval(m, self.params.u, self.params.parity, xs)
                      for m, c in self.coeffs.items())
         dev = float(np.max(np.abs(self.sampler(xs) - direct)))
-        if dev > tol:
+        if dev > 1e-10:
             raise AssertionError(f"K-type expansion inconsistent: {dev:.3e}")
         return dev
+
+
+def as_cayley(v) -> CayleySum:
+    """The CayleySum behind ``v``, a CayleySum or a SmoothVector; anything
+    else (a plain callable too) raises TypeError."""
+    if isinstance(v, SmoothVector):
+        return v.sampler
+    if isinstance(v, CayleySum):
+        return v
+    raise TypeError(
+        f"need a CayleySum or SmoothVector, got {type(v).__name__}")
 
 
 def act(g, f, u: complex, parity: str = "+"):

@@ -1,6 +1,7 @@
 """Quadrature kernels: panelized Gauss-Legendre, tanh-sinh, power-law
 tail completion, and a vectorized complex generalized exponential
-integral; also the package's constants, DEFAULT_TOL and TWO_PI.
+integral; also the package's constant TWO_PI and its working tolerance
+(``resolve_tol``).
 
 Every routine here is pure and vectorized over numpy arrays; integrands are
 expected to accept an ndarray of abscissae and return an ndarray of values.
@@ -15,10 +16,25 @@ import os
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .errors import AccuracyNotReached
+from .errors import AccuracyNotReached, ConfigInvalid
 
-DEFAULT_TOL = float(os.environ.get("NORMLAB_TOL", "1e-8"))
 TWO_PI = 2.0 * math.pi
+
+
+def resolve_tol(tol=None) -> float:
+    """The working tolerance: ``tol``, or when it is None the environment
+    variable NORMLAB_TOL (default 1e-8).  Raises ConfigInvalid, naming
+    the variable, unless it is a number in (0, 1)."""
+    name = "tol"
+    if tol is None:
+        name, tol = "NORMLAB_TOL", os.environ.get("NORMLAB_TOL", "1e-8")
+        try:
+            tol = float(tol)
+        except ValueError:
+            pass  # left a string, rejected below
+    if not isinstance(tol, (int, float)) or not 0.0 < tol < 1.0:
+        raise ConfigInvalid(f"{name} must be a number in (0, 1), got {tol!r}")
+    return tol
 
 
 @functools.lru_cache(maxsize=64)
@@ -27,19 +43,24 @@ def _gl_rule(order: int):
     return x, w
 
 
+def gauss_rule(lo, hi, order: int = 16):
+    """Nodes and weights of Gauss-Legendre panels [lo[k], hi[k]], panel
+    by panel in the order given."""
+    x, w = _gl_rule(order)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    mids, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    return ((mids[:, None] + half[:, None] * x[None, :]).ravel(),
+            (half[:, None] * w[None, :]).ravel())
+
+
 def gauss_panels(a: float, b: float, n_panels: int, order: int = 16):
     """Nodes and weights of a composite Gauss-Legendre rule on [a, b]."""
-    x, w = _gl_rule(order)
     edges = np.linspace(a, b, n_panels + 1)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mids[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    return gauss_rule(edges[:-1], edges[1:], order)
 
 
 @functools.lru_cache(maxsize=32)
-def tanh_sinh_rule(level: int = 7, t_max: float = 5.0, new_only: bool = False):
+def tanh_sinh_rule(level: int = 7, new_only: bool = False):
     """Double-exponential rule on (-1, 1) in endpoint-offset form.
 
     Returns (delta, w, side): each node sits at distance ``delta`` from
@@ -48,13 +69,13 @@ def tanh_sinh_rule(level: int = 7, t_max: float = 5.0, new_only: bool = False):
     preserves nodes down to delta ~ 1e-100, which plain float positions
     cannot represent; this is what lets x^{-0.9}-type singularities
     integrate to full precision.  ``level`` sets the mesh
-    h = t_max / 2**level over [-t_max, t_max].
+    h = 5 / 2**level over [-5, 5].
 
     Levels are nested: level l holds every node of level l-1 (with half
     its weight) plus the odd multiples of h.  ``new_only`` returns just
     those odd nodes, so that Q_l = Q_{l-1} / 2 + (sum over new nodes).
     """
-    h = t_max / 2 ** level
+    h = 5.0 / 2 ** level
     k = np.arange(-2 ** level, 2 ** level + 1)
     if new_only:
         k = k[k % 2 != 0]
@@ -80,42 +101,6 @@ def tanh_sinh_map(a, b, level=7, new_only=False):
     return x, half * w
 
 
-def tanh_sinh_integrate(f, a, b, level=7):
-    """Integral of f over (a, b) by tanh-sinh; endpoints are never sampled.r"""
-    x, w = tanh_sinh_map(a, b, level)
-    return np.sum(w * f(x))
-
-
-# ---------------------------------------------------------------------------
-# Oscillatory finite-range integrals: \int_{-X}^{X} f(x) e^{-i omega x} dx
-# ---------------------------------------------------------------------------
-
-def oscillatory_nodes(x_lo: float, x_hi: float, omega_eff: float,
-                      points_per_radian: float = 3.0, order: int = 16):
-    """Composite GL nodes sized so each panel spans <= ~3 radians of the
-    fastest oscillation present (|omega_eff|)."""
-    span = x_hi - x_lo
-    n_panels = max(4, int(math.ceil(span * (abs(omega_eff) + 1.0)
-                                    * points_per_radian / (2 * order))) * 2)
-    return gauss_panels(x_lo, x_hi, n_panels, order)
-
-
-def oscillatory_integral(f, x_lo, x_hi, omega, extra_freq=0.0):
-    r"""\int f(x) e^{-i omega x} dx over [x_lo, x_hi] with error estimate.
-
-    ``extra_freq`` adds intrinsic oscillation of f itself to the panel
-    sizing (e.g. a K-type phase of weight m contributes |m|).
-    """
-    om = abs(omega) + abs(extra_freq)
-    nodes, weights = oscillatory_nodes(x_lo, x_hi, om)
-    fx = f(nodes)
-    val = np.sum(weights * fx * np.exp(-1j * omega * nodes))
-    # error estimate from a lower-order rule on the same panels
-    nodes8, weights8 = oscillatory_nodes(x_lo, x_hi, om, order=8)
-    val8 = np.sum(weights8 * f(nodes8) * np.exp(-1j * omega * nodes8))
-    return val, abs(val - val8)
-
-
 # ---------------------------------------------------------------------------
 # Generalized exponential integral E_s(z), complex order, Re(z) >= 0
 # ---------------------------------------------------------------------------
@@ -123,12 +108,12 @@ def oscillatory_integral(f, x_lo, x_hi, omega, extra_freq=0.0):
 _EULER = 0.5772156649015328606
 
 
-def _power_sum(s, z, head, kmax=400):
+def _power_sum(s, z, head):
     """head + sum_{k >= 1} (-z)^k / (k! (1 - s + k)), summed until every
     element's term is below 1e-17 of its sum."""
     term = np.ones_like(z)
     acc = np.zeros_like(z) + head
-    for k in range(1, kmax):
+    for k in range(1, 400):
         term = term * (-z) / k
         add = term / (1.0 - s + k)
         acc = acc + add
@@ -156,7 +141,7 @@ def _expint_series(s, z):
     return out
 
 
-def _expint_cf(s, z, iters=1000):
+def _expint_cf(s, z):
     """Modified Lentz continued fraction (Thompson & Barnett 1986), good
     for |z| > 2 or Re(z) > 1.  Each element retires once its factor is
     within 1e-15 of 1, so a batch costs the sum of its elements'
@@ -165,7 +150,7 @@ def _expint_cf(s, z, iters=1000):
     b = z + s
     c = np.full_like(z, 1.0 / 1e-290)  # 1 / tiny
     d = h = 1.0 / b
-    for i in range(1, iters):
+    for i in range(1, 1000):
         a = -i * (s + (i - 1.0))
         b = b + 2.0
         d = 1.0 / (a * d + b)
@@ -219,31 +204,22 @@ def expint(s, z):
     return out.reshape(shape)[()]
 
 
-def fit_powerlaw_tail(f, A, direction="upper", ratio=1.6, n_probe=4):
-    r"""Estimate \int_A^inf f (or \int_0^A for 'lower') assuming f ~ C x^p.
+def fit_powerlaw_tail(f, A):
+    r"""Estimate \int_A^inf f assuming f ~ C x^p.
 
-    Fits p from probe samples; returns (tail_estimate, reliability_error).
-    For 'lower', assumes f ~ C x^p near 0 and returns \int_0^A.
+    Fits p from probe samples at A 1.6^k, k < 4; returns (tail_estimate,
+    reliability_error).
     """
-    if direction == "upper":
-        xs = A * ratio ** np.arange(n_probe)
-    else:
-        xs = A / ratio ** np.arange(n_probe)
+    xs = A * 1.6 ** np.arange(4)
     ys = np.array([float(np.real(f(np.array([x]))[0])) for x in xs])
     if np.any(ys <= 0):
         return 0.0, float(np.max(np.abs(ys)) * A)
     p = np.polyfit(np.log(xs), np.log(ys), 1)[0]
     C = ys[0] / xs[0] ** p
-    if direction == "upper":
-        if p >= -1.001:
-            raise AccuracyNotReached(
-                f"tail exponent {p:.3f} too shallow to complete", achieved=None)
-        est = -C * A ** (p + 1.0) / (p + 1.0)
-    else:
-        if p <= -0.999:
-            raise AccuracyNotReached(
-                f"head exponent {p:.3f} not integrable", achieved=None)
-        est = C * A ** (p + 1.0) / (p + 1.0)
+    if p >= -1.001:
+        raise AccuracyNotReached(
+            f"tail exponent {p:.3f} too shallow to complete", achieved=None)
+    est = -C * A ** (p + 1.0) / (p + 1.0)
     # reliability: spread of local exponent over the probe window
     local = np.diff(np.log(ys)) / np.diff(np.log(xs))
     err = float(abs(est) * (np.max(local) - np.min(local)))

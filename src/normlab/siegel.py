@@ -30,13 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automorphic import coeff_sums
-from .errors import (EpsilonBarrier, MissingSymmetry, OutOfRange,
-                     UnboundedOmega)
+from .errors import (ConstantTermPresent, EpsilonBarrier, MissingSymmetry,
+                     OutOfRange, UnboundedOmega)
 from .fourier import fourier_transform_batch
 from .group import K_MASS
 from .norms import triple_norm
-from .principal import SmoothVector
-from .quadrature import DEFAULT_TOL, _gl_rule, gauss_panels
+from .principal import CayleySum, SmoothVector
+from .quadrature import gauss_panels, gauss_rule, resolve_tol
 
 A_MIN = 1e-4        # hard lower cutoff in a for region quadrature
 MAX_SEGMENTS = 2000  # floor-constant segments resolved exactly
@@ -60,16 +60,16 @@ class RegionSpec:
     def __post_init__(self):
         if self.period < 1:
             raise OutOfRange("period must be a positive integer")
-        if self.a1 <= 0:
-            raise OutOfRange("a1 must be positive")
+        if not (math.isfinite(self.T1) and math.isfinite(self.eps)):
+            raise OutOfRange("T1 and eps must be finite")
+        if not 0 < self.a1 < math.inf:  # also rejects nan
+            raise OutOfRange("a1 must be positive and finite")
         if self.side not in ("minus", "plus", "full"):
             raise OutOfRange(f"unknown side {self.side!r}")
 
 
 class ConstantFunction:
     """f == c on all of G; the closed-form oracle for region norms."""
-
-    k_order = 0
 
     def __init__(self, c: float = 1.0, period: int = 1):
         self.c = c
@@ -107,22 +107,17 @@ class WhittakerModel:
                  tol: float = None):
         self.tau = tau
         self.v = v
-        self.tol = DEFAULT_TOL if tol is None else tol
+        self.tol = resolve_tol(tol)
         self.period = tau.period
         self.u = complex(tau.params.u)
         self.flags = SymmetryFlags(hasPeriod=True, hasWeyl=assert_weyl)
         self.ms = sorted(v.coeffs)
         self.cm = np.array([v.coeffs[m] for m in self.ms], dtype=complex)
-        self.k_order = max((abs(m) for m in self.ms), default=0)
-        items = sorted(tau.coeffs.items())
-        self.js = np.array([j for j, _ in items])
-        self.ns = self.js / self.period
-        self.bs = np.array([b for _, b in items], dtype=complex)
+        self.js, self.ns, self.bs = tau.coefficient_arrays()
 
     def _amplitudes(self, avals):
         """A[i_m, i_a, i_n] = Fv_m(-n a^{-2}), one transform batch per
         K-type over the distinct a-values."""
-        from .principal import CayleySum
         ua, idx = np.unique(avals, return_inverse=True)
         xi = (-np.outer(1.0 / ua ** 2, self.ns)).ravel()
         out = np.empty((len(self.ms), len(avals), len(self.ns)),
@@ -287,22 +282,15 @@ def _minus_value(model, T1, a1, eps, kinds, tol):
     piece.
     """
     p = model.period
-    xg, wg = _gl_rule(16)
     segs = list(_segment_edges(T1, a1, p))
     vals = np.zeros(len(kinds))
     a_cut = A_MIN
     batch = 64
     for b0 in range(0, len(segs), batch):
         chunk = segs[b0:b0 + batch]
-        a_nodes, weights, floors = [], [], []
-        for lo_e, hi_e, flv in chunk:
-            mid, half = 0.5 * (hi_e + lo_e), 0.5 * (hi_e - lo_e)
-            a_nodes.append(mid + half * xg)
-            weights.append(half * wg)
-            floors.append(np.full(len(xg), flv))
-        a = np.concatenate(a_nodes)
-        w = np.concatenate(weights)
-        fl = np.concatenate(floors)
+        lo_e, hi_e, fl = (np.array(col) for col in zip(*chunk))
+        a, w = gauss_rule(lo_e, hi_e)
+        fl = np.repeat(fl, 16)
         if "exact" in kinds:
             P, R = _period_and_rest(model, a, abs(T1) / a ** 2 - fl * p,
                                     T1, tol)
@@ -330,7 +318,7 @@ def _minus_value(model, T1, a1, eps, kinds, tol):
 def region_norm_minus(f, spec: RegionSpec, tol: float = None) -> float:
     """||f||^2 over {0 < a <= a1, 0 <= T <= T1} with weight a^eps da/a dT dk,
     via the exact floor + remainder-cell reduction."""
-    tol = DEFAULT_TOL if tol is None else tol
+    tol = resolve_tol(tol)
     _require(f.flags.hasPeriod, "period")
     if spec.side != "minus":
         raise OutOfRange("region_norm_minus needs spec.side == 'minus'")
@@ -339,7 +327,7 @@ def region_norm_minus(f, spec: RegionSpec, tol: float = None) -> float:
 
 def floor_sandwich(f, spec: RegionSpec, tol: float = None):
     """The two floor-expression bounds around the minus-region norm."""
-    tol = DEFAULT_TOL if tol is None else tol
+    tol = resolve_tol(tol)
     _require(f.flags.hasPeriod, "period")
     return _minus_value(f, spec.T1, spec.a1, spec.eps, ("lower", "upper"),
                         tol)
@@ -349,7 +337,7 @@ def region_norm_plus_via_weyl(f, spec: RegionSpec, tol: float = None):
     """Two-sided bracket for ||f||^2 over {a >= a1, 0 <= T <= T1},
     transported by the Weyl flip to minus-region norms at
     (-T1, 1/a1, -eps) and (-T1, sqrt(T1^2+1)/a1, -eps)."""
-    tol = DEFAULT_TOL if tol is None else tol
+    tol = resolve_tol(tol)
     _require(f.flags.hasPeriod, "period")
     _require(f.flags.hasWeyl, "Weyl-symmetry")
     T1, a1, eps = spec.T1, spec.a1, spec.eps
@@ -365,7 +353,7 @@ def region_norm_plus_direct(f, spec: RegionSpec, tol: float = None) -> float:
     """Direct quadrature over the plus region {a >= a1, 0 <= T <= T1}:
     in K a n_t coordinates, a^{2+eps} (floor + remainder) da/a again,
     with the a-range extended outward until the integrand dies."""
-    tol = DEFAULT_TOL if tol is None else tol
+    tol = resolve_tol(tol)
     _require(f.flags.hasPeriod, "period")
     p = f.period
     Tabs = abs(spec.T1)
@@ -391,7 +379,7 @@ def region_norm_plus_weyl_exact(f, spec: RegionSpec,
     [-T1, -s] and da'/a' = s ds/(1+s^2), so no sqrt-kink at a' = 1/a1
     meets the quadrature.  Exact for genuinely Weyl-symmetric f; for
     asserted symmetry it is the value the symmetrized model would have."""
-    tol = DEFAULT_TOL if tol is None else tol
+    tol = resolve_tol(tol)
     _require(f.flags.hasPeriod, "period")
     _require(f.flags.hasWeyl, "Weyl-symmetry")
     T1, a1, eps = spec.T1, spec.a1, spec.eps
@@ -420,7 +408,7 @@ def region_norm_full(f, spec: RegionSpec, tol: float = None) -> float:
     """||f||^2_{T1, eps} over all of K N_{T1} A: minus part (a <= 1)
     plus the plus part (a >= 1), the latter through the Weyl flip when
     the symmetry flag is present and by direct quadrature otherwise."""
-    tol = DEFAULT_TOL if tol is None else tol
+    tol = resolve_tol(tol)
     _require(f.flags.hasPeriod, "period")
     sub_m = RegionSpec(spec.T1, spec.eps, spec.period, 1.0, "minus")
     sub_p = RegionSpec(spec.T1, spec.eps, spec.period, 1.0, "plus")
@@ -443,7 +431,7 @@ def main_bound_check(f, T1: float, eps: float, tol: float = None) -> dict:
     r"""||f||^2_{T1,eps} <= c_{T1,eps,p} \int_K \int_0^{sqrt(1+T1^2)}
     (a^eps + a^{-eps}) \int_0^p |f|^2 dt da/a dk, constant built exactly
     per the constructive proof."""
-    tol = DEFAULT_TOL if tol is None else tol
+    tol = resolve_tol(tol)
     _require(f.flags.hasPeriod, "period")
     _require(f.flags.hasWeyl, "Weyl-symmetry")
     p = f.period
@@ -463,7 +451,7 @@ def main2_check(tau, v: SmoothVector, T1: float, eps: float,
                 tol: float = None) -> dict:
     """||f||_{T1,eps} against the triple norm of v at -|eps|/2 (unitary
     principal type) or -u - |eps|/2 (complementary type)."""
-    tol = DEFAULT_TOL if tol is None else tol
+    tol = resolve_tol(tol)
     if eps == 0:
         raise EpsilonBarrier(
             "the restriction-norm bound degenerates at eps = 0; "
@@ -490,7 +478,7 @@ def omega_a_norm(f, omega, eps: float, tol: float = None) -> float:
     reduction the region norms use: the window holds whole period cells
     plus two partial ones.
     """
-    tol = DEFAULT_TOL if tol is None else tol
+    tol = resolve_tol(tol)
     th_lo, th_hi, T_lo, T_hi = omega
     if not all(map(math.isfinite, (th_lo, th_hi, T_lo, T_hi))):
         raise UnboundedOmega("omega must be a bounded subset of K x N")
@@ -519,18 +507,10 @@ def omega_a_norm(f, omega, eps: float, tol: float = None) -> float:
                 if lo < b < hi:
                     edges.add(math.log(b))
         edges = sorted(edges)
-        xg, wg = _gl_rule(8)
-        nodes, wts = [], []
-        for e0, e1 in zip(edges[:-1], edges[1:]):
-            width = e1 - e0
-            n_sub = max(1, int(math.ceil(width / 0.15)))
-            sub = np.linspace(e0, e1, n_sub + 1)
-            for s0, s1 in zip(sub[:-1], sub[1:]):
-                mid, half = 0.5 * (s1 + s0), 0.5 * (s1 - s0)
-                nodes.append(mid + half * xg)
-                wts.append(half * wg)
-        lg = np.concatenate(nodes)
-        lw = np.concatenate(wts)
+        subs = [np.linspace(e0, e1, max(1, math.ceil((e1 - e0) / 0.15)) + 1)
+                for e0, e1 in zip(edges[:-1], edges[1:])]
+        lg, lw = gauss_rule(np.concatenate([sub[:-1] for sub in subs]),
+                            np.concatenate([sub[1:] for sub in subs]), 8)
         a = np.exp(lg)
         return float(np.sum(lw * a ** (2.0 + eps) * window(a)))
 
@@ -542,8 +522,7 @@ def eisenstein_scenario(tau, lam: float, eps: float, T1: float,
     """Restriction-norm comparison run for Eisenstein-type (divisor-sum) coefficient
     tables: verify partial-sum summability on the materialized range,
     then fit the restriction-norm constant."""
-    tol = DEFAULT_TOL if tol is None else tol
-    from .errors import ConstantTermPresent
+    tol = resolve_tol(tol)
     if 0 in tau.coeffs:
         raise ConstantTermPresent("Eisenstein scenario needs b_0 = 0")
     ks = sorted({abs(j) / tau.period for j in tau.coeffs})

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import normlab
 from normlab.automorphic import PeriodicDistribution
 from normlab.cli import main
 
@@ -129,9 +133,38 @@ def test_regress_against_frozen_tables():
     ["decompose", "--tol", "0"],
     ["decompose", "--tol", "-1"],
     ["verify-whittaker", "--a1", "nan"],
+    ["region-norm", "--a1", "nan"],
+    ["region-norm", "--T1", "nan"],
+    ["region-norm", "--a1", "inf"],
+    ["weyl-bracket", "--assert-weyl", "--a1", "nan"],
+    ["weyl-bracket", "--assert-weyl", "--T1", "nan"],
+    ["intertwine", "--u", "nan"],
+    ["eisenstein", "--N", "0"],
+    ["sin-series", "--s", "nan"],
+    ["measure-check", "--n", "-5"],
+    ["comp-norm-scan", "--m-max", "-2"],
+    ["omega-norm", "--omega", "0,1,0,nan"],
+    ["comp-norm-scan", "--config", "CFG"],
 ])
 def test_malformed_input_exits_2(argv, tmp_path, capsys):
+    # CFG: a config file whose value only the merged-parameter check sees
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m-max": -2, "u": 0.25}))
+    argv = [str(cfg) if x == "CFG" else x for x in argv]
     assert main(argv + ["--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("normlab: invalid configuration: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_malformed_env_tol_exits_2():
+    # NORMLAB_TOL is read when a command runs, not at import, so a bad
+    # value is invalid configuration like a bad --tol
+    src = os.path.dirname(os.path.dirname(normlab.__file__))
+    env = dict(os.environ, NORMLAB_TOL="abc", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "normlab.cli", "gnorm"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("normlab: invalid configuration: ")
+    assert "NORMLAB_TOL" in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr

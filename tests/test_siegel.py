@@ -32,8 +32,10 @@ def _model(coeffs={1: 1.0, -2: 0.5}, u=1j, m=0, weyl=False):
 def test_region_spec_validation():
     with pytest.raises(OutOfRange):
         RegionSpec(1.0, 0.5, period=0)
-    with pytest.raises(OutOfRange):
-        RegionSpec(1.0, 0.5, a1=-1.0)
+    for bad in ({"a1": -1.0}, {"a1": math.nan}, {"a1": math.inf},
+                {"T1": math.nan}, {"eps": math.inf}):
+        with pytest.raises(OutOfRange):
+            RegionSpec(**{"T1": 1.0, "eps": 0.5, **bad})
     with pytest.raises(OutOfRange):
         RegionSpec(1.0, 0.5, side="left")
 
