@@ -23,8 +23,9 @@ from .errors import (ConstantTermPresent, DivergentIntegral,
                      HypothesisUnverifiable, OutOfRange, TailNotControlled)
 from .fourier import fourier_transform_batch
 from .group import KanCoords
+from .norms import _xi_integral, weighted_fv_integral
 from .principal import ReprParams, SmoothVector, as_cayley
-from .quadrature import TWO_PI, gauss_panels, resolve_tol, tanh_sinh_map
+from .quadrature import gauss_panels, resolve_tol, tanh_sinh_map
 
 
 @dataclass
@@ -187,41 +188,6 @@ def coeff_sum(tau: PeriodicDistribution, eps: float, u0: float, k: float,
     return float(coeff_sums(tau, eps, u0, k, sign))
 
 
-# ---------------------------------------------------------------------------
-# Weighted transform integrals  \int_lo^inf a^p |Fv(sign a)|^2 da
-# ---------------------------------------------------------------------------
-
-def weighted_fv_integral(v, p: float, lo: float, sign: int,
-                         tol: float = None) -> float:
-    r"""\int_lo^infty a^p |Fv(sign * a)|^2 da with endpoint care at 0."""
-    tol = resolve_tol(tol)
-    cs = as_cayley(v)
-    d = cs.min_decay
-    if lo == 0.0 and p + 2.0 * min(d - 1.0, 0.0) <= -1.0:
-        raise DivergentIntegral(
-            f"transform-integral side diverges at a -> 0 "
-            f"(p={p}, decay {d:.3f})")
-    grid, gw = _fv_rule(cs, lo, tol)
-    dens = np.abs(fourier_transform_batch(cs, sign * grid, tol)) ** 2 \
-        * grid ** p
-    return float(np.sum(gw * dens)) + float(dens[-1]) / (2.0 * TWO_PI)
-
-
-def _fv_rule(cs, lo, tol):
-    """Nodes and weights of weighted_fv_integral on [lo, Xi]; the last
-    node's density / (4 pi) stands in for the rest."""
-    Xi = max(cs.max_weight / TWO_PI + 4.5, lo + 4.0)
-    pieces = []
-    if lo < 1.0:
-        x0, w0 = tanh_sinh_map(lo, 1.0, 6 if tol >= 1e-8 else 7)
-        pieces.append((x0, w0))
-    start = max(lo, 1.0)
-    if start < Xi:
-        pieces.append(gauss_panels(start, Xi, max(4, int(Xi - start) + 1), 16))
-    return (np.concatenate([x for x, _ in pieces]),
-            np.concatenate([w for _, w in pieces]))
-
-
 def p0_weighted_norm(tau: PeriodicDistribution, v, a1, eps: float,
                      tol: float = None, method: str = "spectral") -> float:
     r"""\int_0^{a1} \int_0^p |f(a n_t)|^2 dt a^eps da/a.
@@ -268,18 +234,17 @@ def _p0_spectral(tau, v, a1, eps, tol):
                 cs, pw, 0.0, -sign, tol)
             continue
         # breakpoints where the cutoff n <= a * a1^2 admits a new term;
-        # every segment's nodes go into one transform batch
+        # the finite segments' nodes go into the last segment's first
+        # transform batch
         edges = [n / a1 ** 2 for n in ns]
         rules = [_segment_rule(pw, lo, hi, tol)
                  for lo, hi in zip(edges, edges[1:])]
-        rules.append(_fv_rule(cs, edges[-1], tol))
-        grid = np.concatenate([x for x, _ in rules])
-        dens = np.abs(fourier_transform_batch(cs, -sign * grid, tol)) ** 2 \
-            * grid ** pw
-        starts = np.cumsum([0] + [len(x) for x, _ in rules[:-1]])
-        seg = np.add.reduceat(np.concatenate([w for _, w in rules]) * dens,
-                              starts)
-        seg[-1] += float(dens[-1]) / (2.0 * TWO_PI)
+        grid = np.concatenate([x for x, _ in rules] + [np.empty(0)])
+        wts = np.concatenate([w for _, w in rules] + [np.empty(0)])
+        last, _, _, dens = _xi_integral(cs, pw, edges[-1], (-sign,), tol,
+                                        grid)
+        starts = np.cumsum([0] + [len(x) for x, _ in rules])
+        seg = np.add.reduceat(np.append(wts * dens[0], last), starts)
         total += 0.5 * p * float(np.dot(partials, seg))
     return total
 

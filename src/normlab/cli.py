@@ -86,7 +86,7 @@ def _vector_from(p):
     return SmoothVector.single(p["m"], -u, p["parity"])
 
 
-def _profile_from(p, tol):
+def _profile_from(p):
     spec = p["profile"]
     if spec == "delta":
         return CuspProfile()
@@ -100,7 +100,7 @@ def _profile_from(p, tol):
         raise ConfigInvalid(f"unknown profile {spec!r} "
                             "(use delta, constant[:c], or model)")
     return WhittakerModel(_tau_from(p), _vector_from(p),
-                          assert_weyl=bool(p["assert_weyl"]), tol=tol)
+                          assert_weyl=bool(p["assert_weyl"]))
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +166,14 @@ def cmd_intertwine(p, tol):
     u = complex(p["u"], p["u1"])
     m = p["m"]
     c = intertwine_constant(m, u)
+    # intertwine_constant raises when its two forms, compared for
+    # |m| <= 100 only, differ
     report = {"u": p["u"], "m": m,
               "c": [c.real, c.imag] if isinstance(c, complex) else
               [float(np.real(c)), float(np.imag(c))],
               "checks": [_flag("closed-forms-agree", True,
-                               "the two Gamma closed forms agree to 1e-10")]}
+                               "the two Gamma closed forms agree to 1e-10")]
+              if abs(m) <= 100 else []}
     if p["numeric"]:
         xs = np.linspace(-2.0, 2.0, 9)
         av = intertwine_apply(SmoothVector.single(2 * m, u), u.real, xs, tol)
@@ -296,8 +299,8 @@ def cmd_coeff_bounds(p, tol):
 
 
 def cmd_region_norm(p, tol):
-    f = _profile_from(p, tol)
-    spec = RegionSpec(p["T1"], p["eps"], f.period, p["a1"], p["side"])
+    f = _profile_from(p)
+    spec = RegionSpec(p["T1"], p["eps"], p["a1"], p["side"])
     report = {"T1": p["T1"], "eps": p["eps"], "a1": p["a1"],
               "side": p["side"], "checks": []}
     if p["side"] == "minus":
@@ -320,10 +323,10 @@ def cmd_region_norm(p, tol):
 
 
 def cmd_weyl_bracket(p, tol):
-    f = _profile_from(p, tol)
+    f = _profile_from(p)
     if not f.flags.hasWeyl:
         raise ConfigInvalid("weyl-bracket needs a Weyl-symmetric profile")
-    spec = RegionSpec(p["T1"], p["eps"], f.period, p["a1"], "plus")
+    spec = RegionSpec(p["T1"], p["eps"], p["a1"], "plus")
     bracket = region_norm_plus_via_weyl(f, spec, tol)
     if isinstance(f, CuspProfile):
         value = region_norm_plus_direct(f, spec, tol)
@@ -363,7 +366,7 @@ def cmd_omega_norm(p, tol):
     parts = [float(x) for x in str(p["omega"]).split(",")]
     if len(parts) != 4:
         raise ConfigInvalid("omega must be th_lo,th_hi,T_lo,T_hi")
-    f = _profile_from(p, tol)
+    f = _profile_from(p)
     value = omega_a_norm(f, tuple(parts), p["eps"], tol)
     return {"omega": parts, "eps": p["eps"], "value": value,
             "checks": [_flag("finite", math.isfinite(value),

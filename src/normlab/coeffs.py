@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .automorphic import PeriodicDistribution
 from .errors import RangeTooLarge
 from .principal import ReprParams
 
@@ -82,7 +83,6 @@ def generate(model: CoeffModel):
     even parity; callers pairing against other representations can
     rebuild the distribution with the parameters they need.
     """
-    from .automorphic import PeriodicDistribution
     params = ReprParams(1j * model.lam, "+")
     if model.kind == "finite":
         coeffs = {int(j): complex(b) for j, b in model.entries.items()

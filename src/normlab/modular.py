@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .coeffs import ramanujan_tau_table
-from .quadrature import TWO_PI
+from .quadrature import TWO_PI, _gl_rule
+from .siegel import SymmetryFlags
 
 
 def reduce_to_fundamental(x, y):
@@ -59,8 +60,7 @@ class CuspProfile:
     period = 1
 
     def __init__(self):
-        from .siegel import SymmetryFlags
-        self.flags = SymmetryFlags(hasPeriod=True, hasWeyl=True)
+        self.flags = SymmetryFlags(hasWeyl=True)
 
     def value(self, theta, a, t):
         """|F| at k_theta a n_t; z = g^{-1} . i = -t + i a^{-2}."""
@@ -83,7 +83,6 @@ class CuspProfile:
                                             np.asarray(t_hi, dtype=float),
                                             avals)
         # GL in t; the integrand is smooth and 1-periodic
-        from .quadrature import _gl_rule
         xg, wg = _gl_rule(24)
         mid = 0.5 * (t_hi + t_lo)
         half = 0.5 * (t_hi - t_lo)

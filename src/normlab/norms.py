@@ -20,13 +20,14 @@ from scipy.special import gamma as _gamma
 from scipy.special import loggamma as _loggamma
 from scipy.special import roots_jacobi
 
-from .errors import (BadParameterRange, DivergentIntegral, OutOfRange,
-                     ParityMismatch, PoleParameter)
+from .errors import (AccuracyNotReached, BadParameterRange,
+                     DivergentIntegral, OutOfRange, ParityMismatch,
+                     PoleParameter)
 from .fourier import fourier_transform_batch
 from .group import K_MASS
 from .principal import CayleySum, ReprParams, SmoothVector, as_cayley
-from .quadrature import (fit_powerlaw_tail, gauss_panels, resolve_tol,
-                         tanh_sinh_map)
+from .quadrature import (TWO_PI, fit_powerlaw_tail, gauss_panels,
+                         resolve_tol, tanh_sinh_map)
 
 _POLE_EPS = 1e-12
 
@@ -54,7 +55,8 @@ def intertwine_constant(m: int, u: complex):
         2^{1-u} Gamma(u) Gamma(m + (1-u)/2) sin(pi(u+1)/2)
                  / Gamma((u+1)/2 + m).
     Past |m| = 100 the primary form overflows, and the reflection form
-    alone is taken through log-Gamma.
+    alone is taken through log-Gamma.  Raises AccuracyNotReached when the
+    two forms differ by more than 1e-10 (1 + |primary|).
     """
     u = complex(u)
     if abs(u.imag) < _POLE_EPS and abs(u.real - round(u.real)) < _POLE_EPS \
@@ -71,9 +73,11 @@ def intertwine_constant(m: int, u: complex):
         / (_gamma(half + ma) * _gamma(half - ma))
     alt = 2.0 ** (1.0 - u) * _gamma(u) * _gamma(ma + (1.0 - u) / 2.0) \
         * np.sin(np.pi * half) / _gamma(half + ma)
-    if abs(alt - primary) > 1e-9 * (1 + abs(primary)):
-        raise AssertionError(
-            f"closed forms disagree at m={m}, u={u}: {primary} vs {alt}")
+    gap = abs(alt - primary) / (1 + abs(primary))
+    if gap > 1e-10:
+        raise AccuracyNotReached(
+            f"closed forms disagree at m={m}, u={u}: {primary} vs {alt}",
+            achieved=gap)
     return primary
 
 
@@ -254,11 +258,13 @@ def intertwine_pair(phi, psi, u: float, tol: float = None,
 _XI_MAX_LEVEL = 12
 
 
-def _xi_grid(mw: float, tol: float):
-    r"""Starting quadrature grid in xi > 0 for \int xi^{-u} |Fv|^2: the
-    tanh-sinh rule on (0,1] (algebraic singularity at 0), split into its
-    level-(l-1) nodes and the new nodes of level l, and GL panels on
-    [1, Xi].  Returns (level, (x, w) coarse, (x, w) new, (x, w) GL, Xi).
+def _xi_grid(mw: float, lo: float, tol: float):
+    r"""Starting quadrature grid in xi > lo for \int xi^p |Fv|^2: the
+    tanh-sinh rule on (lo, 1] (algebraic singularity at 0), split into its
+    level-(l-1) nodes and the new nodes of level l (both empty when
+    lo >= 1), and GL panels on [max(lo, 1), Xi] with
+    Xi = max(mw / (2 pi) + 4.5, lo + 4).  Returns (level, (x, w) coarse,
+    (x, w) new, (x, w) GL, Xi).
 
     At weight mw, |Fv|^2 has about sqrt(2 mw / (pi xi)) zeros per unit
     length in xi, and a 16-point panel integrates about five of them to
@@ -267,77 +273,95 @@ def _xi_grid(mw: float, tol: float):
     density at xi = 1.
     """
     level = 6 if tol >= 1e-8 else 7
-    Xi = mw / (2.0 * math.pi) + 4.5
+    Xi = max(mw / TWO_PI + 4.5, lo + 4.0)
+    start = max(lo, 1.0)
     xi_fine = 2.0 * mw / (25.0 * math.pi)
-    if xi_fine > 1.0:
+    if xi_fine > start:
         zeros_per_unit = math.sqrt(2.0 * mw / math.pi)
-        fx, fw = gauss_panels(1.0, xi_fine, int(math.ceil(
-            (xi_fine - 1.0) * zeros_per_unit / 5.0)), 16)
-        cx, cw = gauss_panels(xi_fine, Xi,
-                              max(4, int(math.ceil(Xi - xi_fine))), 16)
+        fx, fw = gauss_panels(start, xi_fine, int(math.ceil(
+            (xi_fine - start) * zeros_per_unit / 5.0)), 16)
+        cx, cw = gauss_panels(xi_fine, Xi, max(4, int(Xi - xi_fine) + 1), 16)
         gl = np.concatenate([fx, cx]), np.concatenate([fw, cw])
     else:
-        gl = gauss_panels(1.0, Xi, max(4, int(math.ceil(Xi - 1.0))), 16)
-    return (level, tanh_sinh_map(0.0, 1.0, level - 1),
-            tanh_sinh_map(0.0, 1.0, level, new_only=True), gl, Xi)
+        gl = gauss_panels(start, Xi, max(4, int(Xi - start) + 1), 16)
+    if lo >= 1.0:
+        empty = (np.empty(0), np.empty(0))
+        return level, empty, empty, gl, Xi
+    return (level, tanh_sinh_map(lo, 1.0, level - 1),
+            tanh_sinh_map(lo, 1.0, level, new_only=True), gl, Xi)
 
 
-def comp_norm(v, u: float, tol: float = None) -> NormValue:
-    r"""||v||_{C_u}^2 = \int |xi|^{-u} |Fv(xi)|^2 d xi for real u, |u| < 1.
-
-    For u = 0 this is the plain L^2 norm of v (Plancherel).
+def _xi_integral(cs, p, lo, signs, tol, extra=np.empty(0)):
+    r"""sum over s in ``signs`` of \int_lo^inf xi^p |Fv(s xi)|^2 d xi on
+    the rule of :func:`_xi_grid`.  Returns (value, tail, meta, dens).
 
     |Fv|^2 has about (2/pi) sqrt(2 pi w) zeros on (0,1] at K-type weight
     w, so the tanh-sinh rule there is refined level by level until its
     error estimate (Q_l - Q_{l-1})^2 / value, the double-exponential
     convergence model, is below tol * value.  Nested levels share nodes:
-    each refinement transforms only the new nodes.  ``meta`` records the
-    final level and that estimate (``xi_level``, ``xi_err``, relative).
+    each refinement transforms only the new nodes.  ``meta`` records Xi,
+    the transformed node count and the final level and that estimate
+    (``Xi``, ``n_xi``, ``xi_level``, ``xi_err``, relative).  ``tail``
+    bounds the part past Xi, where Fv decays exponentially (pole of v at
+    distance 1 from the real axis); it is not added to ``value``.  The
+    nodes ``extra`` go into the first transform batch, and ``dens`` holds
+    their densities, one row per sign.
     """
-    if not (-1.0 < u < 1.0):
-        raise OutOfRange(f"comp_norm needs |u| < 1, got {u}")
-    tol = resolve_tol(tol)
-    cs = as_cayley(v)
     # transform ~ |xi|^{d-1} near 0 when the decay exponent d < 1
-    d = cs.min_decay
-    if 2.0 * min(d - 1.0, 0.0) - u <= -1.0:
+    if lo == 0.0 and 2.0 * min(cs.min_decay - 1.0, 0.0) + p <= -1.0:
         raise DivergentIntegral(
-            f"xi -> 0 end diverges: decay exponent {d:.3f}, u = {u} "
-            f"(need 2*min(d-1,0) - u > -1)")
-    mw = cs.max_weight
+            f"xi -> 0 end diverges: decay exponent {cs.min_decay:.3f}, "
+            f"power {p} (need 2*min(d-1,0) + p > -1)")
 
     def density(x):
-        # xi^{-u} |Fv|^2 at +x and at -x
-        xs = np.concatenate([x, -x])
+        # xi^p |Fv(s xi)|^2, one row per sign s
+        xs = np.concatenate([s * x for s in signs])
         dens = np.abs(fourier_transform_batch(cs, xs, tol)) ** 2 \
-            * np.abs(xs) ** (-u)
-        return dens[:len(x)], dens[len(x):]
+            * np.abs(xs) ** p
+        return dens.reshape(len(signs), len(x))
 
-    level, (xc, wc), (xn, wn), (xg, wg), Xi = _xi_grid(mw, tol)
-    n_c, n_n = len(xc), len(xn)
-    pos, neg = density(np.concatenate([xc, xn, xg]))
-    both = pos + neg
+    level, (xc, wc), (xn, wn), (xg, wg), Xi = _xi_grid(cs.max_weight, lo, tol)
+    n_e, n_c, n_n = len(extra), len(xc), len(xn)
+    dens = density(np.concatenate([extra, xc, xn, xg]))
+    both = np.sum(dens[:, n_e:], axis=0)
     coarse = float(np.sum(wc * both[:n_c]))
     head = 0.5 * coarse + float(np.sum(wn * both[n_c:n_c + n_n]))
     rest = float(np.sum(wg * both[n_c + n_n:]))
-    n_xi = 2 * len(pos)
+    n_xi = len(signs) * len(both)
     while True:
         scale = max(abs(head + rest), 1e-300)
         xi_err = ((head - coarse) / scale) ** 2
         if xi_err <= tol or level >= _XI_MAX_LEVEL:
             break
         level += 1
-        xn, wn = tanh_sinh_map(0.0, 1.0, level, new_only=True)
-        p_new, n_new = density(xn)
-        coarse, head = head, 0.5 * head + float(np.sum(wn * (p_new + n_new)))
-        n_xi += 2 * len(xn)
-    val = head + rest
-    # exponential decay of Fv (pole of v at distance 1 from the real axis)
-    edge = max(pos[-1], neg[-1])
-    tail = float(edge * Xi ** max(-u, 0.0)) / (4.0 * math.pi) * 2.0
-    return NormValue("C_u", val, tail, params={"u": u},
-                     meta={"Xi": Xi, "n_xi": n_xi, "xi_level": level,
-                           "xi_err": xi_err})
+        xn, wn = tanh_sinh_map(lo, 1.0, level, new_only=True)
+        coarse, head = head, 0.5 * head + float(np.sum(
+            wn * np.sum(density(xn), axis=0)))
+        n_xi += len(signs) * len(xn)
+    tail = float(np.max(dens[:, -1]) * Xi ** max(p, 0.0)) \
+        / (4.0 * math.pi) * len(signs)
+    return head + rest, tail, {"Xi": Xi, "n_xi": n_xi, "xi_level": level,
+                               "xi_err": xi_err}, dens[:, :n_e]
+
+
+def comp_norm(v, u: float, tol: float = None) -> NormValue:
+    r"""||v||_{C_u}^2 = \int |xi|^{-u} |Fv(xi)|^2 d xi for real u, |u| < 1,
+    on both half-lines at once by :func:`_xi_integral`.
+
+    For u = 0 this is the plain L^2 norm of v (Plancherel).
+    """
+    if not (-1.0 < u < 1.0):
+        raise OutOfRange(f"comp_norm needs |u| < 1, got {u}")
+    val, tail, meta, _ = _xi_integral(as_cayley(v), -u, 0.0, (1, -1),
+                                      resolve_tol(tol))
+    return NormValue("C_u", val, tail, params={"u": u}, meta=meta)
+
+
+def weighted_fv_integral(v, p: float, lo: float, sign: int,
+                         tol: float = None) -> float:
+    r"""\int_lo^infty a^p |Fv(sign * a)|^2 da by :func:`_xi_integral`, the
+    rule of comp_norm on one half-line."""
+    return _xi_integral(as_cayley(v), p, lo, (sign,), resolve_tol(tol))[0]
 
 
 def kirillov_norm(v, u0: float, tol: float = None) -> NormValue:

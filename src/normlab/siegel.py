@@ -45,7 +45,6 @@ FM_CHUNK = 1 << 17  # point-coefficient pairs per Whittaker-value chunk
 
 @dataclass
 class SymmetryFlags:
-    hasPeriod: bool = False
     hasWeyl: bool = False
 
 
@@ -53,13 +52,10 @@ class SymmetryFlags:
 class RegionSpec:
     T1: float
     eps: float
-    period: int = 1
     a1: float = 1.0
     side: str = "minus"
 
     def __post_init__(self):
-        if self.period < 1:
-            raise OutOfRange("period must be a positive integer")
         if not (math.isfinite(self.T1) and math.isfinite(self.eps)):
             raise OutOfRange("T1 and eps must be finite")
         if not 0 < self.a1 < math.inf:  # also rejects nan
@@ -74,7 +70,7 @@ class ConstantFunction:
     def __init__(self, c: float = 1.0, period: int = 1):
         self.c = c
         self.period = period
-        self.flags = SymmetryFlags(hasPeriod=True, hasWeyl=True)
+        self.flags = SymmetryFlags(hasWeyl=True)
 
     def value(self, theta, a, t):
         shape = np.broadcast(np.asarray(theta), np.asarray(a),
@@ -103,32 +99,30 @@ class WhittakerModel:
     flag, never derived.
     """
 
-    def __init__(self, tau, v: SmoothVector, assert_weyl: bool = False,
-                 tol: float = None):
+    def __init__(self, tau, v: SmoothVector, assert_weyl: bool = False):
         self.tau = tau
         self.v = v
-        self.tol = resolve_tol(tol)
         self.period = tau.period
         self.u = complex(tau.params.u)
-        self.flags = SymmetryFlags(hasPeriod=True, hasWeyl=assert_weyl)
+        self.flags = SymmetryFlags(hasWeyl=assert_weyl)
         self.ms = sorted(v.coeffs)
         self.cm = np.array([v.coeffs[m] for m in self.ms], dtype=complex)
         self.js, self.ns, self.bs = tau.coefficient_arrays()
 
-    def _amplitudes(self, avals):
+    def _amplitudes(self, avals, tol):
         """A[i_m, i_a, i_n] = Fv_m(-n a^{-2}), one transform batch per
-        K-type over the distinct a-values."""
+        K-type over the distinct a-values, at tolerance ``tol``."""
         ua, idx = np.unique(avals, return_inverse=True)
         xi = (-np.outer(1.0 / ua ** 2, self.ns)).ravel()
         out = np.empty((len(self.ms), len(avals), len(self.ns)),
                        dtype=complex)
         for i, m in enumerate(self.ms):
             cs = CayleySum.ktype(m, self.v.params.u)
-            fv = fourier_transform_batch(cs, xi, self.tol)
+            fv = fourier_transform_batch(cs, xi, tol)
             out[i] = fv.reshape(len(ua), len(self.ns))[idx]
         return out
 
-    def _fm(self, a_flat, t_flat):
+    def _fm(self, a_flat, t_flat, tol):
         """Per-K-type Whittaker values f_m(a n_t), shape (m, pts).  Each
         distinct a is transformed once; the distinct a-values, and then
         their points, go in chunks of FM_CHUNK point-coefficient pairs,
@@ -140,7 +134,7 @@ class WhittakerModel:
         step = max(1, FM_CHUNK // len(self.ns))
         for lo in range(0, len(ua), step):
             hi = min(lo + step, len(ua))
-            amp = self._amplitudes(ua[lo:hi]) * self.bs[None, None, :]
+            amp = self._amplitudes(ua[lo:hi], tol) * self.bs[None, None, :]
             pts = order[first[lo]:first[hi]]
             for q in range(0, len(pts), step):
                 sel = pts[q:q + step]
@@ -149,12 +143,12 @@ class WhittakerModel:
                     "mpn,pn->mp", amp[:, inv[sel] - lo], phase)
         return out
 
-    def value(self, theta, a, t):
+    def value(self, theta, a, t, tol=None):
         """f at k_theta a n_t; arrays broadcast together."""
         theta, a, t = np.broadcast_arrays(
             np.asarray(theta, dtype=float), np.asarray(a, dtype=float),
             np.asarray(t, dtype=float))
-        fm = self._fm(a.ravel(), t.ravel())
+        fm = self._fm(a.ravel(), t.ravel(), tol)
         kph = np.array([np.exp(-1j * m * theta.ravel()) for m in self.ms])
         return np.einsum("m,mp,mp->p", self.cm, kph, fm).reshape(a.shape)
 
@@ -163,7 +157,7 @@ class WhittakerModel:
         so the theta integral collapses to 2 pi sum_m |c_m f_m|^2."""
         avals = np.atleast_1d(np.asarray(avals, dtype=float))
         ts = np.broadcast_to(np.asarray(ts, dtype=float), avals.shape)
-        fm = self._fm(avals.ravel(), ts.ravel())
+        fm = self._fm(avals.ravel(), ts.ravel(), tol)
         return K_MASS * np.einsum(
             "m,mp->p", np.abs(self.cm) ** 2, np.abs(fm) ** 2)
 
@@ -210,7 +204,7 @@ class WhittakerModel:
             a = avals[sel]
             lattice = np.zeros((len(mm), len(a), L), dtype=complex)
             lattice[..., self.js - self.js[0]] = (
-                self._amplitudes(a) * self.bs[None, None, :])
+                self._amplitudes(a, tol) * self.bs[None, None, :])
             g = np.fft.fft(lattice, n=1 << (2 * L - 2).bit_length())
             spec = np.zeros(g.shape[1:], dtype=complex)
             for m, q in pairs:
@@ -228,9 +222,9 @@ class WhittakerModel:
         return out
 
 
-def _require(flag: bool, what: str):
-    if not flag:
-        raise MissingSymmetry(f"operation requires the {what} flag")
+def _require_weyl(f):
+    if not f.flags.hasWeyl:
+        raise MissingSymmetry("operation requires the Weyl-symmetry flag")
 
 
 def _segment_edges(T1, a1, period):
@@ -319,7 +313,6 @@ def region_norm_minus(f, spec: RegionSpec, tol: float = None) -> float:
     """||f||^2 over {0 < a <= a1, 0 <= T <= T1} with weight a^eps da/a dT dk,
     via the exact floor + remainder-cell reduction."""
     tol = resolve_tol(tol)
-    _require(f.flags.hasPeriod, "period")
     if spec.side != "minus":
         raise OutOfRange("region_norm_minus needs spec.side == 'minus'")
     return _minus_value(f, spec.T1, spec.a1, spec.eps, ("exact",), tol)[0]
@@ -328,7 +321,6 @@ def region_norm_minus(f, spec: RegionSpec, tol: float = None) -> float:
 def floor_sandwich(f, spec: RegionSpec, tol: float = None):
     """The two floor-expression bounds around the minus-region norm."""
     tol = resolve_tol(tol)
-    _require(f.flags.hasPeriod, "period")
     return _minus_value(f, spec.T1, spec.a1, spec.eps, ("lower", "upper"),
                         tol)
 
@@ -338,8 +330,7 @@ def region_norm_plus_via_weyl(f, spec: RegionSpec, tol: float = None):
     transported by the Weyl flip to minus-region norms at
     (-T1, 1/a1, -eps) and (-T1, sqrt(T1^2+1)/a1, -eps)."""
     tol = resolve_tol(tol)
-    _require(f.flags.hasPeriod, "period")
-    _require(f.flags.hasWeyl, "Weyl-symmetry")
+    _require_weyl(f)
     T1, a1, eps = spec.T1, spec.a1, spec.eps
     s = math.sqrt(T1 ** 2 + 1.0)
     inner, = _minus_value(f, -T1, 1.0 / a1, -eps, ("exact",), tol)
@@ -354,7 +345,6 @@ def region_norm_plus_direct(f, spec: RegionSpec, tol: float = None) -> float:
     in K a n_t coordinates, a^{2+eps} (floor + remainder) da/a again,
     with the a-range extended outward until the integrand dies."""
     tol = resolve_tol(tol)
-    _require(f.flags.hasPeriod, "period")
     p = f.period
     Tabs = abs(spec.T1)
 
@@ -380,8 +370,7 @@ def region_norm_plus_weyl_exact(f, spec: RegionSpec,
     meets the quadrature.  Exact for genuinely Weyl-symmetric f; for
     asserted symmetry it is the value the symmetrized model would have."""
     tol = resolve_tol(tol)
-    _require(f.flags.hasPeriod, "period")
-    _require(f.flags.hasWeyl, "Weyl-symmetry")
+    _require_weyl(f)
     T1, a1, eps = spec.T1, spec.a1, spec.eps
     n_T = max(8, int(4 * T1) + 4)
     xu, wu = gauss_panels(0.0, 1.0, n_T, 12)  # unit rule for T' spans
@@ -409,9 +398,8 @@ def region_norm_full(f, spec: RegionSpec, tol: float = None) -> float:
     plus the plus part (a >= 1), the latter through the Weyl flip when
     the symmetry flag is present and by direct quadrature otherwise."""
     tol = resolve_tol(tol)
-    _require(f.flags.hasPeriod, "period")
-    sub_m = RegionSpec(spec.T1, spec.eps, spec.period, 1.0, "minus")
-    sub_p = RegionSpec(spec.T1, spec.eps, spec.period, 1.0, "plus")
+    sub_m = RegionSpec(spec.T1, spec.eps, 1.0, "minus")
+    sub_p = RegionSpec(spec.T1, spec.eps, 1.0, "plus")
     if f.flags.hasWeyl:
         plus = region_norm_plus_weyl_exact(f, sub_p, tol)
     else:
@@ -432,10 +420,9 @@ def main_bound_check(f, T1: float, eps: float, tol: float = None) -> dict:
     (a^eps + a^{-eps}) \int_0^p |f|^2 dt da/a dk, constant built exactly
     per the constructive proof."""
     tol = resolve_tol(tol)
-    _require(f.flags.hasPeriod, "period")
-    _require(f.flags.hasWeyl, "Weyl-symmetry")
+    _require_weyl(f)
     p = f.period
-    lhs = region_norm_full(f, RegionSpec(T1, eps, p), tol)
+    lhs = region_norm_full(f, RegionSpec(T1, eps), tol)
     s = math.sqrt(1.0 + T1 ** 2)
     lg, lw = gauss_panels(math.log(A_MIN), math.log(s),
                           max(12, int(6 * math.log(s / A_MIN))), 16)
@@ -461,8 +448,8 @@ def main2_check(tau, v: SmoothVector, T1: float, eps: float,
         raise OutOfRange("tau must be unitary-principal or complementary")
     target = -abs(eps) / 2.0 if abs(u.real) < 1e-12 \
         else -u.real - abs(eps) / 2.0
-    model = WhittakerModel(tau, v, assert_weyl=True, tol=tol)
-    lhs = region_norm_full(model, RegionSpec(T1, eps, tau.period), tol)
+    model = WhittakerModel(tau, v, assert_weyl=True)
+    lhs = region_norm_full(model, RegionSpec(T1, eps), tol)
     rhs = triple_norm(v, target, tol).value
     return {"lhs": lhs, "rhsNorm": rhs,
             "ratio": math.sqrt(lhs / rhs) if rhs > 0 else math.inf,

@@ -94,11 +94,15 @@ def test_weighted_fv_integral_guard():
         weighted_fv_integral(v, -1.0, 0.0, +1)
 
 
-@pytest.mark.parametrize("eps,a1", [(0.5, 1.0), (-0.5, 2.0), (1.0, 0.7)])
-def test_dual_path_identity(eps, a1):
+@pytest.mark.parametrize("eps,a1,weight", [
+    pytest.param(0.5, 1.0, 0, id="0.5-1.0"),
+    pytest.param(-0.5, 2.0, 0, id="-0.5-2.0"),
+    pytest.param(1.0, 0.7, 0, id="1.0-0.7"),
+    pytest.param(-0.5, math.inf, 128, id="-0.5-inf-128")])
+def test_dual_path_identity(eps, a1, weight):
     u = 1j
     tau = _tau({1: 1.0, -2: 0.5}, u=u)
-    v = _v(0, u)
+    v = _v(weight, u)
     spectral = p0_weighted_norm(tau, v, a1, eps, method="spectral")
     geometric = p0_weighted_norm(tau, v, a1, eps, method="geometric")
     assert geometric == pytest.approx(spectral, rel=1e-6)

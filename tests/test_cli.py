@@ -34,6 +34,24 @@ def test_intertwine_reports_frozen_value(tmp_path):
                  "--out", str(out)]) == 0
     rep = _report(out)
     assert rep["c"][0] == pytest.approx(5.2441, abs=1e-4)
+    assert [c["name"] for c in rep["checks"]] == ["closed-forms-agree"]
+
+
+def test_intertwine_closed_forms_check(tmp_path, monkeypatch, capsys):
+    # past |m| = 100 only one form is computed, so nothing is compared
+    out = tmp_path / "r.json"
+    assert main(["intertwine", "--u", "0.5", "--m", "150",
+                 "--out", str(out)]) == 0
+    rep = _report(out)
+    assert rep["checks"] == [] and rep["ok"] is None
+    # Gamma(1/4) enters the reflection form only (u = 1/2, m = 0)
+    import normlab.norms as norms
+    real = norms._gamma
+    monkeypatch.setattr(norms, "_gamma", lambda z: real(z) * (
+        1.0 + 1e-6 * (abs(z - 0.25) < 1e-12)))
+    assert main(["intertwine", "--u", "0.5", "--m", "0"]) == 3
+    err = capsys.readouterr().err
+    assert "closed forms disagree" in err and "Traceback" not in err
 
 
 def test_verify_whittaker_example(tmp_path):

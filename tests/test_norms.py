@@ -9,7 +9,7 @@ from normlab.errors import (BadParameterRange, DivergentIntegral, OutOfRange,
 from normlab.norms import (comp_norm, g_normalizer, g_normalizer_closed,
                            intertwine_apply, intertwine_constant,
                            intertwine_pair, kirillov_norm, multiplier_map,
-                           triple_norm)
+                           triple_norm, weighted_fv_integral)
 from normlab.principal import CayleySum, ReprParams, SmoothVector, ktype_eval
 
 C0_HALF = 5.244115108584236  # frozen: c_0 at u = 1/2, Gamma oracle
@@ -127,6 +127,10 @@ def test_comp_norm_meets_default_tol_at_high_weight(u):
                      * _mp_c2m(weight // 2, u))
         assert nv.value == pytest.approx(expect, rel=1e-8)
         assert nv.meta["xi_err"] <= 1e-8
+        # the same rule on each half-line
+        halves = sum(weighted_fv_integral(CayleySum.ktype(weight, u), -u,
+                                          0.0, sign) for sign in (1, -1))
+        assert halves == pytest.approx(expect, rel=1e-8)
 
 
 def test_comp_norm_plancherel_at_zero():

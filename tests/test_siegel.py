@@ -30,8 +30,6 @@ def _model(coeffs={1: 1.0, -2: 0.5}, u=1j, m=0, weyl=False):
 
 
 def test_region_spec_validation():
-    with pytest.raises(OutOfRange):
-        RegionSpec(1.0, 0.5, period=0)
     for bad in ({"a1": -1.0}, {"a1": math.nan}, {"a1": math.inf},
                 {"T1": math.nan}, {"eps": math.inf}):
         with pytest.raises(OutOfRange):
@@ -194,6 +192,20 @@ def test_ksq_transforms_each_distinct_a_once(monkeypatch):
     # transform's absolute error
     np.testing.assert_allclose(chunked, whole, rtol=0,
                                atol=1e-13 * np.max(whole))
+
+
+def test_region_norm_transforms_at_its_tol(monkeypatch):
+    import normlab.siegel as siegel
+    tols = set()
+    real = siegel.fourier_transform_batch
+
+    def recording(v, xis, tol=None, **kw):
+        tols.add(tol)
+        return real(v, xis, tol, **kw)
+
+    monkeypatch.setattr(siegel, "fourier_transform_batch", recording)
+    region_norm_minus(_model(), RegionSpec(1.0, 0.5), tol=1e-10)
+    assert tols == {1e-10}
 
 
 def _ktype_pair_model(spec):
@@ -427,7 +439,7 @@ def test_delta_profile_invariance():
 
 def test_cusp_profile_periodic_and_weyl_flags():
     f = CuspProfile()
-    assert f.flags.hasPeriod and f.flags.hasWeyl
+    assert f.flags.hasWeyl
     a = np.array([1.2])
     t = np.array([0.3])
     assert f.value(0.0, a, t)[0] == pytest.approx(
