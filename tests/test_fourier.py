@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -12,9 +13,9 @@ import normlab.quadrature
 from normlab.automorphic import PeriodicDistribution, whittaker_eval
 from normlab.errors import (AccuracyNotReached, NonIntegrableExponent,
                             NotIntegrable, ZeroFrequency)
-from normlab.fourier import (_cayley_tails, _split_radius, _tail_order,
-                             fourier_transform, fourier_transform_batch,
-                             regularized_pairing,
+from normlab.fourier import (_cayley_tails, _panel_core, _panel_sums,
+                             _split_radius, _tail_order, fourier_transform,
+                             fourier_transform_batch, regularized_pairing,
                              series_coefficient_quadrature,
                              signed_sin_power_series, sin_power_series)
 from normlab.group import KanCoords
@@ -265,8 +266,8 @@ def test_empty_inputs_give_empty_outputs():
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
 @pytest.mark.parametrize("u", [0.0, 0.5, -0.5, 0.3])
 def test_error_estimate_covers_bessel_oracle(u, tol):
-    # the per-bin estimate reuses the main pass's 16-point value; it must
-    # still bound the true error against the closed form
+    # the estimate (the panel sum on h against h/2, the tail bound and a
+    # rounding floor) must bound the true error against the closed form
     s = (1.0 + u) / 2.0
     cs = CayleySum.ktype(0, u)
     xis = np.array([0.01, 0.1, 0.25, 1.0, 3.0, -0.4])
@@ -275,6 +276,100 @@ def test_error_estimate_covers_bessel_oracle(u, tol):
         expect = 2.0 * mpmath.pi ** s * abs(xi) ** (s - 0.5) \
             * mpmath.besselk(s - 0.5, TWO_PI * abs(xi)) / mpmath.gamma(s)
         assert abs(got - float(expect)) <= err, xi
+
+
+@pytest.mark.parametrize("u", [0.0, 0.5, -0.5, 0.3])
+def test_error_estimate_is_sharp(u):
+    # the estimate compares the rule with itself on panels of half the
+    # width; the true error on these cases is about 2e-15 to 5e-15
+    cs = CayleySum.ktype(0, u)
+    xis = np.array([0.01, 0.1, 0.25, 1.0, 3.0, -0.4])
+    _, err, _ = fourier_transform_batch(cs, xis, 1e-10, return_err=True)
+    assert 0.0 < err <= 1e-11
+
+
+@pytest.mark.parametrize("cs,xis", [
+    (CayleySum.ktype(0, 0.3), np.array([0.01, -0.4, 3.0])),
+    # 1e3 is past the dead zone
+    (CayleySum.ktype(184, 0.5), np.array([-1e3, -20.0, 0.02, 7.5, 31.0])),
+])
+def test_error_estimate_leaves_values_unchanged(cs, xis):
+    vals, _, _ = fourier_transform_batch(cs, xis, 1e-8, return_err=True)
+    assert np.array_equal(vals, fourier_transform_batch(cs, xis, 1e-8))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 25, 33, 34, 35, 100, 1001])
+def test_panel_sums_match_their_definition(n):
+    # T_j(theta) = sum_q gv[n // 2 + q, j] e^{-i q theta}; n < 2 SP + 2
+    # holds the FFT grid at its floor, where the Gaussian's width must
+    # come from the grid actually used
+    rng = np.random.default_rng(n)
+    gv = rng.standard_normal((n, 16)) + 1j * rng.standard_normal((n, 16))
+    theta = np.concatenate([rng.uniform(-20.0, 20.0, 200),
+                            [0.0, TWO_PI, -TWO_PI, 1e-17, TWO_PI - 1e-12]])
+    q = np.arange(n) - n // 2
+    direct = np.exp(-1j * np.outer(theta, q)) @ gv
+    got = _panel_sums(gv, theta)
+    assert got.shape == (len(theta), 16)
+    assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(gv))
+
+
+def _panel_count(cs, xis, tol):
+    # the engine's panel count for one call
+    om_max = TWO_PI * np.max(np.abs(xis)) + cs.max_weight
+    X = _split_radius(tol)
+    return X, max(math.ceil(X), math.ceil(2.0 * X * (om_max + 1.0) * 3 / 32))
+
+
+_MIXED = (CayleySum.ktype(6, 0.4) + CayleySum.ktype(
+    4, 0.4, 0.5 - 0.25j).times_power(1.5, 0.5))
+
+
+@pytest.mark.parametrize("cs,xis,tol,n_max,wraps", [
+    # 25 panels, fewer than 2 SP + 2
+    (CayleySum.ktype(0, 0.3), np.array([0.05, -0.3, 0.65]), 1e-6, 25, True),
+    (CayleySum.ktype(0, -0.5), np.array([0.4]), 1e-8, 40, False),
+    (CayleySum.ktype(0, 0.5), np.linspace(-6.0, 6.0, 25), 1e-10, None, True),
+    (CayleySum.ktype(64, -0.5), np.linspace(-40.0, 40.0, 41), 1e-8, None,
+     True),
+    (CayleySum.ktype(184, 0.5), np.linspace(-45.0, 45.0, 31), 1e-10, None,
+     True),
+    (CayleySum.ktype(256, 0.25), np.linspace(-50.0, 50.0, 31), 1e-8, None,
+     False),
+    (_MIXED, np.linspace(-8.0, 8.0, 33), 1e-8, None, True),
+])
+def test_gridded_panel_sum_matches_direct_sum(cs, xis, tol, n_max, wraps):
+    # sum_{k,j} gv[k, j] e^{-i om x_kj} over the engine's panel grid, by
+    # the gridded FFT and term by term
+    X, n = _panel_count(cs, xis, tol)
+    assert n_max is None or n <= n_max
+    x16, w16 = np.polynomial.legendre.leggauss(16)
+    h = X / n
+    nodes = -X + h * (2.0 * np.arange(n)[:, None] + 1.0 + x16)
+    gv = h * w16 * cs(nodes)
+    oms = TWO_PI * xis
+    theta = 2.0 * h * np.abs(oms)
+    assert wraps == (np.max(theta) > TWO_PI > np.min(theta))
+    direct = np.exp(-1j * np.outer(oms, nodes.ravel())) @ gv.ravel()
+    got = _panel_core(cs, X, n, oms)[0]
+    assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(gv))
+
+
+def test_transform_memory_is_bounded():
+    # the FFT grid interpolation gathers 2 SP + 1 grid rows per frequency
+    # in fixed chunks: for all 20,000 frequencies at once that array alone
+    # would be about 170 MB
+    cs = CayleySum.ktype(256, 0.25)
+    xis = np.linspace(-50.0, 50.0, 20000)
+    fourier_transform_batch(cs, xis[:10])
+    tracemalloc.start()
+    try:
+        vals = fourier_transform_batch(cs, xis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert np.all(np.isfinite(vals))
 
 
 def test_every_expint_call_goes_through_a_traceable_binding(monkeypatch):

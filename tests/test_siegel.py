@@ -188,8 +188,8 @@ def test_ksq_transforms_each_distinct_a_once(monkeypatch):
     monkeypatch.setattr(siegel, "FM_CHUNK", 64 * len(model.ns))
     chunked = model.ksq(a, t)
     assert sum(freqs) == len(a_nodes) * len(model.ns) * len(model.ms)
-    # octave bins differ between batches, so values agree to the
-    # transform's absolute error
+    # each batch's panel grid is sized by its largest frequency, so
+    # values agree to the transform's absolute error
     np.testing.assert_allclose(chunked, whole, rtol=0,
                                atol=1e-13 * np.max(whole))
 
@@ -250,8 +250,8 @@ def test_cell_integral_chunks_equal_one_pass(monkeypatch, th):
     avals = np.linspace(0.3, 1.5, 300)
     t_lo = np.stack([np.zeros_like(avals), np.full_like(avals, 0.25)])
     whole = model.cell_integral(avals, t_lo, 0.8, th=th)
-    # chunks of 64 a-nodes; octave bins differ between transform batches,
-    # so values agree to the transform's absolute error
+    # chunks of 64 a-nodes; each batch's panel grid is sized by its
+    # largest frequency, so values agree to the transform's absolute error
     L = model.js[-1] - model.js[0] + 1
     monkeypatch.setattr(siegel, "FM_CHUNK", 64 * L)
     chunked = model.cell_integral(avals, t_lo, 0.8, th=th)
