@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonIntegrableExponent, NotIntegrable, ZeroFrequency
+from .errors import (AccuracyNotReached, NonIntegrableExponent, NotIntegrable,
+                     ZeroFrequency)
 from .principal import CayleySum, as_cayley
 from .quadrature import TWO_PI, _gl_rule, expint, resolve_tol, tanh_sinh_map
 
@@ -36,7 +37,8 @@ def _tail_order(cs: CayleySum, X: float, tol: float):
     is below tol times the sampler's scale.  The bound grows with the
     K-type weight (at X = 40, J = 10: 7e-12 at weight 16, 3e-3 at weight
     128), so high weights need more terms.  The series is built once;
-    the bound of each J reads its prefix."""
+    the bound of each J reads its prefix.  Raises AccuracyNotReached
+    (``achieved`` the bound) when J = _MAX_TAIL_ORDER still misses it."""
     series = {side: cs.asymptotic_series(side, _MAX_TAIL_ORDER + 1)
               for side in ("upper", "lower")}
     # terms of order >= min_decay + J - 0.5 among the first J + 1 of each
@@ -56,6 +58,10 @@ def _tail_order(cs: CayleySum, X: float, tol: float):
     while J < _MAX_TAIL_ORDER and b > tol * scale:
         J += 1
         b = bound(J)
+    if b > tol * scale:
+        raise AccuracyNotReached(
+            f"tail series past |x| = {X:g} misses tol at {_MAX_TAIL_ORDER} "
+            f"terms: bound {b:.3g} > {tol * scale:.3g}", achieved=b)
     return J, b, series
 
 
@@ -157,29 +163,42 @@ def _panel_sums(gv, theta):
     return out
 
 
-def _chains(series):
-    """Merge the series (s0, a) of ``CayleySum.asymptotic_series`` whose
-    orders differ by integers: [(s0, a)], a[k] the coefficient of
-    |x|^{-(s0+k)}."""
+def _chains(up, lo):
+    """Merge the series (s0, a) of ``CayleySum.asymptotic_series`` of both
+    sides whose orders differ by integers: [(s0, A)], A[j, k] the
+    coefficient of |x|^{-(s0+k)} on side j (0 upper, 1 lower)."""
     chains = []
-    for s0, a in sorted(series, key=lambda t: t[0].real):
+    tagged = [(s0, a, j) for j, series in enumerate((up, lo))
+              for s0, a in series]
+    for s0, a, j in sorted(tagged, key=lambda t: t[0].real):
         for i, (c0, acc) in enumerate(chains):
             d = s0 - c0
             if abs(d.imag) < 1e-12 and abs(d.real - round(d.real)) < 1e-12:
                 k = round(d.real)
-                acc = np.pad(acc, (0, max(k + len(a) - len(acc), 0)))
-                acc[k:k + len(a)] += a
+                acc = np.pad(acc, ((0, 0), (0, max(k + len(a) - acc.shape[1],
+                                                   0))))
+                acc[j, k:k + len(a)] += a
                 chains[i] = (c0, acc)
                 break
         else:
-            chains.append((s0, np.array(a, dtype=complex)))
+            acc = np.zeros((2, len(a)), dtype=complex)
+            acc[j] = a
+            chains.append((s0, acc))
     return chains
 
 
 def _cayley_tails(up, lo, X, oms):
     r"""Asymptotic-tail contribution for every frequency at once: the sum
     of a[n] X^{1-s} E_s(+-i om X), s = s0 + n, over the series (s0, a) of
-    ``up`` and ``lo`` (the form of ``CayleySum.asymptotic_series``).
+    ``up`` (sign +) and ``lo`` (sign -), in the form of
+    ``CayleySum.asymptotic_series``.
+
+    Both sides' series go into one chain per order class (orders that
+    differ by integers), and a chain runs once over the distinct points
+    t in {+om, -om} its sides need, with z = i t X: the lower side at om
+    needs the point the upper side needs at -om.  When the chain's order
+    is real, E_s(conj z) = conj E_s(z), so it runs over the distinct |t|
+    only and takes the values at t < 0 by conjugation.
 
     The orders s0, s0 + 1, ... of one chain obey E_{s+1}(z) = (e^{-z} -
     z E_s(z))/s (DLMF 8.19.12).  Run upward it damps errors where
@@ -188,17 +207,27 @@ def _cayley_tails(up, lo, X, oms):
     seeds in one ``expint`` call with an array of orders (which raises
     AccuracyNotReached off its domain), and recurred away from it."""
     vals = np.zeros(oms.shape, dtype=complex)
-    for series, sign in ((up, 1j), (lo, -1j)):
-        z = sign * oms * X
-        for s0, a in _chains(series):
-            if np.any(a):
-                vals += _chain_tail(s0, a, X, z)
+    # the upper side needs t = +om, the lower t = -om
+    t = np.concatenate([oms, -oms])
+    side = np.repeat([0, 1], len(oms))
+    for s0, A in _chains(up, lo):
+        if not np.any(A):
+            continue
+        real = s0.imag == 0.0
+        pts, at = np.unique(np.abs(t) if real else t, return_inverse=True)
+        acc = _chain_tail(s0, np.concatenate([A, A.conj()]) if real else A,
+                          X, 1j * (pts * X))
+        v = acc[at, side]
+        if real:
+            v = np.where(t < 0, acc[at, side + 2].conj(), v)
+        vals += v[:len(oms)] + v[len(oms):]
     return vals
 
 
 def _chain_tail(s0, a, X, z):
-    """sum_k a[k] X^{1-s_k} E_{s_k}(z) with s_k = s0 + k."""
-    n = len(a)
+    """sum_k a[r, k] X^{1-s_k} E_{s_k}(z) with s_k = s0 + k, one column
+    per row r of ``a``."""
+    n = a.shape[1]
     s = s0 + np.arange(n)
     # a Python power per order: numpy's complex power goes through
     # exp(w log X) and loses about |w| log X ulps
@@ -212,20 +241,20 @@ def _chain_tail(s0, a, X, z):
     first = np.searchsorted(k0, np.arange(n + 1))
     seed = expint(s[k0], z)
     ez = np.exp(-z)
-    acc = np.zeros(z.shape, dtype=complex)
+    acc = np.zeros((len(z), len(a)), dtype=complex)
     # downward to order 0 from each seed: E_k = (e^{-z} - s_k E_{k+1})/z
     e = seed.copy()
     for k in range(n - 1, -1, -1):
         hi = first[k + 1]
         e[hi:] = (ez[hi:] - s[k] * e[hi:]) / z[hi:]
-        acc[first[k]:] += coef[k] * e[first[k]:]
+        acc[first[k]:] += e[first[k]:, None] * coef[:, k]
     # upward to order n - 1: E_{k+1} = (e^{-z} - z E_k)/s_k
     e = seed
     for k in range(n - 1):
         hi = first[k + 1]
         e[:hi] = (ez[:hi] - z[:hi] * e[:hi]) / s[k]
-        acc[:hi] += coef[k + 1] * e[:hi]
-    out = np.empty(z.shape, dtype=complex)
+        acc[:hi] += e[:hi, None] * coef[:, k + 1]
+    out = np.empty(acc.shape, dtype=complex)
     out[perm] = acc
     return out
 

@@ -261,16 +261,18 @@ _XI_MAX_LEVEL = 12
 def _xi_grid(mw: float, lo: float, tol: float):
     r"""Starting quadrature grid in xi > lo for \int xi^p |Fv|^2: the
     tanh-sinh rule on (lo, 1] (algebraic singularity at 0), split into its
-    level-(l-1) nodes and the new nodes of level l (both empty when
-    lo >= 1), and GL panels on [max(lo, 1), Xi] with
-    Xi = max(mw / (2 pi) + 4.5, lo + 4).  Returns (level, (x, w) coarse,
-    (x, w) new, (x, w) GL, Xi).
+    level-(l-1) nodes and the new nodes of each level from l to the one
+    the weight predicts (all empty when lo >= 1), and GL panels on
+    [max(lo, 1), Xi] with Xi = max(mw / (2 pi) + 4.5, lo + 4).  Returns
+    (l, (x, w) coarse, [(x, w) new, one per level], (x, w) GL, Xi).
 
-    At weight mw, |Fv|^2 has about sqrt(2 mw / (pi xi)) zeros per unit
-    length in xi, and a 16-point panel integrates about five of them to
-    1e-11.  Unit-width panels hold at most five past the point
-    xi_fine = 2 mw / (25 pi); [1, xi_fine] gets panels sized for the
-    density at xi = 1.
+    The predicted level is the smallest k >= l whose rule, 2^(k+1) + 1
+    nodes, has 16 per zero of |Fv|^2 on (0, 1] and 16 more: there are
+    about (2/pi) sqrt(2 pi mw) such zeros.  At weight mw, |Fv|^2 has
+    about sqrt(2 mw / (pi xi)) zeros per unit length in xi, and a
+    16-point panel integrates about five of them to 1e-11.  Unit-width
+    panels hold at most five past the point xi_fine = 2 mw / (25 pi);
+    [1, xi_fine] gets panels sized for the density at xi = 1.
     """
     level = 6 if tol >= 1e-8 else 7
     Xi = max(mw / TWO_PI + 4.5, lo + 4.0)
@@ -286,9 +288,12 @@ def _xi_grid(mw: float, lo: float, tol: float):
         gl = gauss_panels(start, Xi, max(4, int(Xi - start) + 1), 16)
     if lo >= 1.0:
         empty = (np.empty(0), np.empty(0))
-        return level, empty, empty, gl, Xi
+        return level, empty, [empty], gl, Xi
+    need = math.ceil(16.0 * (2.0 / math.pi * math.sqrt(TWO_PI * mw) + 1.0))
+    top = min(max(level, (need - 1).bit_length() - 1), _XI_MAX_LEVEL)
     return (level, tanh_sinh_map(lo, 1.0, level - 1),
-            tanh_sinh_map(lo, 1.0, level, new_only=True), gl, Xi)
+            [tanh_sinh_map(lo, 1.0, k, new_only=True)
+             for k in range(level, top + 1)], gl, Xi)
 
 
 def _xi_integral(cs, p, lo, signs, tol, extra=np.empty(0)):
@@ -299,13 +304,16 @@ def _xi_integral(cs, p, lo, signs, tol, extra=np.empty(0)):
     w, so the tanh-sinh rule there is refined level by level until its
     error estimate (Q_l - Q_{l-1})^2 / value, the double-exponential
     convergence model, is below tol * value.  Nested levels share nodes:
-    each refinement transforms only the new nodes.  ``meta`` records Xi,
-    the transformed node count and the final level and that estimate
-    (``Xi``, ``n_xi``, ``xi_level``, ``xi_err``, relative).  ``tail``
-    bounds the part past Xi, where Fv decays exponentially (pole of v at
-    distance 1 from the real axis); it is not added to ``value``.  The
-    nodes ``extra`` go into the first transform batch, and ``dens`` holds
-    their densities, one row per sign.
+    the first transform batch holds every level up to the one the weight
+    predicts, and a refinement past it transforms only that level's new
+    nodes.  ``meta`` records Xi, the transformed node count (``n_xi``,
+    every node transformed, the predicted levels' too where the estimate
+    stopped short of them), the final level and that estimate (``Xi``,
+    ``xi_level``, ``xi_err``, relative).  ``tail`` bounds the part past
+    Xi, where Fv decays exponentially (pole of v at distance 1 from the
+    real axis), from the last GL node; it is not added to ``value``.
+    The nodes ``extra`` go into the first transform batch, and ``dens``
+    holds their densities, one row per sign.
     """
     # transform ~ |xi|^{d-1} near 0 when the decay exponent d < 1
     if lo == 0.0 and 2.0 * min(cs.min_decay - 1.0, 0.0) + p <= -1.0:
@@ -320,28 +328,34 @@ def _xi_integral(cs, p, lo, signs, tol, extra=np.empty(0)):
             * np.abs(xs) ** p
         return dens.reshape(len(signs), len(x))
 
-    level, (xc, wc), (xn, wn), (xg, wg), Xi = _xi_grid(cs.max_weight, lo, tol)
-    n_e, n_c, n_n = len(extra), len(xc), len(xn)
-    dens = density(np.concatenate([extra, xc, xn, xg]))
-    both = np.sum(dens[:, n_e:], axis=0)
-    coarse = float(np.sum(wc * both[:n_c]))
-    head = 0.5 * coarse + float(np.sum(wn * both[n_c:n_c + n_n]))
-    rest = float(np.sum(wg * both[n_c + n_n:]))
-    n_xi = len(signs) * len(both)
+    level, (xc, wc), new, (xg, wg), Xi = _xi_grid(cs.max_weight, lo, tol)
+    parts = [extra, xc] + [x for x, _ in new] + [xg]
+    dens = density(np.concatenate(parts))
+    # the signs' sum over each part: extra, coarse, one per level, GL
+    both = np.split(np.sum(dens, axis=0),
+                    np.cumsum([len(x) for x in parts[:-1]]))
+    coarse = float(np.sum(wc * both[1]))
+    head = 0.5 * coarse + float(np.sum(new[0][1] * both[2]))
+    rest = float(np.sum(wg * both[-1]))
+    ahead = [(w, d) for (_, w), d in zip(new[1:], both[3:-1])]
+    n_xi = len(signs) * (dens.shape[1] - len(extra))
     while True:
         scale = max(abs(head + rest), 1e-300)
         xi_err = ((head - coarse) / scale) ** 2
         if xi_err <= tol or level >= _XI_MAX_LEVEL:
             break
         level += 1
-        xn, wn = tanh_sinh_map(lo, 1.0, level, new_only=True)
-        coarse, head = head, 0.5 * head + float(np.sum(
-            wn * np.sum(density(xn), axis=0)))
-        n_xi += len(signs) * len(xn)
+        if ahead:
+            wn, d = ahead.pop(0)
+        else:
+            xn, wn = tanh_sinh_map(lo, 1.0, level, new_only=True)
+            d = np.sum(density(xn), axis=0)
+            n_xi += len(signs) * len(xn)
+        coarse, head = head, 0.5 * head + float(np.sum(wn * d))
     tail = float(np.max(dens[:, -1]) * Xi ** max(p, 0.0)) \
         / (4.0 * math.pi) * len(signs)
     return head + rest, tail, {"Xi": Xi, "n_xi": n_xi, "xi_level": level,
-                               "xi_err": xi_err}, dens[:, :n_e]
+                               "xi_err": xi_err}, dens[:, :len(extra)]
 
 
 def comp_norm(v, u: float, tol: float = None) -> NormValue:

@@ -186,3 +186,13 @@ def test_malformed_env_tol_exits_2():
     assert proc.stderr.startswith("normlab: invalid configuration: ")
     assert "NORMLAB_TOL" in proc.stderr
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_comp_norm_scan_past_the_tail_cap_exits_3(capsys, tmp_path):
+    # at weight 1000 the 60-term tail series misses tol 1e-8: the scan
+    # stops with one line, not a PASS built on a value off by 98%
+    assert main(["comp-norm-scan", "--m-max", "1000", "--step", "250",
+                 "--out", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("normlab: numerical failure: ")
+    assert err.count("\n") == 1 and "Traceback" not in err

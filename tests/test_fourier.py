@@ -20,7 +20,7 @@ from normlab.fourier import (_cayley_tails, _panel_core, _panel_sums,
                              signed_sin_power_series, sin_power_series)
 from normlab.group import KanCoords
 from normlab.norms import comp_norm, intertwine_apply
-from normlab.principal import CayleySum, ReprParams
+from normlab.principal import CayleySum, ReprParams, SmoothVector
 from normlab.quadrature import expint, tanh_sinh_map
 
 TWO_PI = 2.0 * math.pi
@@ -375,8 +375,10 @@ def test_transform_memory_is_bounded():
 def test_every_expint_call_goes_through_a_traceable_binding(monkeypatch):
     # a tracer wraps fourier.expint and quadrature.expint by name: a
     # transform's tails must reach expint only through fourier's binding,
-    # one element per frequency and side (one chain per side here), and
-    # expint must not call itself through its public name
+    # and expint must not call itself through its public name.  Both
+    # sides share one chain here, run once per distinct point: per
+    # distinct |xi| for a real order (the rest by conjugation), per
+    # distinct +-xi for a complex one
     seen = {"fourier": 0, "quadrature": 0}
     original = normlab.quadrature.expint
 
@@ -388,9 +390,13 @@ def test_every_expint_call_goes_through_a_traceable_binding(monkeypatch):
 
     monkeypatch.setattr(normlab.fourier, "expint", counting("fourier"))
     monkeypatch.setattr(normlab.quadrature, "expint", counting("quadrature"))
-    xis = np.linspace(-3.0, 3.0, 40)
+    half = np.linspace(0.075, 3.0, 40)
+    xis = np.concatenate([-half[::-1], [0.0], half])
     fourier_transform_batch(CayleySum.ktype(4, 0.3), xis)
-    assert seen == {"fourier": 2 * len(xis), "quadrature": 0}
+    assert seen == {"fourier": len(half) + 1, "quadrature": 0}
+    seen["fourier"] = 0
+    fourier_transform_batch(CayleySum.ktype(4, 0.3 + 0.4j), xis)
+    assert seen == {"fourier": len(xis), "quadrature": 0}
     for s, z in ((2.25, np.array([0.5j, 3.0j, -30.0j])),
                  (np.array([1.0, 2.5 + 1j, 7.25]), np.array([1.5j, -4j, 9j]))):
         original(s, z)
@@ -448,17 +454,76 @@ def test_cayley_tails_weight_256_against_mpmath(tol):
     mpmath.mp.dps = 40
     try:
         for xi, g in zip(xis, got):
-            ref = mpmath.mpc(0)
-            size = mpmath.mpf(0)
-            for terms, sign in ((up, 1), (lo, -1)):
-                z = mpmath.mpc(0, sign * TWO_PI * xi * X)
-                for s0, a in terms:
-                    for n, c in enumerate(a.tolist()):
-                        s = mpmath.mpc(s0 + n)
-                        term = mpmath.mpc(c) * mpmath.mpf(X) ** (1 - s) \
-                            * mpmath.expint(s, z)
-                        ref += term
-                        size += abs(term)
+            ref, size = _mp_tails(up, lo, X, xi)
             assert abs(g - complex(ref)) < 5e-15 * float(size), xi
     finally:
         mpmath.mp.dps = 15
+
+
+def _mp_tails(up, lo, X, xi):
+    """The tail sum of :func:`_cayley_tails` at one frequency, term by
+    term with mpmath's E_s, and the sum of its terms' sizes."""
+    ref = mpmath.mpc(0)
+    size = mpmath.mpf(0)
+    for terms, sign in ((up, 1), (lo, -1)):
+        z = mpmath.mpc(0, sign * TWO_PI * xi * X)
+        for s0, a in terms:
+            for n, c in enumerate(a.tolist()):
+                s = mpmath.mpc(s0 + n)
+                term = mpmath.mpc(c) * mpmath.mpf(X) ** (1 - s) \
+                    * mpmath.expint(s, z)
+                ref += term
+                size += abs(term)
+    return ref, size
+
+
+_HALF = np.array([0.004, 0.05, 0.3, 1.1, 2.7])
+
+
+@pytest.mark.parametrize("xis", [_HALF, np.concatenate([-_HALF[::-1], _HALF])],
+                         ids=["one-sided", "symmetric"])
+@pytest.mark.parametrize("cs", [
+    CayleySum.ktype(6, 0.25j),
+    CayleySum.ktype(6, 0.3 + 0.4j),
+    CayleySum.ktype(10, 0.2j).times_power(0.3 + 0.1j, -0.2),
+    SmoothVector(ReprParams(0.5), {0: 1.0, 4: 0.5 - 0.3j}).sampler,
+], ids=["u=0.25j", "u=0.3+0.4j", "times_power", "two-ktypes"])
+def test_paired_tails_against_mpmath(cs, xis):
+    # both sides' series run as one chain per order class over the
+    # distinct points +-om; a real order (the two-K-type sampler) takes
+    # the points with t < 0 by conjugation.  30-digit mpmath E_s term by
+    # term is the reference.  At xi = +-0.004 (|om X| = 1) the series-
+    # seeded E_s put the error at up to 6e-15 of the terms' sizes, with
+    # or without the pairing, so the bound is 1e-14 of them; a pairing
+    # fault (a wrong side, sign or conjugate) is of the size of the tail
+    tol = 1e-8
+    X = _split_radius(tol)
+    J = _tail_order(cs, X, tol)[0]
+    up = cs.asymptotic_series("upper", J)
+    lo = cs.asymptotic_series("lower", J)
+    got = _cayley_tails(up, lo, X, TWO_PI * xis)
+    mpmath.mp.dps = 30
+    try:
+        for xi, g in zip(xis, got):
+            ref, size = _mp_tails(up, lo, X, xi)
+            assert abs(g - complex(ref)) < 1e-14 * float(size), xi
+    finally:
+        mpmath.mp.dps = 15
+
+
+@pytest.mark.parametrize("w, tol, J", [(256, 1e-8, 27), (400, 1e-10, 41)])
+def test_tail_order_below_its_cap(w, tol, J):
+    # the highest weights the tail series serves at these tols
+    cs = CayleySum.ktype(w, 0.5)
+    assert _tail_order(cs, _split_radius(tol), tol)[0] == J
+    assert np.isfinite(comp_norm(cs, 0.5, tol).value)
+
+
+def test_tail_order_raises_at_its_cap():
+    # at weight 1000 and tol 1e-8 the 60-term series still misses tol
+    # by a bound of 0.51 (the sum of the coefficients is 1): the
+    # transform raises with that bound, not a value off by 98%
+    with pytest.raises(AccuracyNotReached) as info:
+        comp_norm(CayleySum.ktype(1000, 0.5), 0.5, 1e-8)
+    assert info.value.achieved == pytest.approx(0.5072832572232722,
+                                                rel=1e-9)

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import normlab.norms
 from normlab.errors import (BadParameterRange, DivergentIntegral, OutOfRange,
                             ParityMismatch, PoleParameter)
 from normlab.norms import (comp_norm, g_normalizer, g_normalizer_closed,
@@ -199,3 +200,24 @@ def test_multiplier_map_sampler_route_matches():
     xs = np.linspace(-3.0, 3.0, 13)
     expect = cs(xs) * (1.0 + xs ** 2) ** ((1j * lam - u) / 2.0)
     assert np.max(np.abs(mapped(xs) - expect)) < 1e-12
+
+
+@pytest.mark.parametrize("weight, tol, level", [
+    (0, 1e-8, 6), (24, 1e-8, 7), (112, 1e-8, 8), (184, 1e-8, 8),
+    (256, 1e-8, 8), (0, 1e-10, 7), (60, 1e-10, 7)])
+def test_comp_norm_transforms_once(monkeypatch, weight, tol, level):
+    # the first transform batch holds the tanh-sinh levels the weight
+    # predicts, so the xi refinement stops inside it: one engine call,
+    # every transformed frequency counted in n_xi
+    seen = []
+    original = normlab.norms.fourier_transform_batch
+
+    def counting(v, xis, tol=None, return_err=False):
+        seen.append(len(xis))
+        return original(v, xis, tol, return_err)
+
+    monkeypatch.setattr(normlab.norms, "fourier_transform_batch", counting)
+    nv = comp_norm(CayleySum.ktype(weight, 0.5), 0.5, tol)
+    assert len(seen) == 1
+    assert nv.meta["xi_level"] == level
+    assert nv.meta["n_xi"] == seen[0]
