@@ -378,9 +378,12 @@ def cmd_eisenstein(p, tol):
     rep = eisenstein_scenario(dist, p["lam"], p["eps"], p["T1"], tol)
     return {"N": p["N"], "lam": p["lam"], "eps": p["eps"], "T1": p["T1"],
             "lhs": rep["lhs"], "rhs": rep["rhsNorm"], "ratio": rep["ratio"],
-            "partialSum": rep["partial_sum"],
-            "checks": [_flag("partial-sums-summable", rep["summable"],
-                             "materialized coefficient sums converge")]}
+            "partialSum": rep["partial_sum"], "fullSum": rep["full_sum"],
+            "tailBound": rep["tail_bound"],
+            "checks": [_flag("partial-sum-within-tail-bound",
+                             rep["summable"],
+                             "0 <= fullSum - partialSum <= tailBound, "
+                             "fullSum from Ramanujan's identity")]}
 
 
 def cmd_gen_coeffs(p, tol):

@@ -20,6 +20,12 @@ cell with the remainder cell, or both ends of a window) against one lag
 sum, and the Weyl-flipped plus region shares one log-a' grid across its
 T' rows, plus one a'-node per row of its cap.  Nothing is kept between
 calls: there is no amplitude cache.
+
+Every phase e^{-2 pi i t j / p} over an integer lattice of j (the
+numerators of a Whittaker value, the lags of a cell window) costs one
+complex exponential per point and window; the lattice's entries are its
+powers, read off two running-product tables of about sqrt(max |j|)
+entries.  The floor-constant segments of the minus region are arrays.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automorphic import coeff_sums
+from .automorphic import coeff_sum
+from .coeffs import zeta
 from .errors import (ConstantTermPresent, EpsilonBarrier, MissingSymmetry,
                      OutOfRange, UnboundedOmega)
 from .fourier import fourier_transform_batch
@@ -89,6 +96,33 @@ class ConstantFunction:
         return kmass * self.c ** 2 * width
 
 
+def _lattice_phases(t, js, period):
+    """e^{-2 pi i t j / p} for every t and every j of the integer lattice
+    ``js``, shape t.shape + js.shape, from one exponential per t.
+
+    With s = t/p - round(t/p) (an exact subtraction) and w = e^{-2 pi i
+    s}, w^|j| = w^(|j| mod b) (w^b)^(|j| div b) is read off two tables
+    of running products, b = isqrt(max |j|) + 1, and conjugated where
+    j < 0.  Rounding then grows like eps |j|, not like eps 2 pi |t j| / p
+    as in a direct exponential, and memory is O(t.size (len(js) + 2 b))."""
+    x = np.asarray(t, dtype=float) / period
+    w = np.exp(-2j * math.pi * (x - np.round(x)))
+    ja = np.abs(js)
+    top = int(ja.max(initial=0))
+    b = math.isqrt(top) + 1
+
+    def powers(base, n):  # base^0 .. base^n along a new last axis
+        tab = np.empty(base.shape + (n + 1,), dtype=complex)
+        tab[..., 0] = 1.0
+        tab[..., 1:] = base[..., None]
+        return np.cumprod(tab, axis=-1, out=tab)
+
+    low = powers(w, b)
+    high = powers(low[..., b], top // b)
+    out = low[..., ja % b] * high[..., ja // b]
+    return np.conjugate(out, out=out, where=js < 0)
+
+
 class WhittakerModel:
     """f(k a n_t) = <pi(a n_t) tau, pi(k^{-1}) v> as a region-norm
     integrand.  The K integral is exact (K-types are orthogonal), and
@@ -126,19 +160,25 @@ class WhittakerModel:
         """Per-K-type Whittaker values f_m(a n_t), shape (m, pts).  Each
         distinct a is transformed once; the distinct a-values, and then
         their points, go in chunks of FM_CHUNK point-coefficient pairs,
-        so memory stays bounded whatever the number of points."""
+        so memory stays bounded whatever the number of points.  The phases
+        cost one exponential per point (``_lattice_phases``); their power
+        tables add about 2 sqrt(max |j|) entries to a point's row, which a
+        point chunk counts, so a sparse lattice such as {1, 4096} gets
+        short ones."""
         ua, inv = np.unique(a_flat, return_inverse=True)
         order = np.argsort(inv, kind="stable")
         first = np.searchsorted(inv[order], np.arange(len(ua) + 1))
         out = np.empty((len(self.ms), len(a_flat)), dtype=complex)
         step = max(1, FM_CHUNK // len(self.ns))
+        row = len(self.ns) + 2 * math.isqrt(int(np.abs(self.js).max())) + 2
+        pstep = max(1, FM_CHUNK // row)
         for lo in range(0, len(ua), step):
             hi = min(lo + step, len(ua))
             amp = self._amplitudes(ua[lo:hi], tol) * self.bs[None, None, :]
             pts = order[first[lo]:first[hi]]
-            for q in range(0, len(pts), step):
-                sel = pts[q:q + step]
-                phase = np.exp(-2j * math.pi * np.outer(t_flat[sel], self.ns))
+            for q in range(0, len(pts), pstep):
+                sel = pts[q:q + pstep]
+                phase = _lattice_phases(t_flat[sel], self.js, self.period)
                 out[:, sel] = (a_flat[sel] ** (-1.0 - self.u)) * np.einsum(
                     "mpn,pn->mp", amp[:, inv[sel] - lo], phase)
         return out
@@ -176,8 +216,9 @@ class WhittakerModel:
         space pair by pair (over all of K only the diagonal pairs weigh).
         t_lo and t_hi may stack windows in leading axes (shape (...,
         a-nodes)), which all read the same lag sums.  It costs O(a-nodes M
-        (L log L + M L)) time, O(a-nodes L) per window, and O(M FM_CHUNK)
-        memory: the a-nodes go in chunks of FM_CHUNK // L."""
+        (L log L + M L)) time, O(a-nodes L) per window with one complex
+        exponential per a-node and window edge (``_lattice_phases``), and
+        O(M FM_CHUNK) memory: the a-nodes go in chunks of FM_CHUNK // L."""
         avals = np.atleast_1d(np.asarray(avals, dtype=float))
         t_lo, t_hi, _ = np.broadcast_arrays(np.asarray(t_lo, dtype=float),
                                             np.asarray(t_hi, dtype=float),
@@ -214,8 +255,8 @@ class WhittakerModel:
             for k in np.ndindex(t_lo.shape[:-1]):
                 lo, hi = t_lo[k][sel], t_hi[k][sel]
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    phi = (np.exp(np.outer(hi, z))
-                           - np.exp(np.outer(lo, z))) / z
+                    phi = (_lattice_phases(hi, lags, self.period)
+                           - _lattice_phases(lo, lags, self.period)) / z
                 phi[:, L - 1] = hi - lo
                 out[k][sel] = (a ** (-2.0 - 2.0 * self.u.real)) * np.einsum(
                     "pd,pd->p", r, phi).real
@@ -228,19 +269,17 @@ def _require_weyl(f):
 
 
 def _segment_edges(T1, a1, period):
-    """Yield floor-constant segments (lo, hi, floor_value) of (0, a1],
+    """The floor-constant segments of (0, a1] as arrays (lo, hi, floor),
     top down, stopping at A_MIN or after MAX_SEGMENTS of them."""
     Tabs = abs(T1)
-    j = int(math.floor(Tabs / (period * a1 ** 2)))
-    hi = a1
-    for _ in range(MAX_SEGMENTS):
-        b = math.sqrt(Tabs / (period * (j + 1))) if Tabs > 0 else 0.0
-        lo = max(b, A_MIN)
-        if hi > lo:
-            yield lo, hi, j
-        if b <= A_MIN:
-            return
-        hi, j = b, j + 1
+    j = np.floor(Tabs / (period * a1 ** 2)) + np.arange(float(MAX_SEGMENTS))
+    b = np.sqrt(Tabs / (period * (j + 1))) if Tabs > 0 else np.zeros_like(j)
+    last = b <= A_MIN
+    n = int(np.argmax(last)) + 1 if last.any() else MAX_SEGMENTS
+    lo = np.maximum(b[:n], A_MIN)
+    hi = np.concatenate(([a1], b[:n - 1]))
+    keep = hi > lo
+    return lo[keep], hi[keep], j[:n][keep]
 
 
 def _period_and_rest(f, a, rem, T1, tol):
@@ -276,13 +315,13 @@ def _minus_value(model, T1, a1, eps, kinds, tol):
     piece.
     """
     p = model.period
-    segs = list(_segment_edges(T1, a1, p))
+    seg_lo, seg_hi, seg_fl = _segment_edges(T1, a1, p)
     vals = np.zeros(len(kinds))
     a_cut = A_MIN
     batch = 64
-    for b0 in range(0, len(segs), batch):
-        chunk = segs[b0:b0 + batch]
-        lo_e, hi_e, fl = (np.array(col) for col in zip(*chunk))
+    for b0 in range(0, len(seg_lo), batch):
+        lo_e, hi_e = seg_lo[b0:b0 + batch], seg_hi[b0:b0 + batch]
+        fl = seg_fl[b0:b0 + batch]
         a, w = gauss_rule(lo_e, hi_e)
         fl = np.repeat(fl, 16)
         if "exact" in kinds:
@@ -294,7 +333,7 @@ def _minus_value(model, T1, a1, eps, kinds, tol):
         pieces = np.array([np.sum(w * a ** (2.0 + eps)
                                   * (fl * P + extra[k]) / a) for k in kinds])
         vals += pieces
-        a_cut = chunk[-1][0]
+        a_cut = lo_e[-1]
         if np.all(np.abs(pieces) < 1e-16 * np.maximum(np.abs(vals), 1e-300)):
             return tuple(map(float, vals))  # deeper a contributes nothing
     if a_cut > A_MIN * (1 + 1e-12):
@@ -506,22 +545,32 @@ def omega_a_norm(f, omega, eps: float, tol: float = None) -> float:
 
 def eisenstein_scenario(tau, lam: float, eps: float, T1: float,
                         tol: float = None) -> dict:
-    """Restriction-norm comparison run for Eisenstein-type (divisor-sum) coefficient
-    tables: verify partial-sum summability on the materialized range,
-    then fit the restriction-norm constant."""
+    r"""Restriction-norm comparison run for Eisenstein-type (divisor-sum)
+    coefficient tables: check the materialized coefficient sum against
+    its full value, then fit the restriction-norm constant.
+
+    The sum is 2 sum_{n <= N} n^{-eps/2-1} |b_{+-n}|^2 (both signs), which
+    for b_n = sigma_{2 i lam}(n) n^{-1/2} is 2 sum_{n <= N} |sigma_{2 i
+    lam}(n)|^2 n^{-s}, s = 2 + eps/2.  Ramanujan's identity gives the full
+    sum Z = zeta(s)^2 zeta(s - 2 i lam) zeta(s + 2 i lam) / zeta(2 s), and
+    since |sigma_{2 i lam}(n)|^2 <= d(n)^2 <= d_4(n) and sum_{n <= x}
+    d_4(n) <= x (1 + log x)^3, partial summation bounds the tail past N
+    by T = s \int_N^\infty x^{-s} (1 + log x)^3 dx.  ``summable`` is
+    0 <= 2 Z - partial <= 2 T."""
     tol = resolve_tol(tol)
     if 0 in tau.coeffs:
         raise ConstantTermPresent("Eisenstein scenario needs b_0 = 0")
-    ks = sorted({abs(j) / tau.period for j in tau.coeffs})
-    # sum_{n <= k} n^{-eps/2 - 1} |b_{+-n}|^2: coeff_sum at -eps, u0 = 0
-    partial = (coeff_sums(tau, -eps, 0.0, ks, +1)
-               + coeff_sums(tau, -eps, 0.0, ks, -1))
-    # summability: tail increments must decay (log-log slope < 0)
-    tail_ok = True
-    if len(partial) >= 8:
-        inc = np.diff(partial[len(partial) // 2:])
-        tail_ok = bool(inc[-1] < inc[0]) if len(inc) > 1 else True
     v = SmoothVector.single(0, -1j * lam, "+")
+    # first, since it rejects |eps| >= 2: so s > 1 and the sum converges
     rep = main2_check(tau, v, T1, eps, tol)
-    rep.update(partial_sum=float(partial[-1]), summable=tail_ok, k_max=ks[-1])
+    k_max = tau.max_numerator() / tau.period
+    partial = sum(coeff_sum(tau, -eps, 0.0, k_max, sg) for sg in (1, -1))
+    s = 2.0 + 0.5 * eps
+    z = zeta(np.array([s, s - 2j * lam, s + 2j * lam, 2.0 * s]))
+    full = 2.0 * (z[0] ** 2 * z[1] * z[2] / z[3]).real
+    c, U = s - 1.0, 1.0 + math.log(k_max)
+    tail = 2.0 * s * k_max ** -c * (U ** 3 / c + 3 * U ** 2 / c ** 2
+                                    + 6 * U / c ** 3 + 6 / c ** 4)
+    rep.update(partial_sum=partial, full_sum=full, tail_bound=tail,
+               summable=bool(0.0 <= full - partial <= tail), k_max=k_max)
     return rep

@@ -188,6 +188,18 @@ def test_malformed_env_tol_exits_2():
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+def test_eisenstein_defaults_pass(tmp_path):
+    # the materialized divisor sum sits within its tail bound of
+    # Ramanujan's full value
+    out = tmp_path / "r.json"
+    assert main(["eisenstein", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    gap = rep["fullSum"] - rep["partialSum"]
+    assert 0.0 <= gap <= rep["tailBound"]
+    assert [c["name"] for c in rep["checks"]] == [
+        "partial-sum-within-tail-bound"]
+
+
 def test_comp_norm_scan_past_the_tail_cap_exits_3(capsys, tmp_path):
     # at weight 1000 the 60-term tail series misses tol 1e-8: the scan
     # stops with one line, not a PASS built on a value off by 98%

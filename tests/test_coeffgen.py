@@ -1,8 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
 
 from normlab.coeffs import (CoeffModel, generate, parse_model_spec,
-                            ramanujan_tau_table, sigma_power)
+                            ramanujan_tau_table, sigma_power, zeta)
 from normlab.errors import RangeTooLarge
 
 
@@ -94,3 +95,13 @@ def test_parse_model_spec_errors():
         parse_model_spec("divisor:qqq=1")
     m = parse_model_spec("divisor:N=8,lam=1,period=2,seed=5")
     assert (m.N, m.lam, m.period, m.seed) == (8, 1.0, 2, 5)
+
+
+def test_zeta_against_mpmath():
+    sr, si = np.meshgrid(np.linspace(1.1, 6.0, 15), np.linspace(-10, 10, 21))
+    s = sr + 1j * si
+    got = zeta(s)
+    with mpmath.workdps(30):
+        ref = np.array([complex(mpmath.zeta(mpmath.mpc(z.real, z.imag)))
+                        for z in s.ravel()]).reshape(s.shape)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,8 +14,9 @@ from normlab.group import KanCoords
 from normlab.modular import CuspProfile, delta_profile, reduce_to_fundamental
 from normlab.principal import ReprParams, SmoothVector
 from normlab.quadrature import gauss_panels
-from normlab.siegel import (A_MIN, ConstantFunction, RegionSpec,
-                            WhittakerModel, eisenstein_scenario,
+from normlab.siegel import (A_MIN, MAX_SEGMENTS, ConstantFunction,
+                            RegionSpec, WhittakerModel, _lattice_phases,
+                            _segment_edges, eisenstein_scenario,
                             floor_sandwich, main2_check, main_bound_check,
                             main_constant, omega_a_norm, region_norm_full,
                             region_norm_minus, region_norm_plus_direct,
@@ -184,7 +187,8 @@ def test_ksq_transforms_each_distinct_a_once(monkeypatch):
         return real(v, xis, tol, **kw)
 
     monkeypatch.setattr(siegel, "fourier_transform_batch", counting)
-    # chunks of 64 distinct a-values and of 64 points
+    # chunks of 64 distinct a-values and of 48 points (a point's row is 32
+    # coefficients plus 10 phase-table entries)
     monkeypatch.setattr(siegel, "FM_CHUNK", 64 * len(model.ns))
     chunked = model.ksq(a, t)
     assert sum(freqs) == len(a_nodes) * len(model.ns) * len(model.ms)
@@ -295,6 +299,87 @@ def test_ksq_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert after - before < 2 ** 20
+
+
+def test_ksq_memory_on_a_sparse_lattice():
+    # 2 numerators spanning 4096: a power table over the whole span would
+    # be 2,000 x 4,097 complex entries, 131 MB; the phases' two tables of
+    # about sqrt(4096) entries a point keep the call near the parent's
+    model = _ktype_pair_model("finite:b1=1,b4096=1")
+    rng = np.random.default_rng(4)
+    a = rng.uniform(0.3, 1.5, 2000)
+    t = rng.uniform(-50.0, 50.0, 2000)
+    model.ksq(a[:8], t[:8])
+    tracemalloc.start()
+    try:
+        vals = model.ksq(a, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert np.all(np.isfinite(vals)) and np.max(vals) > 0.0
+
+
+def _phase_reference(t, j, p):
+    """e^{-2 pi i t j / p} with t j / p reduced mod 1 exactly."""
+    x = Fraction(t) * j / p
+    r = x - round(x)
+    with mpmath.workdps(30):
+        return complex(mpmath.expjpi(-2 * mpmath.mpf(r.numerator)
+                                     / r.denominator))
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_lattice_phases_against_exact_reference(p):
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(p)
+    t = np.concatenate([[0.0, 0.5 * p, -0.5 * p],
+                        rng.uniform(-1e4, 1e4, 4), rng.uniform(-3.0, 3.0, 2),
+                        [7.0 * p, -4093.0 * p]])
+    lattices = [np.arange(-32, 33), np.arange(-256, 257),
+                np.array([-4096, -1, 1, 4096]), np.arange(1 - 513, 513)]
+    for js in lattices:
+        got = _lattice_phases(t, js, p)
+        assert got.shape == (len(t), len(js))
+        for i, tv in enumerate(t):
+            ref = np.array([_phase_reference(tv, int(j), p) for j in js])
+            err = np.abs(got[i] - ref)
+            jm = np.maximum(np.abs(js), 1)
+            assert np.all(err <= eps * jm * (1.0 + 2 * math.pi * abs(tv) / p))
+            if p == 1:
+                assert np.all(err <= 1e-15 * jm)
+        # at t = k p every phase is exactly 1
+        assert np.all(got[-2:] == 1.0)
+
+
+def _segment_edges_loop(T1, a1, period):
+    """The floor-constant segments as a loop over j, top down."""
+    Tabs = abs(T1)
+    j = int(math.floor(Tabs / (period * a1 ** 2)))
+    hi = a1
+    for _ in range(MAX_SEGMENTS):
+        b = math.sqrt(Tabs / (period * (j + 1))) if Tabs > 0 else 0.0
+        lo = max(b, A_MIN)
+        if hi > lo:
+            yield lo, hi, j
+        if b <= A_MIN:
+            return
+        hi, j = b, j + 1
+
+
+def test_segment_edges_equal_the_loop():
+    lengths = set()
+    for T1 in (0.0, 1e-9, 1.0, -1.0, 37.5):
+        for a1 in (1.0, 0.75, 3.0):
+            for p in (1, 2):
+                ref = list(_segment_edges_loop(T1, a1, p))
+                got = _segment_edges(T1, a1, p)
+                assert [len(col) for col in got] == [len(ref)] * 3
+                for col, want in zip(got, zip(*ref)):
+                    assert np.all(col == np.array(want))
+                lengths.add(len(ref))
+    # both stops are met: A_MIN (T1 = 1e-9) and the cap (T1 = 37.5)
+    assert MAX_SEGMENTS in lengths and len(lengths - {0, MAX_SEGMENTS}) > 0
 
 
 def test_floor_sandwich_encloses_exact():
@@ -410,6 +495,18 @@ def test_eisenstein_scenario():
     rep = eisenstein_scenario(tau, 0.5, 0.5, 1.0)
     assert rep["summable"]
     assert math.isfinite(rep["ratio"])
+
+
+def test_eisenstein_scenario_fails_on_a_perturbed_coefficient():
+    # b_{+-1} scaled by 1.1 adds 2 (1.21 - 1) = 0.42 to the partial sum,
+    # past Ramanujan's full value (the gap at N = 64 is 0.042)
+    tau = generate(parse_model_spec("divisor:N=64,lam=0.5"))
+    assert eisenstein_scenario(tau, 0.5, 0.5, 1.0)["summable"]
+    for j in (1, -1):
+        tau.coeffs[j] *= 1.1
+    rep = eisenstein_scenario(tau, 0.5, 0.5, 1.0)
+    assert not rep["summable"]
+    assert rep["partial_sum"] > rep["full_sum"]
 
 
 # ---------------------------------------------------------------------------
