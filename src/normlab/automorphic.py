@@ -42,7 +42,7 @@ class PeriodicDistribution:
 
     def __post_init__(self):
         if self.period < 1:
-            raise ValueError("period must be a positive integer")
+            raise OutOfRange("period must be a positive integer")
         if 0 in self.coeffs:
             raise ConstantTermPresent(
                 "b_0 must be absent for cuspidal data")
@@ -51,7 +51,7 @@ class PeriodicDistribution:
                    if abs(b) > self.growth_C
                    * abs(j / self.period) ** self.growth_sigma * (1 + 1e-12)]
             if bad:
-                raise ValueError(
+                raise OutOfRange(
                     f"declared growth bound violated at numerators {bad[:5]}")
 
     @property
@@ -130,13 +130,13 @@ def whittaker_eval(tau: PeriodicDistribution, v, coords: KanCoords,
 
     tail = 0.0
     if not tau.is_finite:
-        tail = _coefficient_tail_estimate(tau, cs, a, fv, ns, tol)
+        tail = _coefficient_tail_estimate(tau, cs, a, ns, tol)
         tail *= abs(a ** (-1.0 - u))
     return WhittakerEvaluation(coords, complex(value),
                                int(tau.max_numerator()), float(tail))
 
 
-def _coefficient_tail_estimate(tau, cs, a, fv, ns, tol):
+def _coefficient_tail_estimate(tau, cs, a, ns, tol):
     """Bound sum_{|n| > n_max} |b_n| |Fv(-n/a^2)| from the declared
     growth and the measured exponential decay of the transform."""
     n_edge = float(np.max(np.abs(ns)))
@@ -214,7 +214,7 @@ def p0_weighted_norm(tau: PeriodicDistribution, v, a1, eps: float,
         return _p0_spectral(tau, v, a1, eps, tol)
     if method == "geometric":
         return _p0_geometric(tau, v, a1, eps, tol)
-    raise ValueError(f"unknown method {method!r}")
+    raise OutOfRange(f"unknown p0_weighted_norm method {method!r}")
 
 
 def _p0_spectral(tau, v, a1, eps, tol):

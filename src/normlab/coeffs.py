@@ -3,7 +3,8 @@
 Four model kinds are standardized: explicit finite tables, seeded random
 tables with prescribed power decay, divisor-sum (Eisenstein-type)
 tables, and Ramanujan tau from the 24th power of the eta q-expansion.
-All tables omit b_0 and are deterministic for a fixed seed.
+All tables are deterministic for a fixed seed and drop zero entries; a
+finite table keeps a nonzero b_0, which PeriodicDistribution refuses.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .automorphic import PeriodicDistribution
-from .errors import RangeTooLarge
+from .errors import ConfigInvalid, RangeTooLarge
 from .principal import ReprParams
 
 MAX_RANGE = 10 ** 6
@@ -34,7 +35,7 @@ class CoeffModel:
     def __post_init__(self):
         if self.kind not in ("finite", "random-decay", "divisor",
                              "ramanujan-tau"):
-            raise ValueError(f"unknown coefficient model {self.kind!r}")
+            raise ConfigInvalid(f"unknown coefficient model {self.kind!r}")
         if self.N > MAX_RANGE:
             raise RangeTooLarge(f"N = {self.N} > {MAX_RANGE}")
 
@@ -109,7 +110,7 @@ def generate(model: CoeffModel):
     params = ReprParams(1j * model.lam, "+")
     if model.kind == "finite":
         coeffs = {int(j): complex(b) for j, b in model.entries.items()
-                  if j != 0 and b != 0}
+                  if b != 0}
     elif model.kind == "random-decay":
         rng = np.random.default_rng(model.seed)
         coeffs = {}
@@ -132,19 +133,20 @@ def generate(model: CoeffModel):
 
 def parse_model_spec(text: str) -> CoeffModel:
     """Parse CLI model specs like 'finite:b1=1,b-2=0.5' or
-    'divisor:N=64,lam=1' or 'ramanujan-tau:N=100'."""
+    'divisor:N=64,lam=1' or 'ramanujan-tau:N=100' (else ConfigInvalid)."""
+    fields = {"N": int, "seed": int, "period": int, "sigma": float,
+              "lam": float}
     kind, _, rest = text.partition(":")
     kw = {}
     entries = {}
-    if rest:
-        for piece in rest.split(","):
-            key, _, val = piece.partition("=")
+    for piece in rest.split(",") if rest else ():
+        key, _, val = piece.partition("=")
+        try:
             if key.startswith("b"):
                 entries[int(key[1:])] = complex(val)
-            elif key in ("N", "seed", "period"):
-                kw[key] = int(val)
-            elif key in ("sigma", "lam"):
-                kw[key] = float(val)
             else:
-                raise ValueError(f"unknown model parameter {key!r}")
+                kw[key] = fields[key](val)
+        except (KeyError, ValueError):
+            raise ConfigInvalid(
+                f"bad model parameter {piece!r} in {text!r}") from None
     return CoeffModel(kind=kind, entries=entries, **kw)

@@ -5,6 +5,11 @@ class NormlabError(Exception):
     """Base class for all normlab errors."""
 
 
+class InvalidInput(NormlabError, ValueError):
+    """The caller's input is outside what the operation accepts; the CLI
+    exits 2 on these and 3 on every other NormlabError."""
+
+
 class NonUnimodular(NormlabError):
     """Input matrix is not in SL(2,R) within tolerance."""
 
@@ -13,7 +18,7 @@ class UnknownChart(NormlabError):
     """Unrecognized coordinate chart name."""
 
 
-class ParityMismatch(NormlabError):
+class ParityMismatch(InvalidInput):
     """K-type weight parity does not match the representation parity."""
 
 
@@ -44,11 +49,11 @@ class NonIntegrableExponent(NormlabError):
     """Re(s) <= -1 makes |sin theta|^s non-integrable."""
 
 
-class PoleParameter(NormlabError):
+class PoleParameter(InvalidInput):
     """Parameter sits on a pole of the Gamma factors (e.g. u = 0)."""
 
 
-class OutOfRange(NormlabError):
+class OutOfRange(InvalidInput):
     """Parameter outside the admissible range of the operation."""
 
 
@@ -56,7 +61,7 @@ class DivergentIntegral(NormlabError):
     """A norm integral diverges; message identifies the failing end."""
 
 
-class BadParameterRange(NormlabError):
+class BadParameterRange(InvalidInput):
     """Multiplier-map parameters outside the case-appropriate range."""
 
 
@@ -68,25 +73,25 @@ class HypothesisUnverifiable(NormlabError):
     """Coefficient data too short to verify the hypothesis of a bound."""
 
 
-class MissingSymmetry(NormlabError):
+class MissingSymmetry(InvalidInput):
     """Operation requires a symmetry flag the model does not declare."""
 
 
-class EpsilonBarrier(NormlabError):
+class EpsilonBarrier(InvalidInput):
     """epsilon = 0 requested; the bounds degenerate at the barrier."""
 
 
-class UnboundedOmega(NormlabError):
+class UnboundedOmega(InvalidInput):
     """Omega domain is not bounded."""
 
 
-class ConstantTermPresent(NormlabError):
+class ConstantTermPresent(InvalidInput):
     """Coefficient model has b_0 != 0 where cuspidal data is required."""
 
 
-class RangeTooLarge(NormlabError):
+class RangeTooLarge(InvalidInput):
     """Coefficient generation range exceeds the supported maximum."""
 
 
-class ConfigInvalid(NormlabError):
+class ConfigInvalid(InvalidInput):
     """CLI/run configuration failed validation."""

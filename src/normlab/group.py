@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonUnimodular, UnknownChart
+from .errors import NonUnimodular, OutOfRange, UnknownChart
 from .quadrature import TWO_PI
 
 DET_TOL = 1e-9
@@ -59,7 +59,7 @@ def rotation(theta: float) -> GroupElement:
 
 def diagonal(a: float) -> GroupElement:
     if a <= 0.0:
-        raise ValueError("diagonal part requires a > 0")
+        raise OutOfRange("diagonal part requires a > 0")
     return GroupElement(a, 0.0, 0.0, 1.0 / a)
 
 
@@ -134,7 +134,7 @@ def decompose_kna(g: GroupElement) -> KnaCoords:
 def weyl_flip(T: float, a: float) -> WeylFlip:
     """Coordinate transform of (T, a) under right multiplication by w."""
     if a <= 0.0:
-        raise ValueError("weyl_flip requires a > 0")
+        raise OutOfRange("weyl_flip requires a > 0")
     g = unipotent(T) @ diagonal(a) @ WEYL
     kna = decompose_kna(g)
     return WeylFlip(T=T, a=a, Tprime=kna.T, aprime=kna.a,

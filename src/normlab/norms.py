@@ -168,7 +168,7 @@ def _intertwine_tail(series, xeff, B, u):
     return total
 
 
-def g_normalizer(u: float, method: str = "quadrature") -> float:
+def g_normalizer(u: float) -> float:
     r"""G(u) with  F[|xi|^{-u}](x) = G(u) |x|^{u-1}  (distributionally).
 
     Computed by pairing both sides with the self-dual Gaussian
@@ -180,8 +180,6 @@ def g_normalizer(u: float, method: str = "quadrature") -> float:
         raise OutOfRange(f"g_normalizer needs |u| < 1, got {u}")
     if u == 0.0:
         return 0.0
-    if method == "closed":
-        return g_normalizer_closed(u)
     return _gaussian_moment(-u) / _gaussian_moment(u - 1.0)
 
 

@@ -172,21 +172,11 @@ class CayleySum:
         return out
 
 
-def ktype_eval(m: int, u: complex, parity: str, x, picture: str = "rep"):
-    """Value of the weight-m K-type basis vector at x.
-
-    picture="rep": exponent -(1+u)/2 (a vector of P(u, parity)).
-    picture="dual": exponent -(1-u)/2 (pairs against P(u, parity), i.e.
-    the rep-picture vector of P(-u, parity)).
-    """
+def ktype_eval(m: int, u: complex, parity: str, x):
+    """Value at x of the weight-m K-type basis vector of P(u, parity),
+    exponent -(1+u)/2; the vector of P(-u, parity) pairs against it."""
     _check_parity(m, parity)
-    if picture == "rep":
-        w = u
-    elif picture == "dual":
-        w = -complex(u)
-    else:
-        raise OutOfRange(f"unknown picture {picture!r}")
-    return CayleySum.ktype(m, w)(x)
+    return CayleySum.ktype(m, u)(x)
 
 
 @dataclass

@@ -37,8 +37,8 @@ import numpy as np
 
 from .automorphic import coeff_sum
 from .coeffs import zeta
-from .errors import (ConstantTermPresent, EpsilonBarrier, MissingSymmetry,
-                     OutOfRange, UnboundedOmega)
+from .errors import (EpsilonBarrier, MissingSymmetry, OutOfRange,
+                     UnboundedOmega)
 from .fourier import fourier_transform_batch
 from .group import K_MASS
 from .norms import triple_norm
@@ -134,6 +134,8 @@ class WhittakerModel:
     """
 
     def __init__(self, tau, v: SmoothVector, assert_weyl: bool = False):
+        if not tau.coeffs:
+            raise OutOfRange("empty coefficient table: no nonzero b_j")
         self.tau = tau
         self.v = v
         self.period = tau.period
@@ -476,7 +478,8 @@ def main_bound_check(f, T1: float, eps: float, tol: float = None) -> dict:
 def main2_check(tau, v: SmoothVector, T1: float, eps: float,
                 tol: float = None) -> dict:
     """||f||_{T1,eps} against the triple norm of v at -|eps|/2 (unitary
-    principal type) or -u - |eps|/2 (complementary type)."""
+    principal type) or -u - |eps|/2 (complementary type); that index must
+    exceed -1, so |eps| < 2 (1 - u0) with u0 = Re u."""
     tol = resolve_tol(tol)
     if eps == 0:
         raise EpsilonBarrier(
@@ -485,8 +488,11 @@ def main2_check(tau, v: SmoothVector, T1: float, eps: float,
     u = complex(tau.params.u)
     if abs(u.imag) > 0 and abs(u.real) > 1e-12:
         raise OutOfRange("tau must be unitary-principal or complementary")
-    target = -abs(eps) / 2.0 if abs(u.real) < 1e-12 \
-        else -u.real - abs(eps) / 2.0
+    u0 = 0.0 if abs(u.real) < 1e-12 else u.real
+    if abs(eps) >= 2.0 * (1.0 - u0):
+        raise OutOfRange(f"eps = {eps} needs |eps| < {2.0 * (1.0 - u0):g} "
+                         f"at Re u = {u0:g}")
+    target = -u0 - abs(eps) / 2.0
     model = WhittakerModel(tau, v, assert_weyl=True)
     lhs = region_norm_full(model, RegionSpec(T1, eps), tol)
     rhs = triple_norm(v, target, tol).value
@@ -558,10 +564,8 @@ def eisenstein_scenario(tau, lam: float, eps: float, T1: float,
     by T = s \int_N^\infty x^{-s} (1 + log x)^3 dx.  ``summable`` is
     0 <= 2 Z - partial <= 2 T."""
     tol = resolve_tol(tol)
-    if 0 in tau.coeffs:
-        raise ConstantTermPresent("Eisenstein scenario needs b_0 = 0")
     v = SmoothVector.single(0, -1j * lam, "+")
-    # first, since it rejects |eps| >= 2: so s > 1 and the sum converges
+    # first: it rejects |eps| >= 2 (tau is unitary), so s > 1
     rep = main2_check(tau, v, T1, eps, tol)
     k_max = tau.max_numerator() / tau.period
     partial = sum(coeff_sum(tau, -eps, 0.0, k_max, sg) for sg in (1, -1))

@@ -1,18 +1,44 @@
+import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import normlab
+import normlab.cli as cli
+import normlab.errors as errors
 from normlab.automorphic import PeriodicDistribution
 from normlab.cli import main
+
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                      "README.md")
 
 
 def _report(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _materialize(argv, tmp_path):
+    """argv with each dict or list written to a config file, and MISSING
+    made a path under a directory that does not exist."""
+    missing = str(tmp_path / "missing" / "x")
+    out = []
+    for i, x in enumerate(argv):
+        if isinstance(x, (dict, list)):
+            cfg = tmp_path / f"cfg{i}.json"
+            cfg.write_text(json.dumps(x).replace("MISSING", missing))
+            x = str(cfg)
+        out.append(missing if x == "MISSING" else x)
+    return out
+
+
+def _one_line(err, prefix):
+    return (err.startswith(prefix) and err.count("\n") == 1
+            and "Traceback" not in err)
 
 
 def test_decompose_passes(tmp_path):
@@ -162,17 +188,161 @@ def test_regress_against_frozen_tables():
     ["measure-check", "--n", "-5"],
     ["comp-norm-scan", "--m-max", "-2"],
     ["omega-norm", "--omega", "0,1,0,nan"],
-    ["comp-norm-scan", "--config", "CFG"],
+    # a config value is converted like the flag it stands for
+    ["comp-norm-scan", "--config", {"m-max": -2, "u": 0.25}],
+    ["triple-norm", "--ms", "a"],
+    ["triple-norm", "--config", {"ms": "a"}],
+    ["main2-scan", "--eps-list", "0.5,x"],
+    ["main2-scan", "--config", {"eps-list": [0.5, "x"]}],
+    ["verify-whittaker", "--model", "finite:period=0,b1=1"],
+    ["verify-whittaker", "--config", {"model": "finite:period=0,b1=1"}],
+    ["decompose", "--config", {"seed": "x", "n": 5}],
+    ["decompose", "--seed", "x", "--n", "5"],
+    ["region-norm", "--config", {"profile": 3}],
+    ["intertwine", "--config", {"m": 1.5}],
+    ["intertwine", "--m", "1.5"],
+    ["intertwine", "--config", {"numeric": "yes"}],
+    ["sin-series", "--config", {"K": True}],
+    ["sin-series", "--K", "true"],
+    ["decompose", "--config", [1, 2]],
+    ["region-norm", "--profile", "constant:nan"],
+    ["region-norm", "--profile", "constantx"],
+    # an empty coefficient table, and a b0 that the table keeps
+    ["region-norm", "--model", "finite:b1=0"],
+    ["omega-norm", "--model", "finite:b1=0"],
+    ["main2-scan", "--model", "finite:b1=0"],
+    ["region-norm", "--config", {"model": "finite:b1=0"}],
+    ["region-norm", "--model", "finite:b0=1,b1=1"],
+    ["region-norm", "--config", {"model": "finite:b0=1,b1=1"}],
+    # paths that cannot be opened
+    ["gen-coeffs", "--out-coeffs", "MISSING"],
+    ["gen-coeffs", "--config", {"out-coeffs": "MISSING"}],
+    ["regress", "--tables", "MISSING"],
+    ["regress", "--config", {"tables": "MISSING"}],
 ])
 def test_malformed_input_exits_2(argv, tmp_path, capsys):
-    # CFG: a config file whose value only the merged-parameter check sees
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"m-max": -2, "u": 0.25}))
-    argv = [str(cfg) if x == "CFG" else x for x in argv]
+    argv = _materialize(argv, tmp_path)
     assert main(argv + ["--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("normlab: invalid configuration: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--n", "10", "--out", "MISSING"],
+    ["decompose", "--config", {"n": 10, "out": "MISSING"}],
+    ["comp-norm-scan", "--m-max", "2", "--csv", "MISSING"],
+    ["comp-norm-scan", "--config", {"m-max": 2, "csv": "MISSING"}],
+])
+def test_unwritable_report_path_exits_2(argv, tmp_path, capsys):
+    assert main(_materialize(argv, tmp_path)) == 2
+    assert _one_line(capsys.readouterr().err,
+                     "normlab: invalid configuration: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["main2-scan", "--eps-list", "2.5"],
+    ["main2-scan", "--config", {"eps-list": [2.5]}],
+    ["eisenstein", "--eps", "3"],
+    ["eisenstein", "--config", {"eps": -3}],
+    # complementary type u = 0.5: |eps| < 2 (1 - u) = 1
+    ["main2-scan", "--u0", "0.5", "--u1", "0", "--eps-list", "1"],
+])
+def test_eps_past_the_norm_range_names_eps(argv, tmp_path, capsys):
+    argv = _materialize(argv, tmp_path)
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert _one_line(err, "normlab: invalid configuration: eps = ")
+
+
+@pytest.mark.parametrize("config,argv", [
+    ({"ms": [0, 2]}, ["triple-norm", "--ms", "0,2"]),
+    ({"u": "0.3"}, ["gnorm", "--u", "0.3"]),
+    ({"a1": "inf"}, ["verify-whittaker", "--a1", "inf"]),
+])
+def test_config_forms_match_flag_forms(config, argv, tmp_path):
+    # a JSON list or a string in a config file converts like the flag
+    reps = []
+    for args in (argv[:1] + ["--config", config], argv):
+        out = tmp_path / "r.json"
+        assert main(_materialize(args, tmp_path) + ["--out", str(out)]) == 0
+        rep = _report(out)
+        rep.pop("timestamp")
+        reps.append(rep)
+    assert reps[0] == reps[1]
+
+
+def _error_classes():
+    return [c for _, c in inspect.getmembers(errors, inspect.isclass)
+            if issubclass(c, errors.NormlabError)]
+
+
+@pytest.mark.parametrize("exc", _error_classes(), ids=lambda c: c.__name__)
+def test_exit_code_follows_the_error_base(exc, monkeypatch, capsys):
+    # exit 2 exactly for the InvalidInput subclasses, 3 for every other
+    # NormlabError
+    def handler(p, tol):
+        raise exc("raised by the handler")
+    monkeypatch.setitem(cli.SUBCOMMANDS, "gnorm",
+                        (handler, cli.SUBCOMMANDS["gnorm"][1]))
+    invalid = issubclass(exc, errors.InvalidInput)
+    assert main(["gnorm"]) == (2 if invalid else 3)
+    assert _one_line(capsys.readouterr().err,
+                     "normlab: invalid configuration: " if invalid
+                     else "normlab: numerical failure: ")
+
+
+def _bad_library_calls():
+    from normlab.automorphic import p0_weighted_norm
+    from normlab.coeffs import CoeffModel, parse_model_spec
+    from normlab.group import diagonal, weyl_flip
+    from normlab.principal import ReprParams, SmoothVector
+    params = ReprParams(1j, "+")
+    tau = PeriodicDistribution(1, {1: 1.0}, params)
+    return {
+        "period": lambda: PeriodicDistribution(0, {1: 1.0}, params),
+        "growth": lambda: PeriodicDistribution(1, {1: 5.0}, params,
+                                               growth_sigma=0.0,
+                                               growth_C=1.0),
+        "kind": lambda: CoeffModel("maass"),
+        "spec-key": lambda: parse_model_spec("divisor:qqq=1"),
+        "spec-value": lambda: parse_model_spec("divisor:N=x"),
+        "diagonal": lambda: diagonal(0.0),
+        "weyl-flip": lambda: weyl_flip(1.0, -1.0),
+        "p0-method": lambda: p0_weighted_norm(
+            tau, SmoothVector.single(0, -1j), 1.0, 0.5, None, "bogus"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_bad_library_calls()))
+def test_library_input_errors_are_invalid_input(name):
+    # still ValueErrors, so callers catching ValueError keep working
+    with pytest.raises(errors.InvalidInput):
+        _bad_library_calls()[name]()
+    assert issubclass(errors.InvalidInput, ValueError)
+
+
+def test_every_flag_has_a_documented_type():
+    docs = os.path.join(os.path.dirname(README), "docs", "config.md")
+    with open(docs) as fh:
+        table = fh.read().split("## Parameter types", 1)[1].split("##")[0]
+    flags = {arg for _, args in cli.SUBCOMMANDS.values()
+             for arg, _, _, _ in cli._COMMON + args}
+    assert {f for f in flags if f"`{f}`" not in table} == set()
+
+
+def _readme_commands():
+    with open(README) as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("normlab ")]
+
+
+def test_readme_cli_examples_exit_0(capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 7
+    for argv in commands:
+        assert main(argv) == 0, argv
 
 
 def test_malformed_env_tol_exits_2():

@@ -4,7 +4,7 @@ import pytest
 
 from normlab.coeffs import (CoeffModel, generate, parse_model_spec,
                             ramanujan_tau_table, sigma_power, zeta)
-from normlab.errors import RangeTooLarge
+from normlab.errors import ConstantTermPresent, RangeTooLarge
 
 
 def _tau_bruteforce(N):
@@ -61,6 +61,14 @@ def test_finite_model():
     dist = generate(model)
     assert dist.coeffs == {1: 1.0 + 0.0j, -2: 0.5 + 0.0j}
     assert 0 not in dist.coeffs
+
+
+def test_finite_model_keeps_b0_for_the_constructor_to_refuse():
+    with pytest.raises(ConstantTermPresent):
+        generate(parse_model_spec("finite:b0=1,b1=1"))
+    # a zero entry, b0 included, is absent
+    dist = generate(parse_model_spec("finite:b0=0,b1=1,b2=0"))
+    assert dist.coeffs == {1: 1.0 + 0.0j}
 
 
 def test_random_decay_deterministic_and_decaying():

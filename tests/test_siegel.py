@@ -458,6 +458,23 @@ def test_main2_guards_and_value():
         main2_check(bad, v, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("u,eps", [(1j, 2.0), (1j, -2.5), (0.5 + 0j, 1.0),
+                                   (-0.25 + 0j, 2.5)])
+def test_main2_rejects_eps_past_the_norm_range(u, eps):
+    # the triple norm at -u - |eps|/2 needs an index above -1
+    tau = PeriodicDistribution(1, {1: 1.0}, ReprParams(u, "+"))
+    v = SmoothVector.single(0, -u, "+")
+    with pytest.raises(OutOfRange, match="^eps = "):
+        main2_check(tau, v, 1.0, eps)
+
+
+def test_whittaker_model_rejects_an_empty_table():
+    tau = generate(parse_model_spec("finite:b1=0"))
+    assert tau.coeffs == {}
+    with pytest.raises(OutOfRange, match="empty"):
+        WhittakerModel(tau, SmoothVector.single(0, -1j, "+"))
+
+
 def test_main2_complementary_target():
     tau = PeriodicDistribution(1, {1: 1.0}, ReprParams(0.5 + 0j, "+"))
     v = SmoothVector.single(0, -0.5 + 0j, "+")
