@@ -9,6 +9,7 @@ finite table keeps a nonzero b_0, which PeriodicDistribution refuses.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -133,7 +134,8 @@ def generate(model: CoeffModel):
 
 def parse_model_spec(text: str) -> CoeffModel:
     """Parse CLI model specs like 'finite:b1=1,b-2=0.5' or
-    'divisor:N=64,lam=1' or 'ramanujan-tau:N=100' (else ConfigInvalid)."""
+    'divisor:N=64,lam=1' or 'ramanujan-tau:N=100'; a piece that does not
+    parse, or parses to a non-finite value, raises ConfigInvalid."""
     fields = {"N": int, "seed": int, "period": int, "sigma": float,
               "lam": float}
     kind, _, rest = text.partition(":")
@@ -143,9 +145,11 @@ def parse_model_spec(text: str) -> CoeffModel:
         key, _, val = piece.partition("=")
         try:
             if key.startswith("b"):
-                entries[int(key[1:])] = complex(val)
+                entries[int(key[1:])] = value = complex(val)
             else:
-                kw[key] = fields[key](val)
+                kw[key] = value = fields[key](val)
+            if not cmath.isfinite(value):
+                raise ValueError
         except (KeyError, ValueError):
             raise ConfigInvalid(
                 f"bad model parameter {piece!r} in {text!r}") from None

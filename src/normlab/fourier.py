@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import loggamma
 
 from .errors import (AccuracyNotReached, NonIntegrableExponent, NotIntegrable,
                      ZeroFrequency)
@@ -294,10 +295,7 @@ class FourierSeriesTable:
 
     def reconstruct(self, theta):
         theta = np.asarray(theta, dtype=float)
-        out = np.zeros(theta.shape, dtype=complex)
-        for j, c in self.coeffs.items():
-            out = out + c * np.exp(1j * j * theta)
-        return out
+        return sum(c * np.exp(1j * j * theta) for j, c in self.coeffs.items())
 
 
 def _check_exponent(s):
@@ -305,63 +303,63 @@ def _check_exponent(s):
         raise NonIntegrableExponent(f"Re(s) = {complex(s).real} <= -1")
 
 
-def _richardson(coeffs_at, s, parity_shift):
-    """The table at 2^15 samples, each coefficient's declared error its
-    change from 2^14 samples."""
-    a, a2 = coeffs_at(2 ** 14), coeffs_at(2 ** 15)
-    return FourierSeriesTable(complex(s), a2, parity_shift,
-                              {j: abs(a[j] - a2[j]) for j in a})
+def _sin_power_table(s, K: int, odd: bool) -> FourierSeriesTable:
+    r"""c_j(s) = (1/pi) \int_0^pi sin^s theta e^{-ij theta} d theta for
+    j = 2k, |k| <= K, or (``odd``) j = 2k - 1, -K < k <= K, by the Beta
+    integral's closed form e^{-i pi j/2} Gamma(s+1) / (2^s Gamma(1 +
+    (s+j)/2) Gamma(1 + (s-j)/2)) and c_{-j} = (-1)^j c_j.  Past c_{j0},
+    j0 = 0 or 1, Gamma's functional equation gives c_{j+2} = c_j (j - s)
+    / (j + 2 + s): a running product in extended precision, which never
+    overflows and ends in exact zeros at a nonnegative integer s of the
+    table's parity.  ``errors[j]`` bounds the rounding: 32 eps per
+    logarithm (scipy's ``loggamma`` was measured within 24 eps max(1,
+    |log Gamma|) of mpmath for Re z in (0, 100], |Im z| <= 50), one more
+    for their sum, 4 for the exponential and the casts, and 8 extended
+    ulps per step of the product."""
+    _check_exponent(s)
+    s, j0 = complex(s), int(odd)
+    logs = (loggamma(s + 1.0), -s * math.log(2.0),
+            -loggamma((s + (2 + j0)) / 2.0), -loggamma((s + (2 - j0)) / 2.0))
+    js = np.arange(j0, 2 * K - 1, 2, dtype=np.longdouble)
+    c = np.cumprod(np.concatenate([[(-1j) ** j0 * np.exp(sum(logs))],
+                                   (js - s) / (js + 2.0 + s)])).astype(complex)
+    eps = np.finfo(float).eps
+    rel = (eps * (4.0 + 33.0 * sum(max(1.0, abs(x)) for x in logs))
+           + 8.0 * np.finfo(np.longdouble).eps * np.arange(len(c)))
+    coeffs, errors = {}, {}
+    for j in range(j0 - 2 * K, 2 * K - j0 + 1, 2):
+        i = abs(j) // 2
+        coeffs[j] = -c[i] if odd and j < 0 else c[i]
+        errors[j] = float(rel[i] * abs(c[i]))
+    return FourierSeriesTable(s, coeffs, "odd-signed" if odd else "even",
+                              errors)
 
 
 def sin_power_series(s: complex, K: int) -> FourierSeriesTable:
-    """Fourier coefficients a_{2k} of |sin theta|^s = sum a_{2k} e^{2ik theta}.
-
-    Midpoint FFT sampling on (0, pi) with a doubled-resolution Richardson
-    check; declared per-coefficient error = |a_N - a_{2N}|.
-    """
-    _check_exponent(s)
-
-    def coeffs_at(N):
-        theta = math.pi * (np.arange(N) + 0.5) / N
-        f = np.exp(complex(s) * np.log(np.sin(theta)))
-        F = np.fft.fft(f) / N
-        out = {}
-        for k in range(-K, K + 1):
-            out[2 * k] = F[k % N] * np.exp(-1j * math.pi * k / N)
-        return out
-
-    return _richardson(coeffs_at, s, "even")
+    """a_{2k}, |k| <= K, of |sin theta|^s = sum a_{2k} e^{2ik theta} in
+    closed form (:func:`_sin_power_table`), each with its rounding bound."""
+    return _sin_power_table(s, K, odd=False)
 
 
 def signed_sin_power_series(s: complex, K: int) -> FourierSeriesTable:
-    """Odd-harmonic coefficients b_{2k-1} of sgn(sin theta)|sin theta|^s
-    = sum b_{2k-1} e^{i(2k-1) theta} over the full period 2 pi."""
-    _check_exponent(s)
-
-    def coeffs_at(N):
-        # 2N midpoint samples over (0, 2 pi)
-        theta = TWO_PI * (np.arange(2 * N) + 0.5) / (2 * N)
-        st = np.sin(theta)
-        f = np.sign(st) * np.exp(complex(s) * np.log(np.abs(st)))
-        F = np.fft.fft(f) / (2 * N)
-        out = {}
-        for k in range(-K + 1, K + 1):
-            r = 2 * k - 1
-            out[r] = F[r % (2 * N)] * np.exp(-1j * math.pi * r / (2 * N))
-        return out
-
-    return _richardson(coeffs_at, s, "odd-signed")
+    """b_{2k-1}, -K < k <= K, of sgn(sin theta) |sin theta|^s = sum
+    b_{2k-1} e^{i(2k-1) theta} in closed form (:func:`_sin_power_table`),
+    each with its rounding bound."""
+    return _sin_power_table(s, K, odd=True)
 
 
 def series_coefficient_quadrature(s: complex, j: int):
-    r"""Independent single-coefficient oracle by direct quadrature:
-    (1/pi) \int_0^pi sin^s(theta) e^{-i j theta} d theta.
-
-    Valid for both tables -- even j gives a_{j} of |sin|^s, odd j gives
-    b_{j} of the sign-twisted multiplier (the (pi, 2pi) half contributes
-    the same amount for odd j, and cancels for even).  tanh-sinh (level
-    10) handles the endpoint singularities for Re(s) < 0."""
+    r"""c_j(s) by direct quadrature, the independent oracle of both
+    tables, folded onto (0, pi/2] so that sin theta keeps its precision
+    at the singular end: with g(theta) = e^{-ij theta} + e^{-ij (pi -
+    theta)}, (1/pi) [\int_0^{pi/2} (sin^s theta g(theta) - theta^s g(0))
+    d theta + g(0) (pi/2)^{s+1}/(s+1)] on the level-10 tanh-sinh rule.
+    Within 2e-11 of mpmath for Re s in [-0.99999, 4], |Im s| <= 2 and
+    |j| <= 512; near |j| = 1024 the rule no longer resolves e^{-ij theta}."""
     _check_exponent(s)
-    theta, w = tanh_sinh_map(0.0, math.pi, 10)
-    f = np.exp(complex(s) * np.log(np.sin(theta))) * np.exp(-1j * j * theta)
-    return np.sum(w * f) / math.pi
+    theta, w = tanh_sinh_map(0.0, 0.5 * math.pi, 10)
+    g = np.exp(-1j * j * theta) + (-1) ** j * np.exp(1j * j * theta)
+    g0 = 1 + (-1) ** j
+    f = np.exp(s * np.log(np.sin(theta))) * g - g0 * np.exp(s * np.log(theta))
+    return (np.sum(w * f) + g0 * (0.5 * math.pi) ** (s + 1.0) / (s + 1.0)) \
+        / math.pi

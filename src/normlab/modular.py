@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coeffs import ramanujan_tau_table
+from .group import K_MASS
 from .quadrature import TWO_PI, _gl_rule
 from .siegel import SymmetryFlags
 
@@ -72,7 +73,7 @@ class CuspProfile:
     def ksq(self, avals, ts, tol=None):
         avals = np.atleast_1d(np.asarray(avals, dtype=float))
         ts = np.broadcast_to(np.asarray(ts, dtype=float), avals.shape)
-        return TWO_PI * np.abs(self.value(0.0, avals, ts)) ** 2
+        return K_MASS * np.abs(self.value(0.0, avals, ts)) ** 2
 
     def cell_integral(self, avals, t_lo, t_hi, tol=None, th=None):
         r"""\int_K \int_{t_lo}^{t_hi} |F(k a n_t)|^2 dt dk, vectorized
@@ -88,6 +89,6 @@ class CuspProfile:
         half = 0.5 * (t_hi - t_lo)
         vals = self.value(0.0, avals[:, None],
                           mid[..., None] + half[..., None] * xg)
-        kmass = TWO_PI if th is None else th[1] - th[0]
+        kmass = K_MASS if th is None else th[1] - th[0]
         return kmass * np.sum(half[..., None] * wg * np.abs(vals) ** 2,
                               axis=-1)

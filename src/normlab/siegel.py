@@ -229,7 +229,7 @@ class WhittakerModel:
         mm = np.array(self.ms, dtype=float)
         dm = mm[None, :] - mm[:, None]  # q - m from e^{-i(m-q)theta}
         if th is None:
-            phik = np.where(dm == 0, 2.0 * math.pi, 0.0) + 0j
+            phik = np.where(dm == 0, K_MASS, 0.0) + 0j
         else:
             zk = 1j * dm
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -434,18 +434,20 @@ def region_norm_plus_weyl_exact(f, spec: RegionSpec,
     return float(np.sum(w * f.ksq(ap, Tp / ap ** 2, tol)))
 
 
+def region_norm_plus(f, spec: RegionSpec, tol: float = None) -> float:
+    """The plus-region norm: through the Weyl flip when the symmetry flag
+    is present, by direct quadrature otherwise."""
+    if f.flags.hasWeyl:
+        return region_norm_plus_weyl_exact(f, spec, tol)
+    return region_norm_plus_direct(f, spec, tol)
+
+
 def region_norm_full(f, spec: RegionSpec, tol: float = None) -> float:
     """||f||^2_{T1, eps} over all of K N_{T1} A: minus part (a <= 1)
-    plus the plus part (a >= 1), the latter through the Weyl flip when
-    the symmetry flag is present and by direct quadrature otherwise."""
-    tol = resolve_tol(tol)
-    sub_m = RegionSpec(spec.T1, spec.eps, 1.0, "minus")
-    sub_p = RegionSpec(spec.T1, spec.eps, 1.0, "plus")
-    if f.flags.hasWeyl:
-        plus = region_norm_plus_weyl_exact(f, sub_p, tol)
-    else:
-        plus = region_norm_plus_direct(f, sub_p, tol)
-    return region_norm_minus(f, sub_m, tol) + plus
+    plus the plus part (a >= 1, :func:`region_norm_plus`)."""
+    T1, eps = spec.T1, spec.eps
+    return (region_norm_minus(f, RegionSpec(T1, eps, 1.0, "minus"), tol)
+            + region_norm_plus(f, RegionSpec(T1, eps, 1.0, "plus"), tol))
 
 
 def main_constant(T1: float, eps: float, period: int) -> float:

@@ -163,6 +163,32 @@ def test_regress_against_frozen_tables():
     assert main(["regress"]) == 0
 
 
+@pytest.mark.parametrize("signed", [[], ["--signed"]])
+@pytest.mark.parametrize("s", ["-0.99", "-0.9", "-0.75", "-0.5", "-0.4,0.3",
+                               "0.3", "2.5"])
+def test_sin_series_oracle_check_passes(s, signed, tmp_path):
+    re, _, im = s.partition(",")
+    out = tmp_path / "r.json"
+    for K in ("1", "8", "64"):
+        assert main(["sin-series", "--s", re, "--s1", im or "0", "--K", K,
+                     *signed, "--out", str(out)]) == 0, K
+        assert _report(out)["ok"] is True
+
+
+def test_sin_series_oracle_check_can_fail(monkeypatch, tmp_path):
+    # the check probes the highest harmonic, so shift that one
+    def shifted(s, K):
+        table = normlab.fourier.sin_power_series(s, K)
+        table.coeffs[2 * K] += 1e-6
+        return table
+
+    monkeypatch.setattr(cli, "sin_power_series", shifted)
+    out = tmp_path / "r.json"
+    assert main(["sin-series", "--s", "-0.5", "--K", "8",
+                 "--out", str(out)]) == 1
+    assert _report(out)["checks"][0]["ok"] is False
+
+
 @pytest.mark.parametrize("argv", [
     ["intertwine", "--u", "0"],
     ["intertwine", "--u", "-1"],
@@ -219,6 +245,11 @@ def test_regress_against_frozen_tables():
     ["gen-coeffs", "--config", {"out-coeffs": "MISSING"}],
     ["regress", "--tables", "MISSING"],
     ["regress", "--config", {"tables": "MISSING"}],
+    # a model spec value that parses to a non-finite number
+    ["region-norm", "--model", "finite:b1=nan"],
+    ["region-norm", "--model", "finite:b1=inf"],
+    ["region-norm", "--model", "divisor:N=8,lam=nan"],
+    ["region-norm", "--model", "random-decay:N=4,sigma=inf"],
 ])
 def test_malformed_input_exits_2(argv, tmp_path, capsys):
     argv = _materialize(argv, tmp_path)

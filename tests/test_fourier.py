@@ -6,6 +6,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import normlab
 import normlab.fourier
@@ -174,6 +176,74 @@ def test_non_integrable_exponent():
         sin_power_series(-1.2, 4)
     with pytest.raises(NonIntegrableExponent):
         signed_sin_power_series(-1.0, 4)
+
+
+def _sin_power_reference(s, j):
+    """c_j(s) = e^{-i pi j/2} Gamma(s+1) / (2^s Gamma(1 + (s+j)/2)
+    Gamma(1 + (s-j)/2)) at 40 digits."""
+    with mpmath.workdps(40):
+        s = mpmath.mpc(s)
+        return complex(mpmath.exp(-0.5j * mpmath.pi * j) * mpmath.gamma(s + 1)
+                       * mpmath.rgamma(1 + (s + j) / 2)
+                       * mpmath.rgamma(1 + (s - j) / 2) / 2 ** s)
+
+
+@pytest.mark.parametrize("K", [8, 10_000])
+@pytest.mark.parametrize("s", [-0.999, -0.9, -0.5, -0.4 + 0.3j, -0.7 + 0.4j,
+                               0.0, 0.3, 1.0, 2.0, 2.5, 4.0 + 1.0j])
+def test_sin_series_within_declared_error(s, K):
+    # every entry finite; at K = 10,000 the mpmath comparison reads both
+    # ends and every 499th entry, the ends being where the running
+    # product is longest
+    for table in (sin_power_series(s, K), signed_sin_power_series(s, K)):
+        js = sorted(table.coeffs)
+        c = np.array([table.coeffs[j] for j in js])
+        assert np.all(np.isfinite(c))
+        assert np.all(np.isfinite([table.errors[j] for j in js]))
+        for j in js if K <= 8 else js[:16] + js[-16:] + js[::499]:
+            ref = _sin_power_reference(s, j)
+            assert abs(table.coeffs[j] - ref) <= table.errors[j], (s, j)
+            assert table.errors[j] <= 1e-12 * abs(ref), (s, j)
+
+
+@pytest.mark.parametrize("s, odd, exact", [
+    (2.0, False, {0: 0.5, 2: -0.25, -2: -0.25}),
+    (0.0, False, {0: 1.0}),
+    (1.0, True, {1: -0.5j, -1: 0.5j}),
+])
+def test_sin_series_exact_polynomials(s, odd, exact):
+    # sin^2 = 1/2 - (e^{2i theta} + e^{-2i theta})/4, sin^0 = 1 and
+    # sin = (e^{i theta} - e^{-i theta})/(2i): every other entry is an
+    # exact zero with a zero error
+    table = (signed_sin_power_series if odd else sin_power_series)(s, 6)
+    for j, c in table.coeffs.items():
+        want = exact.get(j, 0.0)
+        assert abs(c - want) <= table.errors[j]
+        assert abs(c - want) <= 1e-15
+        if want == 0.0:
+            assert c == 0.0 and table.errors[j] == 0.0
+
+
+@given(st.floats(-1.0, 4.0, exclude_min=True), st.floats(-2.0, 2.0),
+       st.integers(-128, 128))
+@settings(max_examples=200, deadline=None)
+def test_sin_series_closed_form_matches_folded_quadrature(re, im, j):
+    # the tolerance is relative for |c_j| > 1: as Re s -> -1 the folded
+    # integral's g(0) (pi/2)^{s+1}/(s+1) term grows like |c_0| itself
+    s = complex(re, im)
+    if j % 2:
+        table = signed_sin_power_series(s, (abs(j) + 1) // 2)
+    else:
+        table = sin_power_series(s, abs(j) // 2)
+    oracle = series_coefficient_quadrature(s, j)
+    assert abs(table.coeffs[j] - oracle) <= 1e-10 * max(1.0, abs(oracle))
+
+
+@pytest.mark.parametrize("s", [-0.999, -0.99999, -0.5 + 2.0j, 0.3, 4.0 - 2.0j])
+@pytest.mark.parametrize("j", [0, 1, -2, 7, 64, -127, 128])
+def test_series_oracle_resolves_the_singular_end(s, j):
+    oracle = series_coefficient_quadrature(s, j)
+    assert abs(oracle - _sin_power_reference(s, j)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
