@@ -23,7 +23,7 @@ from .errors import (ConstantTermPresent, DivergentIntegral,
                      HypothesisUnverifiable, OutOfRange, TailNotControlled)
 from .fourier import fourier_transform_batch
 from .group import KanCoords
-from .norms import _xi_integral, weighted_fv_integral
+from .norms import _xi_end, _xi_integral, weighted_fv_integral
 from .principal import ReprParams, SmoothVector, as_cayley
 from .quadrature import gauss_panels, resolve_tol, tanh_sinh_map
 
@@ -264,8 +264,8 @@ def _p0_geometric(tau, v, a1, eps, tol):
     p = tau.period
     js, ns, bs = tau.coefficient_arrays()
     n_min = np.min(np.abs(ns))
-    # below a_lo the transform argument exceeds the decay range of Fv
-    a_lo = math.sqrt(n_min / 12.0)
+    # below a_lo every transform argument n / a^2 lies past the xi end
+    a_lo = math.sqrt(n_min / _xi_end(cs.max_weight))
     if math.isinf(a1):
         u0 = u.real
         if eps - 2.0 + 2.0 * max(u0, 0.0) >= 0.0:

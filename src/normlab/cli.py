@@ -328,7 +328,9 @@ def cmd_omega_norm(p, tol):
     value = omega_a_norm(f, p["omega"], p["eps"], tol)
     return {"omega": p["omega"], "eps": p["eps"], "value": value,
             "checks": [_flag("finite", math.isfinite(value),
-                             "compact omega gives a finite weighted norm")]}
+                             "compact omega gives a finite weighted norm"),
+                       _flag("nonnegative", value >= 0.0,
+                             "an ordered window gives a norm >= 0")]}
 
 
 def cmd_eisenstein(p, tol):

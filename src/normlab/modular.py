@@ -14,8 +14,8 @@ import numpy as np
 
 from .coeffs import ramanujan_tau_table
 from .group import K_MASS
-from .quadrature import TWO_PI, _gl_rule
-from .siegel import SymmetryFlags
+from .quadrature import TWO_PI, gauss_rule, split_panels
+from .siegel import FM_CHUNK, SymmetryFlags
 
 
 def reduce_to_fundamental(x, y):
@@ -78,17 +78,23 @@ class CuspProfile:
     def cell_integral(self, avals, t_lo, t_hi, tol=None, th=None):
         r"""\int_K \int_{t_lo}^{t_hi} |F(k a n_t)|^2 dt dk, vectorized
         over ``avals``; t_lo/t_hi broadcast against it and may stack
-        several windows in leading axes."""
+        several windows in leading axes.  After reduction the profile has
+        about a^2 oscillations per unit t, so each window gets 16-point
+        GL panels, ceil(a^2) per unit t, evaluated FM_CHUNK points at a
+        time."""
         avals = np.atleast_1d(np.asarray(avals, dtype=float))
-        t_lo, t_hi, _ = np.broadcast_arrays(np.asarray(t_lo, dtype=float),
+        t_lo, t_hi, a = np.broadcast_arrays(np.asarray(t_lo, dtype=float),
                                             np.asarray(t_hi, dtype=float),
                                             avals)
-        # GL in t; the integrand is smooth and 1-periodic
-        xg, wg = _gl_rule(24)
-        mid = 0.5 * (t_hi + t_lo)
-        half = 0.5 * (t_hi - t_lo)
-        vals = self.value(0.0, avals[:, None],
-                          mid[..., None] + half[..., None] * xg)
+        lo, hi, a = t_lo.ravel(), t_hi.ravel(), a.ravel()
+        n = np.maximum(np.ceil(np.ceil(a ** 2) * np.abs(hi - lo)), 1)
+        p_lo, p_hi, owner = split_panels(lo, hi, n.astype(int))
+        out = np.zeros(n.size)
+        for c in range(0, len(owner), FM_CHUNK // 16):
+            sel = slice(c, c + FM_CHUNK // 16)
+            t, w = gauss_rule(p_lo[sel], p_hi[sel])
+            o16 = np.repeat(owner[sel], 16)
+            out += np.bincount(o16, w * self.value(0.0, a[o16], t) ** 2,
+                               minlength=n.size)
         kmass = K_MASS if th is None else th[1] - th[0]
-        return kmass * np.sum(half[..., None] * wg * np.abs(vals) ** 2,
-                              axis=-1)
+        return kmass * out.reshape(t_lo.shape)

@@ -256,12 +256,18 @@ def intertwine_pair(phi, psi, u: float, tol: float = None,
 _XI_MAX_LEVEL = 12
 
 
+def _xi_end(mw: float, lo: float = 0.0) -> float:
+    """Xi = max(mw / (2 pi) + 4.5, lo + 4): past it |Fv| at K-type weight
+    mw has decayed exponentially, so the xi-quadrature stops there."""
+    return max(mw / TWO_PI + 4.5, lo + 4.0)
+
+
 def _xi_grid(mw: float, lo: float, tol: float):
     r"""Starting quadrature grid in xi > lo for \int xi^p |Fv|^2: the
     tanh-sinh rule on (lo, 1] (algebraic singularity at 0), split into its
     level-(l-1) nodes and the new nodes of each level from l to the one
     the weight predicts (all empty when lo >= 1), and GL panels on
-    [max(lo, 1), Xi] with Xi = max(mw / (2 pi) + 4.5, lo + 4).  Returns
+    [max(lo, 1), Xi] with Xi = :func:`_xi_end`.  Returns
     (l, (x, w) coarse, [(x, w) new, one per level], (x, w) GL, Xi).
 
     The predicted level is the smallest k >= l whose rule, 2^(k+1) + 1
@@ -273,7 +279,7 @@ def _xi_grid(mw: float, lo: float, tol: float):
     [1, xi_fine] gets panels sized for the density at xi = 1.
     """
     level = 6 if tol >= 1e-8 else 7
-    Xi = max(mw / TWO_PI + 4.5, lo + 4.0)
+    Xi = _xi_end(mw, lo)
     start = max(lo, 1.0)
     xi_fine = 2.0 * mw / (25.0 * math.pi)
     if xi_fine > start:

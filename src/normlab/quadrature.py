@@ -53,6 +53,17 @@ def gauss_rule(lo, hi, order: int = 16):
             (half[:, None] * w[None, :]).ravel())
 
 
+def split_panels(lo, hi, n):
+    """Edges of n[k] equal panels on each interval [lo[k], hi[k]], interval
+    by interval, as arrays (panel lo, panel hi, interval index); the last
+    panel of an interval ends at hi[k] exactly."""
+    owner = np.repeat(np.arange(len(n)), n)
+    i = np.arange(len(owner)) - np.repeat(np.cumsum(n) - n, n)
+    step = (hi - lo)[owner] / n[owner]
+    p_lo = lo[owner] + i * step
+    return p_lo, np.where(i + 1 == n[owner], hi[owner], p_lo + step), owner
+
+
 def gauss_panels(a: float, b: float, n_panels: int, order: int = 16):
     """Nodes and weights of a composite Gauss-Legendre rule on [a, b]."""
     edges = np.linspace(a, b, n_panels + 1)

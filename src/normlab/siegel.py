@@ -5,7 +5,10 @@ exact t-periodicity reduction: the inner t-range holds floor(T1/(p a^2))
 full period cells plus one remainder cell, so the unbounded t-range near
 a = 0 never appears in quadrature.  The plus region {a >= a1} is
 bracketed through the rotation by the Weyl element (which trades (T, a)
-for (-T, sqrt(T^2+1)/a)) and can also be integrated directly.
+for (-T, sqrt(T^2+1)/a)) and can also be integrated directly.  The minus
+region, its floor sandwich, the Weyl bracket, the direct plus region and
+the Omega-windows all run on one a-rule, cut at the floor kinks
+(``_floor_integral``).
 
 Every cell integral of a Whittaker model closes in lag form: the
 amplitudes sit on the integer numerator lattice, one FFT per K-type gives
@@ -43,7 +46,7 @@ from .fourier import fourier_transform_batch
 from .group import K_MASS
 from .norms import triple_norm
 from .principal import CayleySum, SmoothVector
-from .quadrature import gauss_panels, gauss_rule, resolve_tol
+from .quadrature import gauss_panels, gauss_rule, resolve_tol, split_panels
 
 A_MIN = 1e-4        # hard lower cutoff in a for region quadrature
 MAX_SEGMENTS = 2000  # floor-constant segments resolved exactly
@@ -270,28 +273,18 @@ def _require_weyl(f):
         raise MissingSymmetry("operation requires the Weyl-symmetry flag")
 
 
-def _segment_edges(T1, a1, period):
-    """The floor-constant segments of (0, a1] as arrays (lo, hi, floor),
-    top down, stopping at A_MIN or after MAX_SEGMENTS of them."""
+def _segment_edges(T1, a1, period, a_lo=A_MIN):
+    """The floor-constant segments of (a_lo, a1] as arrays (lo, hi, floor),
+    top down, stopping at a_lo or after MAX_SEGMENTS of them."""
     Tabs = abs(T1)
     j = np.floor(Tabs / (period * a1 ** 2)) + np.arange(float(MAX_SEGMENTS))
     b = np.sqrt(Tabs / (period * (j + 1))) if Tabs > 0 else np.zeros_like(j)
-    last = b <= A_MIN
+    last = b <= a_lo
     n = int(np.argmax(last)) + 1 if last.any() else MAX_SEGMENTS
-    lo = np.maximum(b[:n], A_MIN)
+    lo = np.maximum(b[:n], a_lo)
     hi = np.concatenate(([a1], b[:n - 1]))
     keep = hi > lo
     return lo[keep], hi[keep], j[:n][keep]
-
-
-def _period_and_rest(f, a, rem, T1, tol):
-    """The full period cell P and the remainder cell R at each a, from one
-    cell pass: R covers [0, rem] for T1 >= 0 and [p - rem, p] otherwise."""
-    p = float(f.period)
-    if T1 >= 0:
-        return f.cell_integral(a, 0.0, np.stack([np.full_like(a, p), rem]),
-                               tol)
-    return f.cell_integral(a, np.stack([np.zeros_like(a), p - rem]), p, tol)
 
 
 def _outward(chunk, lo, hi, tol):
@@ -307,43 +300,56 @@ def _outward(chunk, lo, hi, tol):
     return total
 
 
-def _minus_value(model, T1, a1, eps, kinds, tol):
-    """The minus-region value for each of ``kinds``: 'exact', 'lower' or
-    'upper' (the floor-sandwich bounds), all from one cell pass a batch.
+def _floor_integral(f, T, a_lo, a_hi, eps, tol, kinds=("exact",), th=None):
+    r"""\int_{a_lo}^{a_hi} a^{2+eps} C(a) da/a for each of ``kinds``, over
+    theta in ``th`` (default all of K).  The t-window between 0 and T/a^2
+    is floor(|T|/(p a^2)) = fl full period cells P plus a remainder cell
+    R, which covers [0, rem] for T >= 0 and [p - rem, p] otherwise; C is
+    fl P + R ('exact'), fl P ('lower') or (fl + 1) P ('upper').
 
-    Segments are processed in batches from the top down; once a batch
-    contributes nothing at working precision to any kind (rapid cuspidal
-    decay in a) the remaining range is folded into the smooth-surrogate
-    piece.
+    The a-axis is cut at the floor kinks sqrt(|T|/(p j)) and each piece
+    gets ceil(a_hi^2 x the periods its remainder cell sweeps) 16-point GL
+    panels: a period holds about a^2 oscillations of the profile.  Below
+    a <= 1 that is one panel per floor segment; above the top kink,
+    where fl = 0, no full cell is computed.  Segments go in batches of 64
+    from the top down; once a batch adds nothing at working precision
+    (rapid cuspidal decay in a) the rest is dropped, and a range past
+    MAX_SEGMENTS is folded into the smooth surrogate |T|/(p a^2) P.
     """
-    p = model.period
-    seg_lo, seg_hi, seg_fl = _segment_edges(T1, a1, p)
+    p = f.period
+    seg_lo, seg_hi, seg_fl = _segment_edges(T, a_hi, p, a_lo)
+    x_lo, x_hi = abs(T) / (p * seg_lo ** 2), abs(T) / (p * seg_hi ** 2)
+    sweep = np.minimum(x_lo, seg_fl + 1) - np.maximum(x_hi, seg_fl)
+    n = np.maximum(np.ceil(seg_hi ** 2 * sweep), 1).astype(int)
+    pan_lo, pan_hi, seg = split_panels(seg_lo, seg_hi, n)
+    first = np.concatenate(([0], np.cumsum(n)))  # each segment's panels
     vals = np.zeros(len(kinds))
-    a_cut = A_MIN
-    batch = 64
-    for b0 in range(0, len(seg_lo), batch):
-        lo_e, hi_e = seg_lo[b0:b0 + batch], seg_hi[b0:b0 + batch]
-        fl = seg_fl[b0:b0 + batch]
-        a, w = gauss_rule(lo_e, hi_e)
-        fl = np.repeat(fl, 16)
-        if "exact" in kinds:
-            P, R = _period_and_rest(model, a, abs(T1) / a ** 2 - fl * p,
-                                    T1, tol)
-        else:
-            P, R = model.cell_integral(a, 0.0, float(p), tol), 0.0
+    a_cut = a_lo
+    for b0 in range(0, len(seg_lo), 64):
+        sel = slice(first[b0], first[min(b0 + 64, len(n))])
+        a, w = gauss_rule(pan_lo[sel], pan_hi[sel])
+        fl = np.repeat(seg_fl[seg[sel]], 16)
+        rem = abs(T) / a ** 2 - fl * p
+        full = fl.any() or kinds != ("exact",)
+        ends = np.stack(([np.full_like(a, float(p))] if full else [])
+                        + ([rem] if "exact" in kinds else []))
+        cells = (f.cell_integral(a, 0.0, ends, tol, th=th) if T >= 0 else
+                 f.cell_integral(a, p - ends, float(p), tol, th=th))
+        P = cells[0] if full else 0.0
+        R = cells[-1] if "exact" in kinds else 0.0
         extra = {"exact": R, "lower": 0.0, "upper": P}
         pieces = np.array([np.sum(w * a ** (2.0 + eps)
                                   * (fl * P + extra[k]) / a) for k in kinds])
         vals += pieces
-        a_cut = lo_e[-1]
+        a_cut = seg_lo[seg[sel][-1]]
         if np.all(np.abs(pieces) < 1e-16 * np.maximum(np.abs(vals), 1e-300)):
             return tuple(map(float, vals))  # deeper a contributes nothing
-    if a_cut > A_MIN * (1 + 1e-12):
-        lg, lw = gauss_panels(math.log(A_MIN), math.log(a_cut),
-                              max(8, int(6 * math.log(a_cut / A_MIN))), 16)
+    if a_cut > a_lo * (1 + 1e-12):
+        lg, lw = gauss_panels(math.log(a_lo), math.log(a_cut),
+                              max(8, int(6 * math.log(a_cut / a_lo))), 16)
         ab, wb = np.exp(lg), lw
-        Pb = model.cell_integral(ab, 0.0, float(p), tol)
-        x = abs(T1) / (p * ab ** 2)  # smooth floor surrogate, err <= 1 cell
+        Pb = f.cell_integral(ab, 0.0, float(p), tol, th=th)
+        x = abs(T) / (p * ab ** 2)  # smooth floor surrogate, err <= 1 cell
         shift = {"exact": 0.0, "lower": -1.0, "upper": 1.0}
         vals += [np.sum(wb * ab ** (2.0 + eps) * np.maximum(x + shift[k], 0.0)
                         * Pb) for k in kinds]
@@ -356,14 +362,13 @@ def region_norm_minus(f, spec: RegionSpec, tol: float = None) -> float:
     tol = resolve_tol(tol)
     if spec.side != "minus":
         raise OutOfRange("region_norm_minus needs spec.side == 'minus'")
-    return _minus_value(f, spec.T1, spec.a1, spec.eps, ("exact",), tol)[0]
+    return _floor_integral(f, spec.T1, A_MIN, spec.a1, spec.eps, tol)[0]
 
 
 def floor_sandwich(f, spec: RegionSpec, tol: float = None):
     """The two floor-expression bounds around the minus-region norm."""
-    tol = resolve_tol(tol)
-    return _minus_value(f, spec.T1, spec.a1, spec.eps, ("lower", "upper"),
-                        tol)
+    return _floor_integral(f, spec.T1, A_MIN, spec.a1, spec.eps,
+                           resolve_tol(tol), ("lower", "upper"))
 
 
 def region_norm_plus_via_weyl(f, spec: RegionSpec, tol: float = None):
@@ -374,8 +379,8 @@ def region_norm_plus_via_weyl(f, spec: RegionSpec, tol: float = None):
     _require_weyl(f)
     T1, a1, eps = spec.T1, spec.a1, spec.eps
     s = math.sqrt(T1 ** 2 + 1.0)
-    inner, = _minus_value(f, -T1, 1.0 / a1, -eps, ("exact",), tol)
-    outer, = _minus_value(f, -T1, s / a1, -eps, ("exact",), tol)
+    inner, = _floor_integral(f, -T1, A_MIN, 1.0 / a1, -eps, tol)
+    outer, = _floor_integral(f, -T1, A_MIN, s / a1, -eps, tol)
     if eps >= 0:
         return {"lower": inner, "upper": s ** eps * outer}
     return {"lower": s ** eps * inner, "upper": outer}
@@ -383,21 +388,12 @@ def region_norm_plus_via_weyl(f, spec: RegionSpec, tol: float = None):
 
 def region_norm_plus_direct(f, spec: RegionSpec, tol: float = None) -> float:
     """Direct quadrature over the plus region {a >= a1, 0 <= T <= T1}:
-    in K a n_t coordinates, a^{2+eps} (floor + remainder) da/a again,
-    with the a-range extended outward until the integrand dies."""
+    the floor + remainder-cell rule of the minus region, with the a-range
+    extended outward until the integrand dies."""
     tol = resolve_tol(tol)
-    p = f.period
-    Tabs = abs(spec.T1)
-
-    def chunk(lo, hi):
-        n_pan = max(6, int(8 * math.log(hi / lo)))
-        lg, lw = gauss_panels(math.log(lo), math.log(hi), n_pan, 16)
-        a = np.exp(lg)
-        fl = np.floor(Tabs / (p * a ** 2))
-        P, R = _period_and_rest(f, a, Tabs / a ** 2 - fl * p, spec.T1, tol)
-        return float(np.sum(lw * a ** (2.0 + spec.eps) * (fl * P + R)))
-
-    return _outward(chunk, spec.a1, max(4.0 * spec.a1, 8.0), tol)
+    return _outward(lambda lo, hi: _floor_integral(f, spec.T1, lo, hi,
+                                                   spec.eps, tol)[0],
+                    spec.a1, max(4.0 * spec.a1, 8.0), tol)
 
 
 def region_norm_plus_weyl_exact(f, spec: RegionSpec,
@@ -505,50 +501,26 @@ def main2_check(tau, v: SmoothVector, T1: float, eps: float,
 
 def omega_a_norm(f, omega, eps: float, tol: float = None) -> float:
     r"""\int_{Omega A} |f|^2 a^eps da/a dT dk for a compact
-    omega = (theta_lo, theta_hi, T_lo, T_hi) in K x N.
+    omega = (theta_lo, theta_hi, T_lo, T_hi) in K x N, with theta_lo <=
+    theta_hi and T_lo <= T_hi.
 
-    For each a the T-window maps to the t-window [T_lo/a^2, T_hi/a^2],
-    whose unbounded growth as a -> 0 is absorbed by the same periodicity
-    reduction the region norms use: the window holds whole period cells
-    plus two partial ones.
+    It is I(T_hi) - I(T_lo), where I(T) is the K-windowed integral over
+    all a of the T-range between 0 and T, signed by T: the region norm's
+    floor + remainder-cell rule, extended outward in a.
     """
     tol = resolve_tol(tol)
     th_lo, th_hi, T_lo, T_hi = omega
     if not all(map(math.isfinite, (th_lo, th_hi, T_lo, T_hi))):
         raise UnboundedOmega("omega must be a bounded subset of K x N")
+    if th_lo > th_hi or T_lo > T_hi:
+        raise OutOfRange("omega needs theta_lo <= theta_hi and T_lo <= T_hi")
     th = (float(th_lo), float(th_hi))
-    p = f.period
 
-    def window(a):
-        """G(t1) - G(t0) with G(t) = floor(t/p) P + cell(0, t mod p), all
-        cells from one pass."""
-        t_ends = np.stack([T_hi / a ** 2, T_lo / a ** 2])
-        cells = np.floor(t_ends / p)
-        P, c_hi, c_lo = f.cell_integral(
-            a, 0.0, np.concatenate([np.full((1, len(a)), float(p)),
-                                    t_ends - cells * p]), tol, th=th)
-        return (cells[0] * P + c_hi) - (cells[1] * P + c_lo)
+    def signed(T):
+        return math.copysign(_outward(lambda lo, hi: _floor_integral(
+            f, T, lo, hi, eps, tol, th=th)[0], A_MIN, 8.0, tol), T)
 
-    def a_chunk(lo, hi):
-        # split at the a-positions where either t-window edge crosses a
-        # period cell (the floor kinks); only the first ~1e3 matter
-        edges = {math.log(lo), math.log(hi)}
-        for Tv in (T_lo, T_hi):
-            if Tv == 0.0:
-                continue
-            for j in range(1, 1025):
-                b = math.sqrt(abs(Tv) / (p * j))
-                if lo < b < hi:
-                    edges.add(math.log(b))
-        edges = sorted(edges)
-        subs = [np.linspace(e0, e1, max(1, math.ceil((e1 - e0) / 0.15)) + 1)
-                for e0, e1 in zip(edges[:-1], edges[1:])]
-        lg, lw = gauss_rule(np.concatenate([sub[:-1] for sub in subs]),
-                            np.concatenate([sub[1:] for sub in subs]), 8)
-        a = np.exp(lg)
-        return float(np.sum(lw * a ** (2.0 + eps) * window(a)))
-
-    return _outward(a_chunk, A_MIN, 8.0, tol)
+    return signed(T_hi) - signed(T_lo)
 
 
 def eisenstein_scenario(tau, lam: float, eps: float, T1: float,

@@ -250,6 +250,9 @@ def test_sin_series_oracle_check_can_fail(monkeypatch, tmp_path):
     ["region-norm", "--model", "finite:b1=inf"],
     ["region-norm", "--model", "divisor:N=8,lam=nan"],
     ["region-norm", "--model", "random-decay:N=4,sigma=inf"],
+    # a reversed omega window
+    ["omega-norm", "--omega", "0,6.283185307179586,1,0"],
+    ["omega-norm", "--omega", "6.283185307179586,0,0,1"],
 ])
 def test_malformed_input_exits_2(argv, tmp_path, capsys):
     argv = _materialize(argv, tmp_path)

@@ -77,6 +77,7 @@ def test_g_normalizer_special_values():
         g_normalizer(1.0)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("u", [0.3, 0.6])
 def test_intertwine_pair_spectral_vs_quadrature(u):
     lam = 0.7

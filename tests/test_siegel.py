@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from normlab.automorphic import PeriodicDistribution
-from normlab.coeffs import CoeffModel, generate, parse_model_spec
+from normlab.coeffs import (CoeffModel, generate, parse_model_spec,
+                            ramanujan_tau_table)
 from normlab.errors import (EpsilonBarrier, MissingSymmetry, OutOfRange,
                             UnboundedOmega)
 from normlab.group import KanCoords
@@ -504,6 +505,94 @@ def test_omega_norm_unbounded_rejected():
     f = _model()
     with pytest.raises(UnboundedOmega):
         omega_a_norm(f, (0.0, TWO_PI, 0.0, math.inf), 0.5)
+
+
+def test_omega_norm_reversed_window_rejected():
+    f = _model()
+    for omega in ((0.0, TWO_PI, 1.0, 0.0), (TWO_PI, 0.0, 0.0, 1.0)):
+        with pytest.raises(OutOfRange, match="omega needs"):
+            omega_a_norm(f, omega, 0.5)
+
+
+def _brute_region(f, T1, eps, pieces):
+    r"""\int a^eps \int ksq(a, T/a^2) dT da/a over T between 0 and T1, on
+    dense GL rules that share no code with cells, floors or segments.
+    ``pieces`` lists (a_lo, a_hi, log-a panels, T-panels per unit T);
+    below a = 1 an a-panel's T-panels grow as a^-2, with the oscillation
+    of a Whittaker profile in T."""
+    total = 0.0
+    for a_lo, a_hi, n_a, per_unit in pieces:
+        edges = np.linspace(math.log(a_lo), math.log(a_hi), n_a + 1)
+        for e0, e1 in zip(edges[:-1], edges[1:]):
+            lg, lw = _gl(e0, e1, 1)
+            Tg, Tw = _gl(min(T1, 0.0), max(T1, 0.0), math.ceil(
+                abs(T1) * per_unit / min(math.exp(e0), 1.0) ** 2))
+            a = np.exp(lg)[:, None]
+            vals = f.ksq(np.broadcast_to(a, (len(lg), len(Tg))).ravel(),
+                         (Tg[None, :] / a ** 2).ravel())
+            total += np.sum(np.outer(lw * a[:, 0] ** eps, Tw).ravel() * vals)
+    return total
+
+
+def test_delta_minus_region_against_brute_force():
+    # below a = 0.2 the profile is below 1e-100
+    got = region_norm_minus(CuspProfile(), RegionSpec(30.0, 0.5, a1=5.0))
+    ref = _brute_region(CuspProfile(), 30.0, 0.5, [(0.2, 5.0, 80, 2)])
+    assert got == pytest.approx(ref, rel=1e-10, abs=0)
+    assert got == pytest.approx(6.463593491e-4, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("T1,eps,roadmap", [(10.0, 0.5, 3.0283917289e-4),
+                                            (30.0, 0.0, 7.2143190024e-4)])
+def test_delta_plus_direct_against_brute_force(T1, eps, roadmap):
+    # past a = 80 the integrand is below 1e-30; near a = 40 it turns
+    # fast in a, so that range gets its own, denser rule
+    got = region_norm_plus_direct(CuspProfile(),
+                                  RegionSpec(T1, eps, a1=1.0, side="plus"))
+    ref = _brute_region(CuspProfile(), T1, eps,
+                        [(1.0, 40.0, 100, 1), (40.0, 80.0, 40, 2)])
+    assert got == pytest.approx(ref, rel=2e-10, abs=0)
+    assert got == pytest.approx(roadmap, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("eps", [0.5, -0.5])
+def test_weyl_bracket_outer_against_brute_force(eps):
+    # the outer bound is the minus region at (-T1, sqrt(T1^2+1)/a1, -eps),
+    # which reaches a = 14.4, past the top floor kink sqrt(10) = 3.16;
+    # below a = 0.5, |Fv(-n a^-2)|^2 < 1e-20
+    T1, a1 = 10.0, 0.7
+    f = _cell_table("divisor16", weyl=True)
+    s = math.sqrt(T1 ** 2 + 1.0)
+    bracket = region_norm_plus_via_weyl(f, RegionSpec(T1, eps, a1=a1,
+                                                      side="plus"))
+    outer = bracket["upper"] / s ** max(eps, 0.0)
+    ref = _brute_region(f, -T1, -eps, [(0.5, s / a1, 40, 4)])
+    assert outer == pytest.approx(ref, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("T", [1.0, 4.0])
+def test_omega_negative_window_mirrors_positive(T):
+    # |Delta(-x + iy)| = |Delta(x + iy)|: the windows [-T, 0] and [0, T]
+    # carry the same norm
+    f = CuspProfile()
+    neg = omega_a_norm(f, (0.0, TWO_PI, -T, 0.0), 0.5)
+    pos = omega_a_norm(f, (0.0, TWO_PI, 0.0, T), 0.5)
+    assert neg > 0.0
+    assert neg == pytest.approx(pos, rel=1e-12, abs=0)
+
+
+def test_cusp_cells_meet_parseval():
+    # int_0^1 |F|^2 dt = y^12 sum tau(n)^2 e^{-4 pi n y}, y = a^-2; the
+    # sum past n = 2000 is below 1e-40 of it for a <= 16
+    d = ramanujan_tau_table(2000)
+    n = np.arange(1, 2001)
+    tau2 = np.array([float(d[k]) ** 2 for k in n])
+    avals = np.geomspace(0.3, 16.0, 12)
+    got = CuspProfile().cell_integral(avals, 0.0, 1.0)
+    for a, g in zip(avals, got):
+        y = a ** -2.0
+        ref = TWO_PI * y ** 12 * np.sum(tau2 * np.exp(-4.0 * math.pi * n * y))
+        assert g == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 def test_eisenstein_scenario():
