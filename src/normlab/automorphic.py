@@ -265,7 +265,8 @@ def _p0_geometric(tau, v, a1, eps, tol):
     js, ns, bs = tau.coefficient_arrays()
     n_min = np.min(np.abs(ns))
     # below a_lo every transform argument n / a^2 lies past the xi end
-    a_lo = math.sqrt(n_min / _xi_end(cs.max_weight))
+    # (and past 12, where the decay range of Fv ends at low weight)
+    a_lo = math.sqrt(n_min / max(12.0, _xi_end(cs.max_weight)))
     if math.isinf(a1):
         u0 = u.real
         if eps - 2.0 + 2.0 * max(u0, 0.0) >= 0.0:

@@ -354,10 +354,9 @@ def series_coefficient_quadrature(s: complex, j: int):
     at the singular end: with g(theta) = e^{-ij theta} + e^{-ij (pi -
     theta)}, (1/pi) [\int_0^{pi/2} (sin^s theta g(theta) - theta^s g(0))
     d theta + g(0) (pi/2)^{s+1}/(s+1)] on the tanh-sinh rule of level
-    max(10, bit_length(|j| - 1) + 1), one level more per doubling of |j|
-    past 512, so that the rule keeps resolving e^{-ij theta}.  Within
-    2e-11 of mpmath for Re s in [-0.99999, 4], |Im s| <= 2 and |j| <= 512,
-    and within 2e-12 at |j| = 1024 and 2048 for s in {-0.9, -0.5, 1.5}."""
+    max(10, bit_length(|j| - 1) + 1), which keeps resolving e^{-ij theta}.
+    Within 2e-11 of mpmath for Re s in [-0.99999, 4], |Im s| <= 2, |j| <=
+    512, and within 2e-12 at |j| = 1024, 2048 for s in {-0.9, -0.5, 1.5}."""
     _check_exponent(s)
     level = max(10, (abs(j) - 1).bit_length() + 1)
     theta, w = tanh_sinh_map(0.0, 0.5 * math.pi, level)

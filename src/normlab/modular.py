@@ -59,6 +59,7 @@ class CuspProfile:
     periodic (period 1) and exactly Weyl-symmetric."""
 
     period = 1
+    harmonics = np.inf  # about a^2 oscillations per period, unbounded
 
     def __init__(self):
         self.flags = SymmetryFlags(hasWeyl=True)
@@ -76,12 +77,11 @@ class CuspProfile:
         return K_MASS * np.abs(self.value(0.0, avals, ts)) ** 2
 
     def cell_integral(self, avals, t_lo, t_hi, tol=None, th=None):
-        r"""\int_K \int_{t_lo}^{t_hi} |F(k a n_t)|^2 dt dk, vectorized
-        over ``avals``; t_lo/t_hi broadcast against it and may stack
-        several windows in leading axes.  After reduction the profile has
-        about a^2 oscillations per unit t, so each window gets 16-point
-        GL panels, ceil(a^2) per unit t, evaluated FM_CHUNK points at a
-        time."""
+        r"""\int_K \int_{t_lo}^{t_hi} |F(k a n_t)|^2 dt dk over ``avals``;
+        t_lo/t_hi broadcast against it and may stack windows in leading
+        axes.  The profile has about a^2 oscillations per unit t, so a
+        window gets ceil(a^2) 16-point GL panels per unit t, evaluated
+        FM_CHUNK points at a time."""
         avals = np.atleast_1d(np.asarray(avals, dtype=float))
         t_lo, t_hi, a = np.broadcast_arrays(np.asarray(t_lo, dtype=float),
                                             np.asarray(t_hi, dtype=float),

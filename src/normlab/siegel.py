@@ -5,10 +5,8 @@ exact t-periodicity reduction: the inner t-range holds floor(T1/(p a^2))
 full period cells plus one remainder cell, so the unbounded t-range near
 a = 0 never appears in quadrature.  The plus region {a >= a1} is
 bracketed through the rotation by the Weyl element (which trades (T, a)
-for (-T, sqrt(T^2+1)/a)) and can also be integrated directly.  The minus
-region, its floor sandwich, the Weyl bracket, the direct plus region and
-the Omega-windows all run on one a-rule, cut at the floor kinks
-(``_floor_integral``).
+for (-T, sqrt(T^2+1)/a)) and can also be integrated directly.  All of
+these and the Omega-windows share one a-rule (``_floor_integral``).
 
 Every cell integral of a Whittaker model closes in lag form: the
 amplitudes sit on the integer numerator lattice, one FFT per K-type gives
@@ -79,6 +77,7 @@ class ConstantFunction:
 
     def __init__(self, c: float = 1.0, period: int = 1):
         self.c = c
+        self.harmonics = 0  # highest harmonic of |f|^2 in t, per period
         self.period = period
         self.flags = SymmetryFlags(hasWeyl=True)
 
@@ -147,6 +146,7 @@ class WhittakerModel:
         self.ms = sorted(v.coeffs)
         self.cm = np.array([v.coeffs[m] for m in self.ms], dtype=complex)
         self.js, self.ns, self.bs = tau.coefficient_arrays()
+        self.harmonics = int(self.js[-1] - self.js[0])  # numerator span
 
     def _amplitudes(self, avals, tol):
         """A[i_m, i_a, i_n] = Fv_m(-n a^{-2}), one transform batch per
@@ -300,59 +300,68 @@ def _outward(chunk, lo, hi, tol):
     return total
 
 
-def _floor_integral(f, T, a_lo, a_hi, eps, tol, kinds=("exact",), th=None):
+def _floor_integral(f, T_lo, T_hi, a_lo, a_hi, eps, tol, kinds=("exact",),
+                    th=None, strict=False):
     r"""\int_{a_lo}^{a_hi} a^{2+eps} C(a) da/a for each of ``kinds``, over
-    theta in ``th`` (default all of K).  The t-window between 0 and T/a^2
-    is floor(|T|/(p a^2)) = fl full period cells P plus a remainder cell
-    R, which covers [0, rem] for T >= 0 and [p - rem, p] otherwise; C is
-    fl P + R ('exact'), fl P ('lower') or (fl + 1) P ('upper').
+    theta in ``th`` (default all of K).  The t-window between T_lo/a^2 and
+    T_hi/a^2 (either order) is fl = floor(W/(p a^2)) period cells P, W =
+    |T_hi - T_lo|, plus a cell R of width W/a^2 - fl p from its lower end
+    mod p; C is fl P + R ('exact'), fl P ('lower') or (fl + 1) P ('upper').
 
-    The a-axis is cut at the floor kinks sqrt(|T|/(p j)) and each piece
-    gets ceil(a_hi^2 x the periods its remainder cell sweeps) 16-point GL
-    panels: a period holds about a^2 oscillations of the profile.  Below
-    a <= 1 that is one panel per floor segment; above the top kink,
-    where fl = 0, no full cell is computed.  Segments go in batches of 64
-    from the top down; once a batch adds nothing at working precision
-    (rapid cuspidal decay in a) the rest is dropped, and a range past
-    MAX_SEGMENTS is folded into the smooth surrogate |T|/(p a^2) P.
-    """
-    p = f.period
-    seg_lo, seg_hi, seg_fl = _segment_edges(T, a_hi, p, a_lo)
-    x_lo, x_hi = abs(T) / (p * seg_lo ** 2), abs(T) / (p * seg_hi ** 2)
-    sweep = np.minimum(x_lo, seg_fl + 1) - np.maximum(x_hi, seg_fl)
-    n = np.maximum(np.ceil(seg_hi ** 2 * sweep), 1).astype(int)
-    pan_lo, pan_hi, seg = split_panels(seg_lo, seg_hi, n)
-    first = np.concatenate(([0], np.cumsum(n)))  # each segment's panels
+    Pieces: a is cut at the kinks sqrt(W/(p j)), past sqrt(W/p) at ratio
+    sqrt 2.  Each gets ceil(min(a_hi^2, f.harmonics) x periods the window
+    ends sweep) 16-point GL panels, as a period holds about a^2
+    oscillations: below a = 1, one per floor segment of a window from 0.
+    P is computed where fl > 0 or a bound needs it.  Batches of 64 pieces
+    run top down until one adds nothing; past MAX_SEGMENTS segments the
+    surrogate W/(p a^2) P, off by at most a cell a node, takes over, and
+    ``strict`` raises OutOfRange unless that is below 1e-3 tol of C's sum."""
+    p, (T_lo, T_hi) = f.period, sorted((T_lo, T_hi))
+    W = T_hi - T_lo
+    lo, hi, fl = _segment_edges(W, a_hi, p, a_lo)
+    if len(fl) and fl[0] == 0:  # past the top kink
+        k = max(1, math.ceil(2.0 * math.log2(hi[0] / lo[0]) - 1e-9))
+        cuts = lo[0] * (hi[0] / lo[0]) ** (np.arange(k - 1, 0, -1) / k)
+        lo, hi = np.r_[cuts, lo], np.r_[hi[:1], cuts, hi[1:]]
+        fl = np.r_[np.zeros(k - 1), fl]
+    ends = (abs(T_lo) + abs(T_hi)) / W if W > 0 else 1.0
+    sweep = ends * (np.minimum(W / (p * lo ** 2), fl + 1)
+                    - np.maximum(W / (p * hi ** 2), fl))
+    n = np.maximum(np.ceil(np.minimum(hi ** 2, f.harmonics) * sweep),
+                   1).astype(int)
+    pan_lo, pan_hi, seg = split_panels(lo, hi, n)
     vals = np.zeros(len(kinds))
     a_cut = a_lo
-    for b0 in range(0, len(seg_lo), 64):
-        sel = slice(first[b0], first[min(b0 + 64, len(n))])
+    for b0 in range(0, len(lo), 64):
+        sel = (seg >= b0) & (seg < b0 + 64)
         a, w = gauss_rule(pan_lo[sel], pan_hi[sel])
-        fl = np.repeat(seg_fl[seg[sel]], 16)
-        rem = abs(T) / a ** 2 - fl * p
-        full = fl.any() or kinds != ("exact",)
-        ends = np.stack(([np.full_like(a, float(p))] if full else [])
-                        + ([rem] if "exact" in kinds else []))
-        cells = (f.cell_integral(a, 0.0, ends, tol, th=th) if T >= 0 else
-                 f.cell_integral(a, p - ends, float(p), tol, th=th))
-        P = cells[0] if full else 0.0
-        R = cells[-1] if "exact" in kinds else 0.0
-        extra = {"exact": R, "lower": 0.0, "upper": P}
+        fa = np.repeat(fl[seg[sel]], 16)
+        full = np.where((fa > 0) | (kinds != ("exact",)), float(p), 0.0)
+        start = np.mod(T_lo / a ** 2, p)
+        wins = (([(0.0 * a, full)] if full.any() else [])
+                + ([(start, start + (W / a ** 2 - fa * p))]
+                   if "exact" in kinds else []))
+        cells = f.cell_integral(a, *map(np.stack, zip(*wins)), tol, th=th)
+        P = cells[0] if full.any() else 0.0
+        extra = {"exact": cells[-1], "lower": 0.0, "upper": P}
         pieces = np.array([np.sum(w * a ** (2.0 + eps)
-                                  * (fl * P + extra[k]) / a) for k in kinds])
+                                  * (fa * P + extra[k]) / a) for k in kinds])
         vals += pieces
-        a_cut = seg_lo[seg[sel][-1]]
+        a_cut = lo[seg[sel][-1]]
         if np.all(np.abs(pieces) < 1e-16 * np.maximum(np.abs(vals), 1e-300)):
             return tuple(map(float, vals))  # deeper a contributes nothing
     if a_cut > a_lo * (1 + 1e-12):
-        lg, lw = gauss_panels(math.log(a_lo), math.log(a_cut),
+        lg, wb = gauss_panels(math.log(a_lo), math.log(a_cut),
                               max(8, int(6 * math.log(a_cut / a_lo))), 16)
-        ab, wb = np.exp(lg), lw
-        Pb = f.cell_integral(ab, 0.0, float(p), tol, th=th)
-        x = abs(T) / (p * ab ** 2)  # smooth floor surrogate, err <= 1 cell
+        ab = np.exp(lg)
+        cell = wb * ab ** (2.0 + eps) * f.cell_integral(ab, 0.0, float(p),
+                                                        tol, th=th)
+        if strict and np.sum(cell) > 1e-3 * tol * abs(vals[0]):
+            raise OutOfRange(f"more than {MAX_SEGMENTS} floor segments "
+                             f"past a = {a_lo:g} carry weight")
+        x = W / (p * ab ** 2)  # smooth floor surrogate
         shift = {"exact": 0.0, "lower": -1.0, "upper": 1.0}
-        vals += [np.sum(wb * ab ** (2.0 + eps) * np.maximum(x + shift[k], 0.0)
-                        * Pb) for k in kinds]
+        vals += [np.sum(cell * np.maximum(x + shift[k], 0.0)) for k in kinds]
     return tuple(map(float, vals))
 
 
@@ -362,12 +371,12 @@ def region_norm_minus(f, spec: RegionSpec, tol: float = None) -> float:
     tol = resolve_tol(tol)
     if spec.side != "minus":
         raise OutOfRange("region_norm_minus needs spec.side == 'minus'")
-    return _floor_integral(f, spec.T1, A_MIN, spec.a1, spec.eps, tol)[0]
+    return _floor_integral(f, 0.0, spec.T1, A_MIN, spec.a1, spec.eps, tol)[0]
 
 
 def floor_sandwich(f, spec: RegionSpec, tol: float = None):
     """The two floor-expression bounds around the minus-region norm."""
-    return _floor_integral(f, spec.T1, A_MIN, spec.a1, spec.eps,
+    return _floor_integral(f, 0.0, spec.T1, A_MIN, spec.a1, spec.eps,
                            resolve_tol(tol), ("lower", "upper"))
 
 
@@ -379,8 +388,8 @@ def region_norm_plus_via_weyl(f, spec: RegionSpec, tol: float = None):
     _require_weyl(f)
     T1, a1, eps = spec.T1, spec.a1, spec.eps
     s = math.sqrt(T1 ** 2 + 1.0)
-    inner, = _floor_integral(f, -T1, A_MIN, 1.0 / a1, -eps, tol)
-    outer, = _floor_integral(f, -T1, A_MIN, s / a1, -eps, tol)
+    inner, = _floor_integral(f, -T1, 0.0, A_MIN, 1.0 / a1, -eps, tol)
+    outer, = _floor_integral(f, -T1, 0.0, A_MIN, s / a1, -eps, tol)
     if eps >= 0:
         return {"lower": inner, "upper": s ** eps * outer}
     return {"lower": s ** eps * inner, "upper": outer}
@@ -388,12 +397,12 @@ def region_norm_plus_via_weyl(f, spec: RegionSpec, tol: float = None):
 
 def region_norm_plus_direct(f, spec: RegionSpec, tol: float = None) -> float:
     """Direct quadrature over the plus region {a >= a1, 0 <= T <= T1}:
-    the floor + remainder-cell rule of the minus region, with the a-range
-    extended outward until the integrand dies."""
+    the minus region's rule, extended outward until the integrand dies;
+    OutOfRange where more than MAX_SEGMENTS floor segments carry weight."""
     tol = resolve_tol(tol)
-    return _outward(lambda lo, hi: _floor_integral(f, spec.T1, lo, hi,
-                                                   spec.eps, tol)[0],
-                    spec.a1, max(4.0 * spec.a1, 8.0), tol)
+    return _outward(lambda lo, hi: _floor_integral(
+        f, 0.0, spec.T1, lo, hi, spec.eps, tol, strict=True)[0],
+        spec.a1, max(4.0 * spec.a1, 8.0), tol)
 
 
 def region_norm_plus_weyl_exact(f, spec: RegionSpec,
@@ -502,25 +511,16 @@ def main2_check(tau, v: SmoothVector, T1: float, eps: float,
 def omega_a_norm(f, omega, eps: float, tol: float = None) -> float:
     r"""\int_{Omega A} |f|^2 a^eps da/a dT dk for a compact
     omega = (theta_lo, theta_hi, T_lo, T_hi) in K x N, with theta_lo <=
-    theta_hi and T_lo <= T_hi.
-
-    It is I(T_hi) - I(T_lo), where I(T) is the K-windowed integral over
-    all a of the T-range between 0 and T, signed by T: the region norm's
-    floor + remainder-cell rule, extended outward in a.
-    """
+    theta_hi and T_lo <= T_hi: the region norm's rule over the T-window,
+    extended outward in a until a chunk adds nothing against its value."""
     tol = resolve_tol(tol)
     th_lo, th_hi, T_lo, T_hi = omega
     if not all(map(math.isfinite, (th_lo, th_hi, T_lo, T_hi))):
         raise UnboundedOmega("omega must be a bounded subset of K x N")
     if th_lo > th_hi or T_lo > T_hi:
         raise OutOfRange("omega needs theta_lo <= theta_hi and T_lo <= T_hi")
-    th = (float(th_lo), float(th_hi))
-
-    def signed(T):
-        return math.copysign(_outward(lambda lo, hi: _floor_integral(
-            f, T, lo, hi, eps, tol, th=th)[0], A_MIN, 8.0, tol), T)
-
-    return signed(T_hi) - signed(T_lo)
+    return _outward(lambda lo, hi: _floor_integral(f, T_lo, T_hi, lo, hi, eps,
+                    tol, th=(th_lo, th_hi))[0], A_MIN, 8.0, tol)
 
 
 def eisenstein_scenario(tau, lam: float, eps: float, T1: float,

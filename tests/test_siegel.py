@@ -514,9 +514,9 @@ def test_omega_norm_reversed_window_rejected():
             omega_a_norm(f, omega, 0.5)
 
 
-def _brute_region(f, T1, eps, pieces):
-    r"""\int a^eps \int ksq(a, T/a^2) dT da/a over T between 0 and T1, on
-    dense GL rules that share no code with cells, floors or segments.
+def _brute_region(f, T1, eps, pieces, T0=0.0):
+    r"""\int a^eps \int ksq(a, T/a^2) dT da/a over T between T0 and T1,
+    on dense GL rules that share no code with cells, floors or segments.
     ``pieces`` lists (a_lo, a_hi, log-a panels, T-panels per unit T);
     below a = 1 an a-panel's T-panels grow as a^-2, with the oscillation
     of a Whittaker profile in T."""
@@ -525,8 +525,8 @@ def _brute_region(f, T1, eps, pieces):
         edges = np.linspace(math.log(a_lo), math.log(a_hi), n_a + 1)
         for e0, e1 in zip(edges[:-1], edges[1:]):
             lg, lw = _gl(e0, e1, 1)
-            Tg, Tw = _gl(min(T1, 0.0), max(T1, 0.0), math.ceil(
-                abs(T1) * per_unit / min(math.exp(e0), 1.0) ** 2))
+            Tg, Tw = _gl(min(T0, T1), max(T0, T1), math.ceil(
+                abs(T1 - T0) * per_unit / min(math.exp(e0), 1.0) ** 2))
             a = np.exp(lg)[:, None]
             vals = f.ksq(np.broadcast_to(a, (len(lg), len(Tg))).ravel(),
                          (Tg[None, :] / a ** 2).ravel())
@@ -568,6 +568,40 @@ def test_weyl_bracket_outer_against_brute_force(eps):
     outer = bracket["upper"] / s ** max(eps, 0.0)
     ref = _brute_region(f, -T1, -eps, [(0.5, s / a1, 40, 4)])
     assert outer == pytest.approx(ref, rel=1e-10, abs=0)
+
+
+def test_weyl_bracket_reaches_far_past_the_top_kink():
+    # at a1 = 0.1 the outer bound runs to a = 300, 55 times the top kink
+    # sqrt(30); below a = 0.3 and past a = 100 the profile is below 1e-40
+    # of the value
+    T1, eps, a1 = 30.0, 0.5, 0.1
+    f = CuspProfile()
+    s = math.sqrt(T1 ** 2 + 1.0)
+    spec = RegionSpec(T1, eps, a1=a1, side="plus")
+    bracket = region_norm_plus_via_weyl(f, spec)
+    ref = _brute_region(f, -T1, -eps, [(0.3, 1.0, 40, 2), (1.0, 40.0, 100, 1),
+                                       (40.0, 100.0, 40, 2)])
+    assert bracket["upper"] / s ** eps == pytest.approx(ref, rel=1e-10, abs=0)
+    assert (bracket["lower"] <= region_norm_plus_direct(f, spec)
+            <= bracket["upper"])
+
+
+def test_omega_narrow_window_far_from_zero():
+    # a window of width 1e-3 at T = 100 is one integral, not the
+    # difference of two integrals from T = 0 that are 1e5 times larger
+    f = CuspProfile()
+    got = omega_a_norm(f, (0.0, TWO_PI, 100.0, 100.001), 0.5)
+    ref = _brute_region(f, 100.001, 0.5, [(0.3, 1.0, 300, 1),
+                                          (1.0, 30.0, 800, 1),
+                                          (30.0, 300.0, 600, 1)], T0=100.0)
+    assert got == pytest.approx(ref, rel=1e-10, abs=0)
+
+
+def test_plus_direct_refuses_unresolved_segments():
+    # past a1 = 1 the plus region at T1 = 1e4 holds 1e4 floor segments,
+    # more than MAX_SEGMENTS, and the model's cells there carry weight
+    with pytest.raises(OutOfRange, match="floor segments"):
+        region_norm_plus_direct(_model(), RegionSpec(1e4, 0.5, side="plus"))
 
 
 @pytest.mark.parametrize("T", [1.0, 4.0])
