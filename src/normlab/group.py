@@ -25,7 +25,7 @@ DET_TOL = 1e-9
 K_MASS = TWO_PI
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     """A 2x2 real matrix of determinant 1."""
 
@@ -70,7 +70,7 @@ def unipotent(t: float) -> GroupElement:
 WEYL = GroupElement(0.0, 1.0, -1.0, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KanCoords:
     """g = k_theta * diag(a, 1/a) * n_t."""
 
@@ -82,7 +82,7 @@ class KanCoords:
         return rotation(self.theta) @ diagonal(self.a) @ unipotent(self.t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KnaCoords:
     """g = k_theta * n_T * diag(a, 1/a)."""
 
@@ -94,7 +94,7 @@ class KnaCoords:
         return rotation(self.theta) @ unipotent(self.T) @ diagonal(self.a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeylFlip:
     """n_T a w = k_residual * n_Tprime * aprime in KNA form."""
 
