@@ -19,6 +19,7 @@ import numpy as np
 from .automorphic import PeriodicDistribution
 from .errors import ConfigInvalid, RangeTooLarge
 from .principal import ReprParams
+from .quadrature import BERNOULLI
 
 MAX_RANGE = 10 ** 6
 
@@ -78,11 +79,6 @@ def sigma_power(n: int, s: complex) -> complex:
     return total
 
 
-# B_2, B_4, ..., B_16: the Euler-Maclaurin corrections zeta uses
-_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
-              -3617 / 510)
-
-
 def zeta(s):
     """Riemann zeta at complex s with Re s > 1, elementwise, by
     Euler-Maclaurin: the first 19 terms, the integral and end terms at
@@ -94,7 +90,7 @@ def zeta(s):
     total = np.sum(np.arange(1.0, n)[:, None] ** -s.ravel(), axis=0)
     total = total.reshape(s.shape) + n ** (1 - s) / (s - 1) + 0.5 * n ** -s
     rising = s  # s (s+1) ... (s+2k-2)
-    for k, b in enumerate(_BERNOULLI, 1):
+    for k, b in enumerate(BERNOULLI, 1):
         total = total + b / math.factorial(2 * k) * rising * n ** (
             -s - 2 * k + 1)
         rising = rising * (s + 2 * k - 1) * (s + 2 * k)

@@ -16,9 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import loggamma as _loggamma
-from scipy.special import roots_jacobi
 
 from .errors import (AccuracyNotReached, BadParameterRange,
                      DivergentIntegral, OutOfRange, ParityMismatch,
@@ -26,8 +23,10 @@ from .errors import (AccuracyNotReached, BadParameterRange,
 from .fourier import fourier_transform_batch
 from .group import K_MASS
 from .principal import CayleySum, ReprParams, SmoothVector, as_cayley
-from .quadrature import (TWO_PI, fit_powerlaw_tail, gauss_panels,
-                         resolve_tol, tanh_sinh_map)
+from .quadrature import (TWO_PI, fit_powerlaw_tail, gauss_jacobi,
+                         gauss_panels, gauss_rule, resolve_tol, tanh_sinh_map)
+from .quadrature import gamma as _gamma
+from .quadrature import loggamma as _loggamma
 
 _POLE_EPS = 1e-12
 
@@ -65,8 +64,7 @@ def intertwine_constant(m: int, u: complex):
     half = (u + 1.0) / 2.0
     ma = abs(m)  # both forms are even in m
     if ma > 100:
-        lg = _loggamma(complex(ma + (1.0 - u) / 2.0)) \
-            - _loggamma(complex(half + ma))
+        lg = _loggamma(ma + (1.0 - u) / 2.0) - _loggamma(half + ma)
         return 2.0 ** (1.0 - u) * _gamma(u) * np.sin(np.pi * half) \
             * np.exp(lg)
     primary = (-1.0) ** m * 2.0 ** (1.0 - u) * math.pi * _gamma(u) \
@@ -97,7 +95,7 @@ def intertwine_apply(v, u: float, x, tol: float = None):
     cs = as_cayley(v)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     n_gj = 24 if tol < 1e-6 else 16
-    tj, wj = roots_jacobi(n_gj, 0.0, u - 1.0)
+    tj, wj = gauss_jacobi(n_gj, 0.0, u - 1.0)
     out = np.empty(xs.shape, dtype=complex)
     # cut scales with |x| so the binomial tail ratio |x|/B stays <= ~2/3
     B = 1.5 * float(np.max(np.abs(xs))) + 41.0
@@ -128,12 +126,8 @@ def _graded_panels(lo_edge, hi_edge, xc, order=16):
         w = 0.4 * max(1.0, min(abs(e - xc), abs(e) + 1.0))
         e = min(e + w, hi_edge)
         edges.append(e)
-    xg, wg = np.polynomial.legendre.leggauss(order)
     edges = np.asarray(edges)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return ((mids[:, None] + half[:, None] * xg[None, :]).ravel(),
-            (half[:, None] * wg[None, :]).ravel())
+    return gauss_rule(edges[:-1], edges[1:], order)
 
 
 def _intertwine_tail(series, xeff, B, u):
@@ -187,7 +181,8 @@ def g_normalizer_closed(u: float) -> float:
     """pi^{u-1/2} Gamma((1-u)/2) / Gamma(u/2); frozen regression form."""
     if u == 0.0:
         return 0.0
-    return math.pi ** (u - 0.5) * _gamma((1.0 - u) / 2.0) / _gamma(u / 2.0)
+    return math.pi ** (u - 0.5) * math.gamma((1.0 - u) / 2.0) \
+        / math.gamma(u / 2.0)
 
 
 def _gaussian_moment(p: float) -> float:

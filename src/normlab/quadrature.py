@@ -1,6 +1,7 @@
-"""Quadrature kernels: panelized Gauss-Legendre, tanh-sinh, power-law
-tail completion, and a vectorized complex generalized exponential
-integral; also the package's constant TWO_PI and its working tolerance
+"""Quadrature kernels: panelized Gauss-Legendre, Gauss-Jacobi, tanh-sinh,
+power-law tail completion, a vectorized complex generalized exponential
+integral, and the complex Gamma and log-Gamma functions; also the
+package's constants TWO_PI and BERNOULLI and its working tolerance
 (``resolve_tol``).
 
 Every routine here is pure and vectorized over numpy arrays; integrands are
@@ -9,16 +10,20 @@ expected to accept an ndarray of abscissae and return an ndarray of values.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import os
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import AccuracyNotReached, ConfigInvalid
 
 TWO_PI = 2.0 * math.pi
+# B_2, B_4, ..., B_16: the Stirling series of loggamma and the
+# Euler-Maclaurin corrections of coeffs.zeta
+BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+             -3617 / 510)
 
 
 def resolve_tol(tol=None) -> float:
@@ -51,6 +56,30 @@ def gauss_rule(lo, hi, order: int = 16):
     mids, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return ((mids[:, None] + half[:, None] * x[None, :]).ravel(),
             (half[:, None] * w[None, :]).ravel())
+
+
+@functools.lru_cache(maxsize=64)
+def gauss_jacobi(n: int, alpha: float, beta: float):
+    """Nodes and weights of the n-point Gauss rule for the weight
+    (1 - x)^alpha (1 + x)^beta on (-1, 1), alpha, beta > -1, by Golub &
+    Welsch (Math. Comp. 23 (1969)): the nodes are the eigenvalues of the
+    Jacobi matrix, and each weight is the weight's total mass times the
+    squared first component of its eigenvector.  Against a 40-digit
+    oracle at n in {16, 24}, alpha = 0 and beta = u - 1, u in [0.05,
+    0.8]: nodes within 6e-16, weights within 7e-14 relative."""
+    k = np.arange(1, n)
+    ab = alpha + beta
+    s = 2.0 * k + ab
+    diag = np.empty(n)
+    diag[0] = (beta - alpha) / (ab + 2.0)
+    diag[1:] = (beta ** 2 - alpha ** 2) / (s * (s + 2.0))
+    off = np.sqrt(4.0 * k * (k + alpha) * (k + beta) * (k + ab)
+                  / (s ** 2 * (s + 1.0) * (s - 1.0)))
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1)
+                            + np.diag(off, -1))
+    mass = 2.0 ** (ab + 1.0) * math.gamma(alpha + 1.0) \
+        * math.gamma(beta + 1.0) / math.gamma(ab + 2.0)
+    return x, mass * vec[0] ** 2
 
 
 def split_panels(lo, hi, n):
@@ -113,6 +142,112 @@ def tanh_sinh_map(a, b, level=7, new_only=False):
 
 
 # ---------------------------------------------------------------------------
+# Gamma and log Gamma, complex argument
+# ---------------------------------------------------------------------------
+
+# Lanczos (SIAM J. Numer. Anal. B 1 (1964)), g = 607/128, 15 terms:
+# Gamma(w + 1) = sqrt(2 pi) t^(w + 1/2) e^-t (c_0 + sum_k c_k / (w + k)),
+# t = w + g + 1/2
+_LANCZOS_G = 607.0 / 128.0
+_LANCZOS = np.array([
+    0.99999999999999709182, 57.156235665862923517, -59.597960355475491248,
+    14.136097974741747174, -0.49191381609762019978, 0.33994649984811888699e-4,
+    0.46523628927048575665e-4, -0.98374475304879564677e-4,
+    0.15808870322491248884e-3, -0.21026444172410488319e-3,
+    0.21743961811521264320e-3, -0.16431810653676389022e-3,
+    0.84418223983852743293e-4, -0.26190838401581408670e-4,
+    0.36899182659531622704e-5])
+# B_2k / (2k (2k - 1)), k = 8, 7, ..., 1: Stirling's series in 1/z^2
+_STIRLING = tuple(b / (2 * k * (2 * k - 1))
+                  for k, b in reversed(list(enumerate(BERNOULLI, 1))))
+# (-1)^k zeta(k) / k, k = 23, 22, ..., 2, and -Euler's gamma: the Taylor
+# series log Gamma(1 + x) = sum_k (-1)^k zeta(k) x^k / k, |x| <= 0.2
+_LOG_GAMMA_TAYLOR = (
+    -0.04347826605304026, 0.04545455629320467, -0.047619070330142226,
+    0.05000004769810169, -0.05263167937961666, 0.055555767627403614,
+    -0.058823978658684585, 0.06250095514121304, -0.06666870588242046,
+    0.07143294629536133, -0.0769325164113522, 0.083353840546109,
+    -0.09095401714582904, 0.1000994575127818, -0.11133426586956469,
+    0.12550966952474304, -0.1440498967688461, 0.1695571769974082,
+    -0.20738555102867398, 0.27058080842778454, -0.40068563438653143,
+    0.8224670334241132, -0.5772156649015329)
+
+
+def _sinpi(z):
+    """sin(pi z) elementwise, with Re z reduced mod 2 exactly first, so
+    that it is an exact zero at the integers and keeps its relative
+    precision near them."""
+    x, y = z.real, np.pi * z.imag
+    r = x - 2.0 * np.round(0.5 * x)  # in [-1, 1], exact
+    a = np.abs(r)
+    out = np.empty_like(z)  # parts set apart, keeping the sign of a zero
+    out.real = np.copysign(np.sin(np.pi * np.minimum(a, 1.0 - a)), r) \
+        * np.cosh(y)
+    out.imag = np.cos(np.pi * r) * np.sinh(y)
+    return out
+
+
+def gamma(z):
+    """Gamma(z) elementwise over complex z: the Lanczos sum for Re z >= 1/2,
+    reflection pi / (sin(pi z) Gamma(1 - z)) below, nan at the poles.
+    Measured against mpmath: within 20 eps for |z| < 7, 246 eps for |Re z|
+    <= 60, |Im z| <= 30, and 383 eps on the negative non-integer reals
+    down to -99, where Gamma's condition number |z psi(z)| reaches 460."""
+    z = np.asarray(z, dtype=complex)
+    shape, z = z.shape, z.ravel()
+    left = z.real < 0.5
+    w = np.where(left, -z, z - 1.0)
+    t = w + (_LANCZOS_G + 0.5)
+    series = _LANCZOS[0] + np.sum(
+        _LANCZOS[1:] / (w[:, None] + np.arange(1.0, len(_LANCZOS))), 1)
+    out = math.sqrt(TWO_PI) * series * np.exp((w + 0.5) * np.log(t) - t)
+    if np.any(left):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[left] = np.pi / (_sinpi(z[left]) * out[left])
+        out[left & (z.real == np.floor(z.real)) & (z.imag == 0.0)] = \
+            complex(math.nan, math.nan)
+    return out.reshape(shape)[()]
+
+
+def _log_gamma_stirling(z):
+    rz = 1.0 / z
+    return (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(TWO_PI) \
+        + rz * np.polyval(_STIRLING, rz * rz)
+
+
+def loggamma(z):
+    """log Gamma(z) at a complex scalar z, the branch analytic off the
+    negative real axis (mpmath's), nan at the poles.  Stirling's series
+    for Re z > 7 or |Im z| > 7; Taylor series at z = 1 and z = 2 (exact
+    zeros there); reflection for Re z < 0; otherwise the shift recurrence
+    up to Re z > 7, with the shift product's modulus and its summed
+    argument kept apart so that the branch stays analytic.  Measured
+    against mpmath: within 17 eps max(1, |log Gamma|) for Re z in (0,
+    100], |Im z| <= 50, and within 4 eps for Re z in [-60, 0)."""
+    z = complex(z)
+    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
+        return complex(math.nan, math.nan)
+    if z.real > 7.0 or abs(z.imag) > 7.0:
+        return _log_gamma_stirling(z)
+    if abs(z - 1.0) <= 0.2:
+        return (z - 1.0) * np.polyval(_LOG_GAMMA_TAYLOR, z - 1.0)
+    if abs(z - 2.0) <= 0.2:
+        return cmath.log(z - 1.0) \
+            + (z - 2.0) * np.polyval(_LOG_GAMMA_TAYLOR, z - 2.0)
+    if z.real < 0.0:
+        # reflection, its 2 pi i multiple as in Hare, J. Algorithms 25 (1997)
+        turn = math.copysign(TWO_PI, z.imag) * math.floor(0.5 * z.real
+                                                          + 0.25)
+        return complex(math.log(math.pi), turn) \
+            - cmath.log(complex(_sinpi(np.asarray(z)))) - loggamma(1.0 - z)
+    modulus, arg = 1.0, 0.0
+    while z.real <= 7.0:
+        modulus, arg = modulus * abs(z), arg + math.atan2(z.imag, z.real)
+        z += 1.0
+    return _log_gamma_stirling(z) - complex(math.log(modulus), arg)
+
+
+# ---------------------------------------------------------------------------
 # Generalized exponential integral E_s(z), complex order, Re(z) >= 0
 # ---------------------------------------------------------------------------
 
@@ -147,7 +282,7 @@ def _expint_series(s, z):
         e = np.where(m < ni, (ez - zi * e) / m, e)
     out[integer] = e
     sr, zr = s[~integer], z[~integer]
-    out[~integer] = _gamma(1.0 - sr) * np.power(zr, sr - 1.0) \
+    out[~integer] = gamma(1.0 - sr) * np.power(zr, sr - 1.0) \
         - _power_sum(sr, zr, 1.0 / (1.0 - sr))
     return out
 

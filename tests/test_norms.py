@@ -44,6 +44,21 @@ def test_intertwine_constant_large_m_continuity():
     assert got == pytest.approx(_mp_c2m(128, u), rel=1e-9)
 
 
+@pytest.mark.parametrize("u,bounds", [
+    # scipy's log-Gamma errors at m = 101, 256, 1000, 10^4; each bound is
+    # twice that
+    (0.5, (4.2e-14, 1.2e-13, 7.4e-13, 9.7e-13)),
+    (0.4 + 0.9j, (8.3e-14, 2.8e-13, 1.7e-12, 3.6e-11)),
+    (19.07j, (2.3e-14,) * 4)])
+def test_intertwine_constant_log_gamma_branch(u, bounds):
+    # past |m| = 100 the value runs on quadrature.loggamma
+    with mpmath.workdps(30):
+        for m, bound in zip((101, 256, 1000, 10 ** 4), bounds):
+            want = _mp_c2m(m, u)
+            got = complex(intertwine_constant(m, u))
+            assert abs(got - want) <= 2.0 * bound * abs(want)
+
+
 def test_intertwine_constant_poles():
     for u in (0.0, -1.0, -2.0):
         with pytest.raises(PoleParameter):

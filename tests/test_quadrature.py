@@ -1,0 +1,129 @@
+import os
+import subprocess
+import sys
+
+import mpmath
+import numpy as np
+import pytest
+
+import normlab
+from normlab.quadrature import gamma, gauss_jacobi, loggamma
+
+EPS = np.finfo(float).eps
+
+
+def test_loggamma_against_mpmath():
+    # 4,000 points with Re z in (0, 100], |Im z| <= 50, and 1,000 more
+    # where the branches meet, error in eps max(1, |log Gamma|); the
+    # declared bound of fourier's sin-power tables is 32 eps per logarithm
+    rng = np.random.default_rng(0)
+    z = np.concatenate([
+        rng.uniform(0.0, 100.0, 4000) + 1j * rng.uniform(-50.0, 50.0, 4000),
+        rng.uniform(0.0, 10.0, 1000) + 1j * rng.uniform(-8.0, 8.0, 1000)])
+    worst = 0.0
+    for zz in z:
+        exact = complex(mpmath.loggamma(mpmath.mpc(zz.real, zz.imag)))
+        worst = max(worst, abs(loggamma(zz) - exact) / max(1.0, abs(exact)))
+    assert worst <= 24 * EPS
+
+
+def test_loggamma_left_half_plane_against_mpmath():
+    # the reflection, the real axis included: mpmath's branch, which is
+    # not the principal log of Gamma
+    rng = np.random.default_rng(5)
+    z = np.concatenate([
+        rng.uniform(-60.0, 0.0, 1000) + 1j * rng.uniform(-20.0, 20.0, 1000),
+        rng.uniform(-60.0, 0.0, 200) + 0j])
+    for zz in z:
+        exact = complex(mpmath.loggamma(mpmath.mpc(zz.real, zz.imag)))
+        assert abs(loggamma(zz) - exact) <= 24 * EPS * max(1.0, abs(exact))
+
+
+def test_loggamma_exact_at_one_and_two_and_nan_at_poles():
+    assert loggamma(1.0) == 0.0 and loggamma(2.0) == 0.0
+    for z in (0.0, -1.0, -7.0):
+        assert np.isnan(loggamma(z))
+
+
+@pytest.mark.parametrize("grid,bound", [
+    # scipy.special.gamma's own errors on these grids are 687, 29 and 302
+    # eps; at -99.5 Gamma's condition number |z psi(z)| is about 460
+    ("negative-reals", 564), ("small", 24), ("strip", 274)])
+def test_gamma_against_mpmath(grid, bound):
+    rng = np.random.default_rng(1)
+    if grid == "negative-reals":
+        z = -rng.uniform(0.0, 99.0, 1000)
+        z = z[np.abs(z - np.round(z)) > 1e-3].astype(complex)
+    elif grid == "small":
+        z = rng.uniform(0.0, 7.0, 1000) * np.exp(
+            1j * rng.uniform(-np.pi, np.pi, 1000))
+        z = z[np.abs(z - np.round(z.real)) > 1e-3]
+    else:
+        z = rng.uniform(-60.0, 60.0, 1000) + 1j * rng.uniform(-30.0, 30.0,
+                                                              1000)
+    exact = [complex(mpmath.gamma(mpmath.mpc(p.real, p.imag))) for p in z]
+    worst = max(abs(g - e) / abs(e) for g, e in zip(gamma(z), exact))
+    assert worst <= bound * EPS
+
+
+def test_gamma_scalars_integers_and_poles():
+    assert gamma(5.0) == pytest.approx(24.0, rel=4 * EPS)
+    assert gamma(0.5) == pytest.approx(np.sqrt(np.pi), rel=4 * EPS)
+    assert np.all(np.isnan(gamma(np.array([0.0, -1.0, -30.0]))))
+    assert np.ndim(gamma(0.25 + 1j)) == 0
+
+
+def _jacobi_oracle(n, alpha, beta, x0):
+    # 40 digits: Newton on mpmath's P_n from each node, Christoffel
+    # weights 2^(a+b+1) G(n+a+1) G(n+b+1) / (G(n+a+b+1) n! (1-x^2) P_n'^2)
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        scale = 2 ** (a + b + 1) * mpmath.gamma(n + a + 1) \
+            * mpmath.gamma(n + b + 1) / (mpmath.gamma(n + a + b + 1)
+                                         * mpmath.factorial(n))
+
+        def dp(x):
+            return (n + a + b + 1) / 2 * mpmath.jacobi(n - 1, a + 1, b + 1, x)
+
+        xs, ws = [], []
+        for x in x0:
+            x = mpmath.mpf(float(x))
+            for _ in range(6):
+                x -= mpmath.jacobi(n, a, b, x) / dp(x)
+            xs.append(x)
+            ws.append(scale / ((1 - x * x) * dp(x) ** 2))
+        return xs, ws
+
+
+@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("u", [0.05, 0.2, 0.5, 0.8])
+def test_gauss_jacobi_against_40_digit_oracle(n, u):
+    # measured: nodes within 6e-16, weights within 7e-14 relative
+    x, w = gauss_jacobi(n, 0.0, u - 1.0)
+    xo, wo = _jacobi_oracle(n, 0.0, u - 1.0, x)
+    assert max(abs(float(a - b)) for a, b in zip(x, xo)) <= 4 * EPS
+    assert max(abs(float((a - b) / b)) for a, b in zip(w, wo)) <= 2e-13
+
+
+@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("u", [0.05, 0.2, 0.5, 0.8])
+def test_gauss_jacobi_integrates_polynomials_exactly(n, u):
+    # int_{-1}^1 (1+x)^k (1+x)^(u-1) dx = 2^(u+k) / (u+k), k <= 2n - 1
+    x, w = gauss_jacobi(n, 0.0, u - 1.0)
+    k = np.arange(2 * n)
+    got = w @ (1.0 + x)[:, None] ** k
+    rel = np.abs(got / (2.0 ** (u + k) / (u + k)) - 1.0)
+    assert np.max(rel) <= 1e-13  # measured: 1.4e-14
+
+
+def test_import_loads_no_scipy():
+    # the runtime is numpy only: importing the package and its CLI must
+    # not pull scipy in
+    src = os.path.dirname(os.path.dirname(normlab.__file__))
+    code = ("import sys, normlab, normlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
