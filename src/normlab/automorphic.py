@@ -25,7 +25,7 @@ from .fourier import fourier_transform_batch
 from .group import KanCoords
 from .norms import _xi_end, _xi_integral, weighted_fv_integral
 from .principal import ReprParams, SmoothVector, as_cayley
-from .quadrature import gauss_panels, resolve_tol, tanh_sinh_map
+from .quadrature import gauss_panels, resolve_tol
 
 
 @dataclass
@@ -156,19 +156,21 @@ def _coefficient_tail_estimate(tau, cs, a, ns, tol):
     return 2.0 * edge_term * r / (1.0 - r)
 
 
-def t_average_sq(tau: PeriodicDistribution, v, a: float,
-                 tol: float = None) -> float:
-    r"""\int_0^p |f(a n_t)|^2 dt by the coefficient-sum (Parseval) form:
-    p * sum_n a^{-2-2u0} |b_n|^2 |Fv(-n a^{-2})|^2."""
+def t_average_sq(tau: PeriodicDistribution, v, a,
+                 tol: float = None):
+    r"""\int_0^p |f(a n_t)|^2 dt by the coefficient-sum (Parseval) form
+    p * sum_n a^{-2-2u0} |b_n|^2 |Fv(-n a^{-2})|^2, at every a of ``a``
+    (a scalar or an array) from one transform batch."""
     tol = resolve_tol(tol)
     cs = as_cayley(v)
-    u0 = tau.params.u0
+    a = np.asarray(a, dtype=float)
     if not tau.coeffs:
-        return 0.0
+        return 0.0 * a
     _, ns, bs = tau.coefficient_arrays()
-    fv = fourier_transform_batch(cs, -ns / a ** 2, tol)
-    return float(tau.period * a ** (-2.0 - 2.0 * u0)
-                 * np.sum(np.abs(bs) ** 2 * np.abs(fv) ** 2))
+    fv = fourier_transform_batch(cs, -np.outer(1.0 / a ** 2, ns).ravel(), tol)
+    sq = (np.abs(fv.reshape(a.size, len(ns))) ** 2 @ np.abs(bs) ** 2)
+    return (tau.period * a ** (-2.0 - 2.0 * tau.params.u0)
+            * sq.reshape(a.shape))[()]
 
 
 def coeff_sums(tau: PeriodicDistribution, eps: float, u0: float, ks,
@@ -220,8 +222,6 @@ def p0_weighted_norm(tau: PeriodicDistribution, v, a1, eps: float,
 def _p0_spectral(tau, v, a1, eps, tol):
     u0 = tau.params.u0
     p = tau.period
-    pw = -0.5 * eps + u0
-    cs = as_cayley(v)
     total = 0.0
     for sign in (+1, -1):
         ns = sorted(abs(j) / p for j in tau.coeffs if sign * j > 0)
@@ -229,46 +229,29 @@ def _p0_spectral(tau, v, a1, eps, tol):
             continue
         partials = coeff_sums(tau, eps, u0, ns, sign)
         if math.isinf(a1):
-            # Fv(-sign * a) against the full sum, integrated from 0
-            total += 0.5 * p * partials[-1] * weighted_fv_integral(
-                cs, pw, 0.0, -sign, tol)
-            continue
-        # breakpoints where the cutoff n <= a * a1^2 admits a new term;
-        # the finite segments' nodes go into the last segment's first
-        # transform batch
-        edges = [n / a1 ** 2 for n in ns]
-        rules = [_segment_rule(pw, lo, hi, tol)
-                 for lo, hi in zip(edges, edges[1:])]
-        grid = np.concatenate([x for x, _ in rules] + [np.empty(0)])
-        wts = np.concatenate([w for _, w in rules] + [np.empty(0)])
-        last, _, _, dens = _xi_integral(cs, pw, edges[-1], (-sign,), tol,
-                                        grid)
-        starts = np.cumsum([0] + [len(x) for x, _ in rules])
-        seg = np.add.reduceat(np.append(wts * dens[0], last), starts)
+            # every term is in from a = 0: one segment, the full sum
+            edges, partials = [0.0], partials[-1:]
+        else:
+            # breakpoints where the cutoff n <= a * a1^2 admits a new term
+            edges = [n / a1 ** 2 for n in ns]
+        seg = _xi_integral(as_cayley(v), -0.5 * eps + u0, edges, (-sign,),
+                           tol)[0]
         total += 0.5 * p * float(np.dot(partials, seg))
     return total
 
 
-def _segment_rule(pw, lo, hi, tol):
-    r"""Nodes and weights for \int_lo^hi a^pw |Fv|^2 da, 0 <= lo < hi."""
-    if lo == 0.0 or pw < 0:
-        return tanh_sinh_map(lo, hi, 6 if tol >= 1e-8 else 7)
-    return gauss_panels(lo, hi, max(4, int(2 * (hi - lo)) + 1), 16)
-
-
 def _p0_geometric(tau, v, a1, eps, tol):
-    """Direct quadrature of the double integral; t by trapezoid (exact
-    for the finite trigonometric polynomial), a by panels in log a."""
+    """Direct quadrature of the double integral: the t-integral by
+    :func:`t_average_sq` (its Parseval sum equals the trapezoid on any
+    grid of more than 2 max|j| points, exact for the trigonometric
+    polynomial), a by panels in log a."""
     cs = as_cayley(v)
-    u = complex(tau.params.u)
-    p = tau.period
-    js, ns, bs = tau.coefficient_arrays()
-    n_min = np.min(np.abs(ns))
+    u0 = tau.params.u0
+    n_min = np.min(np.abs(tau.coefficient_arrays()[1]))
     # below a_lo every transform argument n / a^2 lies past the xi end
     # (and past 12, where the decay range of Fv ends at low weight)
     a_lo = math.sqrt(n_min / max(12.0, _xi_end(cs.max_weight)))
     if math.isinf(a1):
-        u0 = u.real
         if eps - 2.0 + 2.0 * max(u0, 0.0) >= 0.0:
             raise DivergentIntegral(
                 f"geometric side diverges as a -> infinity (eps={eps})")
@@ -281,17 +264,7 @@ def _p0_geometric(tau, v, a1, eps, tol):
         n_pan = max(8, int(12 * math.log(hi / lo)))
         lg, lw = gauss_panels(math.log(lo), math.log(hi), n_pan, 16)
         avals = np.exp(lg)
-        # Fv at every (a, n) pair in one batch
-        xi = (-np.outer(1.0 / avals ** 2, ns)).ravel()
-        fv = fourier_transform_batch(cs, xi, tol).reshape(len(avals), len(ns))
-        n_t = 4 * int(np.max(np.abs(js))) + 8
-        tgrid = p * np.arange(n_t) / n_t
-        phases = np.exp(-2j * math.pi * np.outer(tgrid, ns))  # (n_t, n_j)
-        coef = fv * bs[None, :]                               # (n_a, n_j)
-        fgrid = coef @ phases.T                               # (n_a, n_t)
-        tmean = np.mean(np.abs(fgrid) ** 2, axis=1) * p
-        amp = np.abs(avals ** (-1.0 - u)) ** 2
-        dens = tmean * amp * avals ** eps   # integrand in log a
+        dens = t_average_sq(tau, cs, avals, tol) * avals ** eps  # in log a
         return float(np.sum(lw * dens)), dens[-2:], avals[-2:]
 
     val, edge, apts = block(a_lo, a_hi)
@@ -300,18 +273,17 @@ def _p0_geometric(tau, v, a1, eps, tol):
         # density need not be a clean power (the transform can vary
         # logarithmically near zero frequency), so the slope is refit
         # at each doubling rather than assumed
-        while a_hi < 3000.0:
+        while True:
             slope = (math.log(edge[1]) - math.log(edge[0])) \
                 / (math.log(apts[1]) - math.log(apts[0]))
             tail = edge[1] / max(-slope, 0.05)
-            if tail < 1e-3 * tol * max(val, 1e-300) or edge[1] < 1e-280:
+            if a_hi >= 3000.0 or edge[1] < 1e-280 \
+                    or tail < 1e-3 * tol * max(val, 1e-300):
                 break
             piece, edge, apts = block(a_hi, 2.0 * a_hi)
             val += piece
             a_hi *= 2.0
-        slope = (math.log(edge[1]) - math.log(edge[0])) \
-            / (math.log(apts[1]) - math.log(apts[0]))
-        val += edge[1] / max(-slope, 0.05)
+        val += tail
     return val
 
 

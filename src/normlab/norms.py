@@ -25,6 +25,7 @@ from .group import K_MASS
 from .principal import CayleySum, ReprParams, SmoothVector, as_cayley
 from .quadrature import (TWO_PI, fit_powerlaw_tail, gauss_jacobi,
                          gauss_panels, gauss_rule, resolve_tol, tanh_sinh_map)
+from .quadrature import _sinpi
 from .quadrature import gamma as _gamma
 from .quadrature import loggamma as _loggamma
 
@@ -55,7 +56,9 @@ def intertwine_constant(m: int, u: complex):
                  / Gamma((u+1)/2 + m).
     Past |m| = 100 the primary form overflows, and the reflection form
     alone is taken through log-Gamma.  Raises AccuracyNotReached when the
-    two forms differ by more than 1e-10 (1 + |primary|).
+    two forms differ by more than 1e-10 (1 + |primary|).  At u = 1, 3, 5,
+    ... c_{2m} is exactly 0 for |m| >= (u+1)/2, and the primary form
+    alone is taken below that.
     """
     u = complex(u)
     if abs(u.imag) < _POLE_EPS and abs(u.real - round(u.real)) < _POLE_EPS \
@@ -63,14 +66,18 @@ def intertwine_constant(m: int, u: complex):
         raise PoleParameter(f"A_u has a pole at u = {u.real:g}")
     half = (u + 1.0) / 2.0
     ma = abs(m)  # both forms are even in m
+    sin_half = complex(_sinpi(np.asarray(half)))  # exact 0 at u = 1, 3, ...
     if ma > 100:
         lg = _loggamma(ma + (1.0 - u) / 2.0) - _loggamma(half + ma)
-        return 2.0 ** (1.0 - u) * _gamma(u) * np.sin(np.pi * half) \
-            * np.exp(lg)
+        return 2.0 ** (1.0 - u) * _gamma(u) * sin_half * np.exp(lg)
+    if sin_half == 0 and ma >= half.real:
+        return 0j  # 1/Gamma(half - |m|) = 0
     primary = (-1.0) ** m * 2.0 ** (1.0 - u) * math.pi * _gamma(u) \
         / (_gamma(half + ma) * _gamma(half - ma))
+    if sin_half == 0:
+        return primary  # the reflection form is 0 times a pole here
     alt = 2.0 ** (1.0 - u) * _gamma(u) * _gamma(ma + (1.0 - u) / 2.0) \
-        * np.sin(np.pi * half) / _gamma(half + ma)
+        * sin_half / _gamma(half + ma)
     gap = abs(alt - primary) / (1 + abs(primary))
     if gap > 1e-10:
         raise AccuracyNotReached(
@@ -295,9 +302,22 @@ def _xi_grid(mw: float, lo: float, tol: float):
              for k in range(level, top + 1)], gl, Xi)
 
 
-def _xi_integral(cs, p, lo, signs, tol, extra=np.empty(0)):
-    r"""sum over s in ``signs`` of \int_lo^inf xi^p |Fv(s xi)|^2 d xi on
-    the rule of :func:`_xi_grid`.  Returns (value, tail, meta, dens).
+def _segment_rule(p, lo, hi, level):
+    r"""Nodes and weights for \int_lo^hi xi^p |Fv|^2 d xi, 0 <= lo < hi:
+    the level-``level`` tanh-sinh rule where the end at lo may be
+    singular (lo = 0 or p < 0), GL panels about half a unit wide else."""
+    if lo == 0.0 or p < 0:
+        return tanh_sinh_map(lo, hi, level)
+    return gauss_panels(lo, hi, max(4, int(2 * (hi - lo)) + 1), 16)
+
+
+def _xi_integral(cs, p, edges, signs, tol):
+    r"""sum over s in ``signs`` of \int xi^p |Fv(s xi)|^2 d xi over each
+    segment [e_k, e_{k+1}] of the increasing ``edges`` and over [e_K, inf).
+    Returns (values, tail, meta), one value per segment, the last on the
+    rule of :func:`_xi_grid` from e_K and the others on
+    :func:`_segment_rule`; every segment's nodes go into one first
+    transform batch.
 
     |Fv|^2 has about (2/pi) sqrt(2 pi w) zeros on (0,1] at K-type weight
     w, so the tanh-sinh rule there is refined level by level until its
@@ -310,12 +330,10 @@ def _xi_integral(cs, p, lo, signs, tol, extra=np.empty(0)):
     stopped short of them), the final level and that estimate (``Xi``,
     ``xi_level``, ``xi_err``, relative).  ``tail`` bounds the part past
     Xi, where Fv decays exponentially (pole of v at distance 1 from the
-    real axis), from the last GL node; it is not added to ``value``.
-    The nodes ``extra`` go into the first transform batch, and ``dens``
-    holds their densities, one row per sign.
+    real axis), from the last GL node; it is not added to the values.
     """
     # transform ~ |xi|^{d-1} near 0 when the decay exponent d < 1
-    if lo == 0.0 and 2.0 * min(cs.min_decay - 1.0, 0.0) + p <= -1.0:
+    if edges[0] == 0.0 and 2.0 * min(cs.min_decay - 1.0, 0.0) + p <= -1.0:
         raise DivergentIntegral(
             f"xi -> 0 end diverges: decay exponent {cs.min_decay:.3f}, "
             f"power {p} (need 2*min(d-1,0) + p > -1)")
@@ -327,17 +345,21 @@ def _xi_integral(cs, p, lo, signs, tol, extra=np.empty(0)):
             * np.abs(xs) ** p
         return dens.reshape(len(signs), len(x))
 
+    lo = edges[-1]
     level, (xc, wc), new, (xg, wg), Xi = _xi_grid(cs.max_weight, lo, tol)
-    parts = [extra, xc] + [x for x, _ in new] + [xg]
+    segs = [_segment_rule(p, a, b, level) for a, b in zip(edges, edges[1:])]
+    parts = [x for x, _ in segs] + [xc] + [x for x, _ in new] + [xg]
     dens = density(np.concatenate(parts))
-    # the signs' sum over each part: extra, coarse, one per level, GL
+    # the signs' sum over each part: segments, coarse, one per level, GL
     both = np.split(np.sum(dens, axis=0),
                     np.cumsum([len(x) for x in parts[:-1]]))
-    coarse = float(np.sum(wc * both[1]))
-    head = 0.5 * coarse + float(np.sum(new[0][1] * both[2]))
+    values = [float(np.sum(w * d)) for (_, w), d in zip(segs, both)]
+    both = both[len(segs):]
+    coarse = float(np.sum(wc * both[0]))
+    head = 0.5 * coarse + float(np.sum(new[0][1] * both[1]))
     rest = float(np.sum(wg * both[-1]))
-    ahead = [(w, d) for (_, w), d in zip(new[1:], both[3:-1])]
-    n_xi = len(signs) * (dens.shape[1] - len(extra))
+    ahead = [(w, d) for (_, w), d in zip(new[1:], both[2:-1])]
+    n_xi = dens.size
     while True:
         scale = max(abs(head + rest), 1e-300)
         xi_err = ((head - coarse) / scale) ** 2
@@ -353,8 +375,8 @@ def _xi_integral(cs, p, lo, signs, tol, extra=np.empty(0)):
         coarse, head = head, 0.5 * head + float(np.sum(wn * d))
     tail = float(np.max(dens[:, -1]) * Xi ** max(p, 0.0)) \
         / (4.0 * math.pi) * len(signs)
-    return head + rest, tail, {"Xi": Xi, "n_xi": n_xi, "xi_level": level,
-                               "xi_err": xi_err}, dens[:, :len(extra)]
+    return np.array(values + [head + rest]), tail, {
+        "Xi": Xi, "n_xi": n_xi, "xi_level": level, "xi_err": xi_err}
 
 
 def comp_norm(v, u: float, tol: float = None) -> NormValue:
@@ -365,7 +387,7 @@ def comp_norm(v, u: float, tol: float = None) -> NormValue:
     """
     if not (-1.0 < u < 1.0):
         raise OutOfRange(f"comp_norm needs |u| < 1, got {u}")
-    val, tail, meta, _ = _xi_integral(as_cayley(v), -u, 0.0, (1, -1),
+    (val,), tail, meta = _xi_integral(as_cayley(v), -u, [0.0], (1, -1),
                                       resolve_tol(tol))
     return NormValue("C_u", val, tail, params={"u": u}, meta=meta)
 
@@ -374,7 +396,7 @@ def weighted_fv_integral(v, p: float, lo: float, sign: int,
                          tol: float = None) -> float:
     r"""\int_lo^infty a^p |Fv(sign * a)|^2 da by :func:`_xi_integral`, the
     rule of comp_norm on one half-line."""
-    return _xi_integral(as_cayley(v), p, lo, (sign,), resolve_tol(tol))[0]
+    return _xi_integral(as_cayley(v), p, [lo], (sign,), resolve_tol(tol))[0][0]
 
 
 def kirillov_norm(v, u0: float, tol: float = None) -> NormValue:

@@ -38,8 +38,8 @@ import numpy as np
 
 from .automorphic import coeff_sum
 from .coeffs import zeta
-from .errors import (EpsilonBarrier, MissingSymmetry, OutOfRange,
-                     UnboundedOmega)
+from .errors import (DivergentIntegral, EpsilonBarrier, MissingSymmetry,
+                     OutOfRange, UnboundedOmega)
 from .fourier import fourier_transform_batch
 from .group import K_MASS
 from .norms import triple_norm
@@ -80,11 +80,6 @@ class ConstantFunction:
         self.harmonics = 0  # highest harmonic of |f|^2 in t, per period
         self.period = period
         self.flags = SymmetryFlags(hasWeyl=True)
-
-    def value(self, theta, a, t):
-        shape = np.broadcast(np.asarray(theta), np.asarray(a),
-                             np.asarray(t)).shape
-        return np.full(shape, self.c, dtype=complex)
 
     def ksq(self, avals, ts, tol=None):
         avals = np.atleast_1d(np.asarray(avals, dtype=float))
@@ -289,14 +284,21 @@ def _segment_edges(T1, a1, period, a_lo=A_MIN):
 
 def _outward(chunk, lo, hi, tol):
     """chunk(lo, hi) plus chunks over doubling a-ranges past hi, until one
-    adds less than 1e-3 tol of the total or a reaches 1e4."""
-    total = chunk(lo, hi)
+    adds less than 1e-3 tol of the total or a reaches 1e4.  Raises
+    DivergentIntegral where a reaches 1e4 and the last doubling added no
+    less than the one before."""
+    total, prev = chunk(lo, hi), math.inf
     while hi < 1e4:
         piece = chunk(hi, 2.0 * hi)
         total += piece
         hi *= 2.0
         if abs(piece) < 1e-3 * tol * max(abs(total), 1e-300):
             break
+        if hi >= 1e4 and abs(piece) >= abs(prev):
+            raise DivergentIntegral(
+                f"the a-integral still grows at a = {hi:g}: the last "
+                f"doubling added {abs(piece):.3g}")
+        prev = piece
     return total
 
 

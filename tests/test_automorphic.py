@@ -80,6 +80,39 @@ def test_t_average_matches_direct_quadrature():
     assert spectral == pytest.approx(direct, rel=1e-9)
 
 
+def test_t_average_array_matches_scalar_calls():
+    tau = _tau({1: 1.0, -1: 0.5, 2: 0.25j}, u=0.5j)
+    v = _v(0, 0.5j)
+    a = np.array([[0.4, 0.9], [1.3, 2.0]])
+    got = t_average_sq(tau, v, a)
+    assert got.shape == a.shape
+    # one transform batch against four: the transform's grid follows the
+    # batch, so they agree to its accuracy, not bit for bit
+    want = [t_average_sq(tau, v, x) for x in a.ravel()]
+    assert np.allclose(got.ravel(), want, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("N", [4, 8, 16, 32])
+def test_whittaker_declared_growth_tail_estimate(N):
+    # b_n = n^{-1/2} on n >= 1, declared |b_n| <= n^{-1/2}; the 399-term
+    # table is the reference.  Where the true error is above 1e-12 the
+    # estimate is within a factor 10 above it (2.3 to 8.3 here); below
+    # about 1e-14 it is at the transform's resolution and not pinned
+    def table(n_max, **kw):
+        return _tau({n: n ** -0.5 for n in range(1, n_max + 1)}, **kw)
+
+    tau, ref, v = table(N, growth_sigma=-0.5, growth_C=1.0), table(399), _v(0)
+    pinned = 0
+    for a in (1.5, 2.0, 3.0, 4.0):
+        coords = KanCoords(0.0, a, 0.3)
+        ev = whittaker_eval(tau, v, coords)
+        actual = abs(ev.value - whittaker_eval(ref, v, coords).value)
+        if actual > 1e-12:
+            assert actual <= ev.tailEstimate <= 10.0 * actual
+            pinned += 1
+    assert pinned >= 2
+
+
 def test_coeff_sum_trivial():
     tau = _tau({1: 1.0})
     assert coeff_sum(tau, 0.0, 0.0, 1.0, +1) == 1.0

@@ -1,10 +1,12 @@
 import inspect
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import normlab
@@ -412,3 +414,75 @@ def test_comp_norm_scan_past_the_tail_cap_exits_3(capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("normlab: numerical failure: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def _run_json(argv, capsys):
+    """(exit code, stdout parsed as strict JSON, stderr) of one run."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, json.loads(out, parse_constant=_no_constant), err
+
+
+@pytest.mark.parametrize("argv", [[name] for name in cli.SUBCOMMANDS]
+                         + [["intertwine", "--numeric"]],
+                         ids=lambda argv: " ".join(argv))
+def test_every_subcommand_runs_at_its_defaults(argv, tmp_path, capsys):
+    extra = {"weyl-bracket": ["--assert-weyl"],
+             "gen-coeffs": ["--out-coeffs", str(tmp_path / "c.json")]}
+    code, rep, err = _run_json(argv + extra.get(argv[0], []), capsys)
+    assert code == 0 and "FAIL" not in err
+    assert rep["subcommand"] == argv[0]
+
+
+def test_intertwine_at_odd_integer_u_reports_zero(capsys):
+    # 1/Gamma((u+1)/2 - m) = 0 at u = 1, m = 1: c_2 = 0, not NaN
+    code, rep, _ = _run_json(["intertwine", "--u", "1", "--m", "1"], capsys)
+    assert code == 0 and rep["c"] == [0.0, 0.0]
+
+
+def test_region_norm_constant_closed_form(capsys):
+    from normlab.siegel import A_MIN
+    c, T1, a1, eps = 1.3, 1.7, 0.8, 0.5
+    code, rep, _ = _run_json(["region-norm", "--profile", f"constant:{c}",
+                              "--T1", str(T1), "--a1", str(a1),
+                              "--eps", str(eps)], capsys)
+    want = 2.0 * math.pi * c ** 2 * T1 * (a1 ** eps - A_MIN ** eps) / eps
+    assert code == 0 and rep["value"] == pytest.approx(want, rel=1e-10)
+
+
+def test_whittaker_eval_matches_model_value(capsys):
+    from normlab.siegel import WhittakerModel
+    code, rep, _ = _run_json(["whittaker-eval", "--a", "1.3", "--t", "0.2"],
+                             capsys)
+    p = cli._merge_params(cli._build_parser().parse_args(["whittaker-eval"]))
+    model = WhittakerModel(cli._tau_from(p), cli._vector_from(p))
+    want = model.value(0.0, np.array([1.3]), np.array([0.2]))[0]
+    assert code == 0
+    assert complex(*rep["value"]) == pytest.approx(want, rel=1e-9)
+
+
+def test_coeff_bounds_fitted_constant(capsys):
+    from normlab.coeffs import generate, parse_model_spec
+    code, rep, _ = _run_json(["coeff-bounds"], capsys)
+    # max_k S(k) / k^{eps/2}, S(k) = sum_{|n| <= k} |n|^{eps/2-1} |b_n|^2
+    tau = generate(parse_model_spec("divisor:N=256,lam=0.5"))
+    js = np.array(sorted(tau.coeffs))
+    n = np.abs(js) / tau.period
+    terms = n ** -0.75 * np.abs([tau.coeffs[j] for j in js]) ** 2
+    ks = np.unique(n)
+    S = np.array([np.sum(terms[n <= k]) for k in ks])
+    assert code == 0
+    assert rep["fittedConstant"] == pytest.approx(np.max(S / ks ** 0.25),
+                                                  rel=1e-12)
+
+
+def test_omega_norm_delta_is_region_full(capsys):
+    # the default window is all of K times 0 <= T <= 1 = T1
+    _, omega, _ = _run_json(["omega-norm", "--profile", "delta"], capsys)
+    _, full, _ = _run_json(["region-norm", "--profile", "delta",
+                            "--side", "full"], capsys)
+    assert omega["value"] == pytest.approx(full["value"], rel=1e-10)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import normlab.norms
+from normlab.norms import _xi_integral
 from normlab.errors import (BadParameterRange, DivergentIntegral, OutOfRange,
                             ParityMismatch, PoleParameter)
 from normlab.norms import (comp_norm, g_normalizer, g_normalizer_closed,
@@ -57,6 +58,20 @@ def test_intertwine_constant_log_gamma_branch(u, bounds):
             want = _mp_c2m(m, u)
             got = complex(intertwine_constant(m, u))
             assert abs(got - want) <= 2.0 * bound * abs(want)
+
+
+@pytest.mark.parametrize("m,u,want", [
+    (1, 1.0, 0.0), (3, 1.0, 0.0), (2, 3.0, 0.0), (3, 5.0, 0.0),
+    (150, 1.0, 0.0), (1, 3.0, -math.pi / 4), (2, 5.0, math.pi / 16),
+    (0, 1.0, math.pi)])
+def test_intertwine_constant_at_odd_integer_u(m, u, want):
+    # 1/Gamma((u+1)/2 - |m|) = 0 for |m| >= (u+1)/2: c_{2m} is exactly 0;
+    # at u = 1, A_u phi = \int phi, so only c_0 = pi survives
+    got = complex(intertwine_constant(m, u))
+    if want == 0.0:
+        assert got == 0.0
+    else:
+        assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_intertwine_constant_poles():
@@ -237,3 +252,16 @@ def test_comp_norm_transforms_once(monkeypatch, weight, tol, level):
     assert len(seen) == 1
     assert nv.meta["xi_level"] == level
     assert nv.meta["n_xi"] == seen[0]
+
+
+@pytest.mark.parametrize("weight,p", [(4, 0.25), (4, -0.25), (40, 0.3)])
+def test_xi_integral_segments_add_up(weight, p):
+    # [0, 0.5] and (p < 0) [0.5, 2] on tanh-sinh, else GL; [2, inf) on
+    # the xi grid from 2, the same value as the one-edge call from 2
+    cs = CayleySum.ktype(weight, 0.3j)
+    whole, _, _ = _xi_integral(cs, p, [0.0], (1, -1), 1e-10)
+    parts, _, _ = _xi_integral(cs, p, [0.0, 0.5, 2.0], (1, -1), 1e-10)
+    last, _, _ = _xi_integral(cs, p, [2.0], (1, -1), 1e-10)
+    assert len(whole) == 1 and len(parts) == 3 and len(last) == 1
+    assert sum(parts) == pytest.approx(whole[0], rel=1e-10)
+    assert parts[-1] == pytest.approx(last[0], rel=1e-14)

@@ -9,8 +9,8 @@ import pytest
 from normlab.automorphic import PeriodicDistribution
 from normlab.coeffs import (CoeffModel, generate, parse_model_spec,
                             ramanujan_tau_table)
-from normlab.errors import (EpsilonBarrier, MissingSymmetry, OutOfRange,
-                            UnboundedOmega)
+from normlab.errors import (DivergentIntegral, EpsilonBarrier,
+                            MissingSymmetry, OutOfRange, UnboundedOmega)
 from normlab.group import KanCoords
 from normlab.modular import CuspProfile, delta_profile, reduce_to_fundamental
 from normlab.principal import ReprParams, SmoothVector
@@ -499,6 +499,14 @@ def test_omega_norm_monotone_in_window():
     small = omega_a_norm(f, (0.0, math.pi, 0.0, 0.5), 0.5)
     large = omega_a_norm(f, (0.0, TWO_PI, 0.0, 1.0), 0.5)
     assert 0.0 < small <= large * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.0])
+def test_omega_norm_growing_a_integral_raises(eps):
+    # f = 1 over a bounded omega: \int^inf a^eps da/a diverges for
+    # eps >= 0, and the doubling loop meets its cap still growing
+    with pytest.raises(DivergentIntegral, match="still grows"):
+        omega_a_norm(ConstantFunction(1.0), (0.0, TWO_PI, 0.0, 1.0), eps)
 
 
 def test_omega_norm_unbounded_rejected():
