@@ -25,7 +25,7 @@ from .fourier import fourier_transform_batch
 from .group import KanCoords
 from .norms import _xi_end, _xi_integral, weighted_fv_integral
 from .principal import ReprParams, SmoothVector, as_cayley
-from .quadrature import gauss_panels, resolve_tol
+from .quadrature import gauss_panels, outward, resolve_tol
 
 
 @dataclass
@@ -244,47 +244,28 @@ def _p0_geometric(tau, v, a1, eps, tol):
     """Direct quadrature of the double integral: the t-integral by
     :func:`t_average_sq` (its Parseval sum equals the trapezoid on any
     grid of more than 2 max|j| points, exact for the trigonometric
-    polynomial), a by panels in log a."""
+    polynomial), a by panels in log a, to infinity by
+    ``quadrature.outward`` from [a_lo, 160] at a1 = inf."""
     cs = as_cayley(v)
-    u0 = tau.params.u0
     n_min = np.min(np.abs(tau.coefficient_arrays()[1]))
     # below a_lo every transform argument n / a^2 lies past the xi end
     # (and past 12, where the decay range of Fv ends at low weight)
     a_lo = math.sqrt(n_min / max(12.0, _xi_end(cs.max_weight)))
-    if math.isinf(a1):
-        if eps - 2.0 + 2.0 * max(u0, 0.0) >= 0.0:
-            raise DivergentIntegral(
-                f"geometric side diverges as a -> infinity (eps={eps})")
-        a_hi = 160.0
-    else:
-        a_hi = a1
 
     def block(lo, hi):
-        """Integral over [lo, hi] in log a; returns (value, edge density)."""
         n_pan = max(8, int(12 * math.log(hi / lo)))
         lg, lw = gauss_panels(math.log(lo), math.log(hi), n_pan, 16)
         avals = np.exp(lg)
         dens = t_average_sq(tau, cs, avals, tol) * avals ** eps  # in log a
-        return float(np.sum(lw * dens)), dens[-2:], avals[-2:]
+        return float(np.sum(lw * dens))
 
-    val, edge, apts = block(a_lo, a_hi)
-    if math.isinf(a1):
-        # extend outward until the fitted-slope tail is negligible; the
-        # density need not be a clean power (the transform can vary
-        # logarithmically near zero frequency), so the slope is refit
-        # at each doubling rather than assumed
-        while True:
-            slope = (math.log(edge[1]) - math.log(edge[0])) \
-                / (math.log(apts[1]) - math.log(apts[0]))
-            tail = edge[1] / max(-slope, 0.05)
-            if a_hi >= 3000.0 or edge[1] < 1e-280 \
-                    or tail < 1e-3 * tol * max(val, 1e-300):
-                break
-            piece, edge, apts = block(a_hi, 2.0 * a_hi)
-            val += piece
-            a_hi *= 2.0
-        val += tail
-    return val
+    if math.isfinite(a1):
+        return block(a_lo, a1)
+    if eps - 2.0 + 2.0 * max(tau.params.u0, 0.0) >= 0.0:
+        raise DivergentIntegral(
+            f"geometric side diverges as a -> infinity (eps={eps})")
+    # a first block where the integrand is 0 would stop outward at once
+    return outward(block, a_lo, 160.0, tol)
 
 
 def l2p_bound_check(tau: PeriodicDistribution, v, eps: float, a1,

@@ -1,7 +1,9 @@
 """Quadrature kernels: panelized Gauss-Legendre, Gauss-Jacobi, tanh-sinh,
-power-law tail completion, a vectorized complex generalized exponential
-integral, and the complex Gamma and log-Gamma functions; also the
-package's constants TWO_PI and BERNOULLI and its working tolerance
+the doubling rule that carries every a-integral to infinity
+(``outward``), a vectorized complex generalized exponential integral, the
+complex Gamma and log-Gamma functions, and the fitted power-law tail of
+``norms.intertwine_pair`` (``fit_powerlaw_tail``); also the package's
+constants TWO_PI and BERNOULLI and its working tolerance
 (``resolve_tol``).
 
 Every routine here is pure and vectorized over numpy arrays; integrands are
@@ -17,9 +19,10 @@ import os
 
 import numpy as np
 
-from .errors import AccuracyNotReached, ConfigInvalid
+from .errors import AccuracyNotReached, ConfigInvalid, DivergentIntegral
 
 TWO_PI = 2.0 * math.pi
+OUTWARD_DOUBLINGS = 96  # outward's reach: a factor 2^96, about 8e28
 # B_2, B_4, ..., B_16: the Stirling series of loggamma and the
 # Euler-Maclaurin corrections of coeffs.zeta
 BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
@@ -97,6 +100,30 @@ def gauss_panels(a: float, b: float, n_panels: int, order: int = 16):
     """Nodes and weights of a composite Gauss-Legendre rule on [a, b]."""
     edges = np.linspace(a, b, n_panels + 1)
     return gauss_rule(edges[:-1], edges[1:], order)
+
+
+def outward(chunk, lo, hi, tol):
+    """chunk(lo, hi) plus chunk(hi, 2 hi), chunk(2 hi, 4 hi), ... until one
+    piece adds less than 1e-3 tol of the total; never a truncated sum.
+    After OUTWARD_DOUBLINGS pieces it raises DivergentIntegral if the last
+    16 add no less than the 16 before (to 1e-9), else AccuracyNotReached
+    (``achieved``: the last 16's share).  Windows of 16 doublings judge a
+    log-periodic integrand (a^{i lambda}) by its trend, not its phase."""
+    total, pieces = chunk(lo, hi), []
+    for _ in range(OUTWARD_DOUBLINGS):
+        piece = chunk(hi, 2.0 * hi)
+        total += piece
+        hi *= 2.0
+        if abs(piece) < 1e-3 * tol * max(abs(total), 1e-300):
+            return total
+        pieces.append(piece)
+    last, before = abs(sum(pieces[-16:])), abs(sum(pieces[-32:-16]))
+    at = f"at a = {hi:.3g}: its last 16 doublings added {last:.3g}"
+    if last >= (1.0 - 1e-9) * before:
+        raise DivergentIntegral(
+            f"the a-integral still grows {at}, the 16 before {before:.3g}")
+    raise AccuracyNotReached(f"the a-integral has not converged {at} to "
+                             f"{total:.6g}", last / max(abs(total), 1e-300))
 
 
 @functools.lru_cache(maxsize=32)

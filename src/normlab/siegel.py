@@ -6,7 +6,8 @@ full period cells plus one remainder cell, so the unbounded t-range near
 a = 0 never appears in quadrature.  The plus region {a >= a1} is
 bracketed through the rotation by the Weyl element (which trades (T, a)
 for (-T, sqrt(T^2+1)/a)) and can also be integrated directly.  All of
-these and the Omega-windows share one a-rule (``_floor_integral``).
+these and the Omega-windows share one a-rule (``_floor_integral``).  They
+reach a = infinity by ``quadrature.outward`` alone; A_MIN cuts a -> 0.
 
 Every cell integral of a Whittaker model closes in lag form: the
 amplitudes sit on the integer numerator lattice, one FFT per K-type gives
@@ -38,15 +39,16 @@ import numpy as np
 
 from .automorphic import coeff_sum
 from .coeffs import zeta
-from .errors import (DivergentIntegral, EpsilonBarrier, MissingSymmetry,
-                     OutOfRange, UnboundedOmega)
+from .errors import (EpsilonBarrier, MissingSymmetry, OutOfRange,
+                     UnboundedOmega)
 from .fourier import fourier_transform_batch
 from .group import K_MASS
 from .norms import triple_norm
 from .principal import CayleySum, SmoothVector
-from .quadrature import gauss_panels, gauss_rule, resolve_tol, split_panels
+from .quadrature import (gauss_panels, gauss_rule, outward, resolve_tol,
+                         split_panels)
 
-A_MIN = 1e-4        # hard lower cutoff in a for region quadrature
+A_MIN = 1e-4        # declared a -> 0 cutoff of the minus region
 MAX_SEGMENTS = 2000  # floor-constant segments resolved exactly
 FM_CHUNK = 1 << 17  # point-coefficient pairs per Whittaker-value chunk
 
@@ -64,8 +66,8 @@ class RegionSpec:
     side: str = "minus"
 
     def __post_init__(self):
-        if not (math.isfinite(self.T1) and math.isfinite(self.eps)):
-            raise OutOfRange("T1 and eps must be finite")
+        if not (0 <= self.T1 < math.inf and math.isfinite(self.eps)):
+            raise OutOfRange("T1 must be finite and >= 0, eps finite")
         if not 0 < self.a1 < math.inf:  # also rejects nan
             raise OutOfRange("a1 must be positive and finite")
         if self.side not in ("minus", "plus", "full"):
@@ -282,26 +284,6 @@ def _segment_edges(T1, a1, period, a_lo=A_MIN):
     return lo[keep], hi[keep], j[:n][keep]
 
 
-def _outward(chunk, lo, hi, tol):
-    """chunk(lo, hi) plus chunks over doubling a-ranges past hi, until one
-    adds less than 1e-3 tol of the total or a reaches 1e4.  Raises
-    DivergentIntegral where a reaches 1e4 and the last doubling added no
-    less than the one before."""
-    total, prev = chunk(lo, hi), math.inf
-    while hi < 1e4:
-        piece = chunk(hi, 2.0 * hi)
-        total += piece
-        hi *= 2.0
-        if abs(piece) < 1e-3 * tol * max(abs(total), 1e-300):
-            break
-        if hi >= 1e4 and abs(piece) >= abs(prev):
-            raise DivergentIntegral(
-                f"the a-integral still grows at a = {hi:g}: the last "
-                f"doubling added {abs(piece):.3g}")
-        prev = piece
-    return total
-
-
 def _floor_integral(f, T_lo, T_hi, a_lo, a_hi, eps, tol, kinds=("exact",),
                     th=None, strict=False):
     r"""\int_{a_lo}^{a_hi} a^{2+eps} C(a) da/a for each of ``kinds``, over
@@ -399,10 +381,11 @@ def region_norm_plus_via_weyl(f, spec: RegionSpec, tol: float = None):
 
 def region_norm_plus_direct(f, spec: RegionSpec, tol: float = None) -> float:
     """Direct quadrature over the plus region {a >= a1, 0 <= T <= T1}:
-    the minus region's rule, extended outward until the integrand dies;
-    OutOfRange where more than MAX_SEGMENTS floor segments carry weight."""
+    the minus region's rule from a1, carried to infinity by
+    ``quadrature.outward``; OutOfRange where more than MAX_SEGMENTS floor
+    segments carry weight."""
     tol = resolve_tol(tol)
-    return _outward(lambda lo, hi: _floor_integral(
+    return outward(lambda lo, hi: _floor_integral(
         f, 0.0, spec.T1, lo, hi, spec.eps, tol, strict=True)[0],
         spec.a1, max(4.0 * spec.a1, 8.0), tol)
 
@@ -412,33 +395,35 @@ def region_norm_plus_weyl_exact(f, spec: RegionSpec,
     """The plus-region norm computed exactly through the Weyl flip:
     the transported region is {-T1 <= T' <= 0, a' <= sqrt(T'^2+1)/a1}
     with weight (sqrt(T'^2+1))^eps (a')^{-eps} dT' da'/a' dk.  It splits
-    into the rectangle a' <= 1/a1, on one log-a' grid shared by every T'
-    row, and the cap a' = sqrt(1+s^2)/a1, 0 <= s <= T1, where T' runs over
-    [-T1, -s] and da'/a' = s ds/(1+s^2), so no sqrt-kink at a' = 1/a1
-    meets the quadrature.  Exact for genuinely Weyl-symmetric f; for
-    asserted symmetry it is the value the symmetrized model would have."""
+    into the rectangle a' <= 1/a1 and the cap a' = sqrt(1+s^2)/a1,
+    0 <= s <= T1, where T' runs over [-T1, -s] and da'/a' = s ds/(1+s^2),
+    so no sqrt-kink at a' = 1/a1 meets the quadrature.  The rectangle runs
+    in b = 1/a' from a1 to infinity (``quadrature.outward``).  Exact for
+    genuinely Weyl-symmetric f; for asserted symmetry it is the value the
+    symmetrized model would have."""
     tol = resolve_tol(tol)
     _require_weyl(f)
     T1, a1, eps = spec.T1, spec.a1, spec.eps
     n_T = max(8, int(4 * T1) + 4)
     xu, wu = gauss_panels(0.0, 1.0, n_T, 12)  # unit rule for T' spans
-    blocks = []  # (a', T', weight), broadcast to (a'-rows, T'-nodes)
-    if a1 * A_MIN < 1.0:
-        lg, lw = gauss_panels(math.log(A_MIN), -math.log(a1),
-                              max(8, int(-4 * math.log(a1 * A_MIN))), 12)
-        blocks.append((np.exp(lg)[:, None], -T1 * xu[None, :],
-                       lw[:, None] * T1 * wu[None, :]))
-    s0 = math.sqrt(max((a1 * A_MIN) ** 2 - 1.0, 0.0))
-    if s0 < T1:
-        sg, sw = gauss_panels(s0, T1, max(4, n_T // 2), 12)
-        span = (T1 - sg)[:, None]
-        blocks.append((np.sqrt(1.0 + sg ** 2)[:, None] / a1,
-                       -sg[:, None] - span * xu[None, :],
-                       (sw * sg / (1.0 + sg ** 2))[:, None] * span * wu))
-    ap, Tp, w = (np.concatenate([np.broadcast_to(blk[i], blk[2].shape).ravel()
-                                 for blk in blocks]) for i in range(3))
-    w = w * (Tp ** 2 + 1.0) ** (0.5 * eps) * ap ** (-eps)
-    return float(np.sum(w * f.ksq(ap, Tp / ap ** 2, tol)))
+
+    def rows(ap, Tp, w):  # broadcast to (a'-rows, T'-nodes)
+        ap, Tp, w = (x.ravel() for x in np.broadcast_arrays(ap, Tp, w))
+        w = w * (Tp ** 2 + 1.0) ** (0.5 * eps) * ap ** (-eps)
+        return float(np.sum(w * f.ksq(ap, Tp / ap ** 2, tol)))
+
+    def rectangle(lo, hi):
+        lg, lw = gauss_panels(math.log(lo), math.log(hi),
+                              math.ceil(4 * math.log(hi / lo)), 12)
+        return rows(np.exp(-lg)[:, None], -T1 * xu[None, :],
+                    lw[:, None] * T1 * wu[None, :])
+
+    sg, sw = gauss_panels(0.0, T1, max(4, n_T // 2), 12)
+    span = (T1 - sg)[:, None]
+    cap = rows(np.sqrt(1.0 + sg ** 2)[:, None] / a1,
+               -sg[:, None] - span * xu[None, :],
+               (sw * sg / (1.0 + sg ** 2))[:, None] * span * wu)
+    return outward(rectangle, a1, 2.0 * a1, tol) + cap
 
 
 def region_norm_plus(f, spec: RegionSpec, tol: float = None) -> float:
@@ -460,7 +445,9 @@ def region_norm_full(f, spec: RegionSpec, tol: float = None) -> float:
 def main_constant(T1: float, eps: float, period: int) -> float:
     """The constructive constant: c = 1 + p (1+T1^2)/T1 makes
     floor(T1/(p a^2)) + 1 <= c T1/(p a^2) on 0 < a <= sqrt(1+T1^2);
-    the full constant is c * max(2, 1 + (sqrt(1+T1^2))^eps)."""
+    the full constant is c * max(2, 1 + (sqrt(1+T1^2))^eps); T1 > 0."""
+    if not T1 > 0:
+        raise OutOfRange(f"the main constant needs T1 > 0, got {T1:g}")
     c = 1.0 + period * (1.0 + T1 ** 2) / T1
     return c * max(2.0, 1.0 + math.sqrt(1.0 + T1 ** 2) ** eps)
 
@@ -472,6 +459,7 @@ def main_bound_check(f, T1: float, eps: float, tol: float = None) -> dict:
     tol = resolve_tol(tol)
     _require_weyl(f)
     p = f.period
+    constant = main_constant(T1, eps, p)
     lhs = region_norm_full(f, RegionSpec(T1, eps), tol)
     s = math.sqrt(1.0 + T1 ** 2)
     lg, lw = gauss_panels(math.log(A_MIN), math.log(s),
@@ -479,9 +467,9 @@ def main_bound_check(f, T1: float, eps: float, tol: float = None) -> dict:
     a = np.exp(lg)
     P = f.cell_integral(a, 0.0, float(p), tol)
     integral = float(np.sum(lw * (a ** eps + a ** (-eps)) * P))
-    rhs = main_constant(T1, eps, p) * integral
+    rhs = constant * integral
     return {"lhs": lhs, "rhs": rhs, "margin": rhs - lhs,
-            "constant": main_constant(T1, eps, p), "ok": lhs <= rhs}
+            "constant": constant, "ok": lhs <= rhs}
 
 
 def main2_check(tau, v: SmoothVector, T1: float, eps: float,
@@ -513,16 +501,17 @@ def main2_check(tau, v: SmoothVector, T1: float, eps: float,
 def omega_a_norm(f, omega, eps: float, tol: float = None) -> float:
     r"""\int_{Omega A} |f|^2 a^eps da/a dT dk for a compact
     omega = (theta_lo, theta_hi, T_lo, T_hi) in K x N, with theta_lo <=
-    theta_hi and T_lo <= T_hi: the region norm's rule over the T-window,
-    extended outward in a until a chunk adds nothing against its value."""
+    theta_hi and T_lo <= T_hi: the region norm's rule over the T-window
+    from a = A_MIN, carried to infinity by ``quadrature.outward``."""
     tol = resolve_tol(tol)
     th_lo, th_hi, T_lo, T_hi = omega
     if not all(map(math.isfinite, (th_lo, th_hi, T_lo, T_hi))):
         raise UnboundedOmega("omega must be a bounded subset of K x N")
     if th_lo > th_hi or T_lo > T_hi:
         raise OutOfRange("omega needs theta_lo <= theta_hi and T_lo <= T_hi")
-    return _outward(lambda lo, hi: _floor_integral(f, T_lo, T_hi, lo, hi, eps,
-                    tol, th=(th_lo, th_hi))[0], A_MIN, 8.0, tol)
+    return outward(lambda lo, hi: _floor_integral(
+        f, T_lo, T_hi, lo, hi, eps, tol, th=(th_lo, th_hi))[0],
+        A_MIN, 8.0, tol)
 
 
 def eisenstein_scenario(tau, lam: float, eps: float, T1: float,

@@ -178,3 +178,15 @@ def test_l2p_guards():
         l2p_bound_check(few, v, 0.5, 1.0)  # too few support points
     with pytest.raises(DivergentIntegral):
         l2p_bound_check(tau, v, 0.5, math.inf)  # a1^eps needs finite a1
+
+
+@pytest.mark.parametrize("u,eps", [
+    (0.5 + 0j, -0.5), (-0.5 + 0j, -0.5), (1j, -0.5), (1j, 1.0), (1j, 1.5)])
+def test_dual_path_identity_at_infinite_a1(u, eps):
+    # the geometric a-integral runs to infinity; at eps = 1.5 its
+    # integrand decays like a^{-0.5} times a log-periodic factor
+    tau = _tau({1: 1.0, -2: 0.5}, u=u)
+    v = _v(0, u)
+    spectral = p0_weighted_norm(tau, v, math.inf, eps, method="spectral")
+    geometric = p0_weighted_norm(tau, v, math.inf, eps, method="geometric")
+    assert geometric == pytest.approx(spectral, rel=1e-9, abs=0)

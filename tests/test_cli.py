@@ -90,6 +90,17 @@ def test_verify_whittaker_example(tmp_path):
     assert _report(out)["relError"] < 1e-6
 
 
+@pytest.mark.parametrize("eps", ["-1.5", "-0.5", "1", "1.5"])
+def test_verify_whittaker_at_infinite_a1(eps, tmp_path):
+    # one bound, 1e-6, for every a1; at a1 = inf both paths meet to 1e-9
+    out = tmp_path / "r.json"
+    assert main(["verify-whittaker", "--a1", "inf", "--eps", eps,
+                 "--out", str(out)]) == 0
+    rep = _report(out)
+    assert rep["checks"][0]["bound"] == 1e-6
+    assert rep["relError"] <= 1e-9
+
+
 def test_verify_whittaker_eps_zero_barrier(capsys):
     assert main(["verify-whittaker", "--eps", "0"]) == 2
     assert "eps" in capsys.readouterr().err
@@ -150,7 +161,9 @@ def test_gen_coeffs_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["region-norm", "--profile", "constant:2", "--side", "plus"],
+    # \int_1^inf a^{-1/2} da/a converges: the plus region of c = 2 is 16 pi
+    ["region-norm", "--profile", "constant:2", "--side", "plus",
+     "--eps", "-0.5"],
     ["gen-coeffs", "--model", "ramanujan-tau:N=5", "--out-coeffs", "P"],
 ])
 def test_report_without_checks_claims_nothing(argv, tmp_path):
@@ -159,6 +172,14 @@ def test_report_without_checks_claims_nothing(argv, tmp_path):
     assert main(argv + ["--out", str(out)]) == 0
     rep = _report(out)
     assert rep["checks"] == [] and rep["ok"] is None
+
+
+def test_divergent_plus_region_exits_3(capsys):
+    # at eps = 0.5 the same integral, \int_1^inf a^{1/2} da/a, diverges
+    assert main(["region-norm", "--profile", "constant:2", "--side",
+                 "plus", "--eps", "0.5"]) == 3
+    assert _one_line(capsys.readouterr().err,
+                     "normlab: numerical failure: the a-integral still grows")
 
 
 def test_regress_against_frozen_tables():
@@ -255,6 +276,11 @@ def test_sin_series_oracle_check_can_fail(monkeypatch, tmp_path):
     # a reversed omega window
     ["omega-norm", "--omega", "0,6.283185307179586,1,0"],
     ["omega-norm", "--omega", "6.283185307179586,0,0,1"],
+    # a negative T1
+    ["region-norm", "--T1", "-1", "--side", "full", "--assert-weyl"],
+    ["weyl-bracket", "--T1", "-1", "--assert-weyl"],
+    ["main2-scan", "--T1", "-1"],
+    ["eisenstein", "--T1", "-1"],
 ])
 def test_malformed_input_exits_2(argv, tmp_path, capsys):
     argv = _materialize(argv, tmp_path)

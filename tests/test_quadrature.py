@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 import normlab
-from normlab.quadrature import gamma, gauss_jacobi, loggamma
+from normlab.errors import AccuracyNotReached, DivergentIntegral
+from normlab.quadrature import gamma, gauss_jacobi, loggamma, outward
 
 EPS = np.finfo(float).eps
 
@@ -127,3 +129,61 @@ def test_import_loads_no_scipy():
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _power_chunk(k, lam=None):
+    r"""\int_lo^hi a^{-k} da/a, times cos^2(lam log a) when lam is given,
+    in closed form; with x = log a, the modulated antiderivative is
+    -e^{-kx}/(2k) + e^{-kx}(2 lam sin 2 lam x - k cos 2 lam x)
+    / (2(k^2 + 4 lam^2))."""
+    def prim(a):
+        x = math.log(a)
+        if lam is None:
+            return x if k == 0 else -math.exp(-k * x) / k
+        flat = x / 2 if k == 0 else -math.exp(-k * x) / (2 * k)
+        return flat + math.exp(-k * x) * (
+            2 * lam * math.sin(2 * lam * x) - k * math.cos(2 * lam * x)) \
+            / (2 * (k * k + 4 * lam * lam))
+    return lambda lo, hi: prim(hi) - prim(lo)
+
+
+@pytest.mark.parametrize("lam", [None, 0.3, 3.0])
+@pytest.mark.parametrize("k", [0.5, 2.0])
+def test_outward_converges_on_power_chunks(k, lam):
+    # \int_1^inf a^{-k} da/a = 1/k; with cos^2(lam log a), 1/(2k) plus
+    # k/(2(k^2 + 4 lam^2))
+    want = 1 / k if lam is None else \
+        0.5 / k + k / (2 * (k * k + 4 * lam * lam))
+    got = outward(_power_chunk(k, lam), 1.0, 2.0, 1e-10)
+    assert got == pytest.approx(want, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("lam", [None, 0.3, 3.0])
+def test_outward_raises_where_the_cap_is_too_near(lam):
+    # a^{-0.03} loses 0.03 of its size per unit log a: past 2^96 a
+    # tenth of the integral is still to come
+    with pytest.raises(AccuracyNotReached, match="not converged") as info:
+        outward(_power_chunk(0.03, lam), 1.0, 2.0, 1e-8)
+    assert info.value.achieved > 1e-3
+
+
+@pytest.mark.parametrize("chunk", [
+    lambda lo, hi: 1.0,
+    _power_chunk(0.0),
+    _power_chunk(-0.01),
+])
+def test_outward_raises_on_a_growing_integral(chunk):
+    # a constant piece per doubling, \int da/a and \int a^{0.01} da/a
+    with pytest.raises(DivergentIntegral, match="still grows"):
+        outward(chunk, 1.0, 2.0, 1e-8)
+
+
+def test_outward_returns_a_zero_integral_at_once():
+    calls = []
+
+    def chunk(lo, hi):
+        calls.append((lo, hi))
+        return 0.0
+
+    assert outward(chunk, 1.0, 2.0, 1e-8) == 0.0
+    assert calls == [(1.0, 2.0), (2.0, 4.0)]

@@ -9,8 +9,9 @@ import pytest
 from normlab.automorphic import PeriodicDistribution
 from normlab.coeffs import (CoeffModel, generate, parse_model_spec,
                             ramanujan_tau_table)
-from normlab.errors import (DivergentIntegral, EpsilonBarrier,
-                            MissingSymmetry, OutOfRange, UnboundedOmega)
+from normlab.errors import (AccuracyNotReached, DivergentIntegral,
+                            EpsilonBarrier, MissingSymmetry, OutOfRange,
+                            UnboundedOmega)
 from normlab.group import KanCoords
 from normlab.modular import CuspProfile, delta_profile, reduce_to_fundamental
 from normlab.principal import ReprParams, SmoothVector
@@ -35,7 +36,7 @@ def _model(coeffs={1: 1.0, -2: 0.5}, u=1j, m=0, weyl=False):
 
 def test_region_spec_validation():
     for bad in ({"a1": -1.0}, {"a1": math.nan}, {"a1": math.inf},
-                {"T1": math.nan}, {"eps": math.inf}):
+                {"T1": math.nan}, {"T1": -1.0}, {"eps": math.inf}):
         with pytest.raises(OutOfRange):
             RegionSpec(**{"T1": 1.0, "eps": 0.5, **bad})
     with pytest.raises(OutOfRange):
@@ -704,3 +705,62 @@ def test_cusp_profile_genuine_weyl_symmetry():
         v1 = f.value(0.0, np.array([a]), np.array([T / a ** 2]))[0]
         v2 = f.value(0.0, np.array([ap]), np.array([Tp / ap ** 2]))[0]
         assert v2 == pytest.approx(v1, rel=1e-10)
+
+
+def test_main_bound_needs_positive_T1():
+    # its constant divides by T1
+    for T1 in (0.0, -1.0):
+        with pytest.raises(OutOfRange, match="T1"):
+            main_bound_check(ConstantFunction(1.0), T1, 0.5)
+
+
+@pytest.mark.parametrize("eps,a1,ref", [
+    (0.5, 1.0, 12.026258124933507), (1.0, 1.0, 32.56877650643619),
+    (0.5, 1e5, 2.84541067618053e-6)])
+def test_plus_direct_reaches_infinity(eps, a1, ref):
+    # the default CLI model; the brute-force rule runs to a = 1e30, past
+    # which the integrand, about a^{eps - 2}, adds below 1e-14 of the value
+    f = _model({1: 1.0})
+    got = region_norm_plus_direct(f, RegionSpec(1.0, eps, a1=a1,
+                                                side="plus"))
+    assert got == pytest.approx(ref, rel=1e-10, abs=0)
+    brute = _brute_region(f, 1.0, eps, [(a1, 1e30, 400, 1)])
+    assert brute == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("path", [region_norm_plus_direct,
+                                  region_norm_plus_weyl_exact])
+def test_plus_paths_on_a_constant(path):
+    # \int_{a1}^inf a^eps da/a = a1^eps / (-eps) for eps < 0, and
+    # divergent for eps >= 0
+    for c, T1 in ((1.0, 1.0), (2.0, 0.3)):
+        f = ConstantFunction(c)
+        for eps in (-0.5, -1.0):
+            for a1 in (1.0, 2e4):
+                got = path(f, RegionSpec(T1, eps, a1=a1, side="plus"))
+                want = TWO_PI * c * c * T1 * a1 ** eps / -eps
+                assert got == pytest.approx(want, rel=1e-10, abs=0)
+        for eps in (0.0, 0.5):
+            with pytest.raises(DivergentIntegral, match="still grows"):
+                path(f, RegionSpec(T1, eps, side="plus"))
+
+
+@pytest.mark.parametrize("call", [
+    # ksq ~ a^{-2} at large a, times a log-periodic factor from u = i:
+    # a^{-0.1} and a^{-0.03} decay too slowly for 2^96
+    lambda: region_norm_plus_direct(_model({1: 1.0}),
+                                    RegionSpec(1.0, 1.9, side="plus")),
+    lambda: omega_a_norm(_model({1: 1.0}, u=2j), (0.0, TWO_PI, 0.0, 1.0),
+                         1.97),
+])
+def test_slowly_converging_a_integral_raises(call):
+    with pytest.raises(AccuracyNotReached, match="not converged"):
+        call()
+
+
+def test_plus_weyl_exact_far_from_the_origin():
+    # at a1 = 2e4 every flipped a' is below 1e-4, where the model is 0
+    f = _model({1: 1.0}, weyl=True)
+    for a1 in (1.5e4, 2e4):
+        assert region_norm_plus_weyl_exact(
+            f, RegionSpec(1.0, 0.5, a1=a1, side="plus")) == 0.0
