@@ -23,7 +23,7 @@ from .automorphic import (PeriodicDistribution, coeff_sums, p0_weighted_norm,
                           whittaker_eval)
 from .coeffs import CoeffModel, generate, parse_model_spec
 from .errors import (ConfigInvalid, EpsilonBarrier, InvalidInput,
-                     NormlabError)
+                     NormlabError, OutOfRange)
 from .fourier import (series_coefficient_quadrature, signed_sin_power_series,
                       sin_power_series)
 from .group import (KanCoords, decompose_kan, decompose_kna, measure_weight,
@@ -149,6 +149,8 @@ def cmd_intertwine(p, tol):
                                "the two Gamma closed forms agree to 1e-10")]
               if abs(m) <= 100 else []}
     if p["numeric"]:
+        if u.imag != 0.0:
+            raise OutOfRange(f"--numeric needs a real u, got --u1 {u.imag:g}")
         xs = np.linspace(-2.0, 2.0, 9)
         av = intertwine_apply(SmoothVector.single(2 * m, u), u.real, xs, tol)
         target = ktype_eval(2 * m, -u, "+", xs)

@@ -14,7 +14,7 @@ class NonUnimodular(NormlabError):
     """Input matrix is not in SL(2,R) within tolerance."""
 
 
-class UnknownChart(NormlabError):
+class UnknownChart(InvalidInput):
     """Unrecognized coordinate chart name."""
 
 
@@ -41,11 +41,11 @@ class AccuracyNotReached(NormlabError):
         self.achieved = achieved
 
 
-class ZeroFrequency(NormlabError):
+class ZeroFrequency(InvalidInput):
     """Frequency n = 0 requested where the constant term is excluded."""
 
 
-class NonIntegrableExponent(NormlabError):
+class NonIntegrableExponent(InvalidInput):
     """Re(s) <= -1 makes |sin theta|^s non-integrable."""
 
 

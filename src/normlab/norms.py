@@ -23,8 +23,8 @@ from .errors import (AccuracyNotReached, BadParameterRange,
 from .fourier import fourier_transform_batch
 from .group import K_MASS
 from .principal import CayleySum, ReprParams, SmoothVector, as_cayley
-from .quadrature import (TWO_PI, fit_powerlaw_tail, gauss_jacobi,
-                         gauss_panels, gauss_rule, resolve_tol, tanh_sinh_map)
+from .quadrature import (TWO_PI, gauss_jacobi, gauss_panels, gauss_rule,
+                         power_tail, resolve_tol, tanh_sinh_map)
 from .quadrature import _sinpi
 from .quadrature import gamma as _gamma
 from .quadrature import loggamma as _loggamma
@@ -214,8 +214,12 @@ def intertwine_pair(phi, psi, u: float, tol: float = None,
                     method: str = "quadrature"):
     """(phi, psi)_u = <A_u phi, conj(psi)>, conjugate-linear in psi.
 
-    method="quadrature": x-integral of (A_u phi)(x) conj(psi(x)) with
-    power-law tail completion -- fully independent of the eigenvalues.
+    method="quadrature": the x-integral of (A_u phi)(x) conj(psi(x)),
+    independent of the eigenvalues: GL panels on |x| <= 150, and past
+    them :func:`quadrature.power_tail` on both sides, exact for phi in
+    P(u, +) and psi's terms sharing one real alpha+beta.  Outside that
+    domain it raises OutOfRange, and DivergentIntegral where psi's
+    alpha+beta <= u, both before the quadrature.
     method="spectral": pi * sum_m c_m conj(d_m) c_{2m}^{(u)} for two
     even-parity SmoothVectors with matching u.
     """
@@ -230,25 +234,26 @@ def intertwine_pair(phi, psi, u: float, tol: float = None,
             if d is not None:
                 total += c * np.conj(d) * intertwine_constant(m // 2, u)
         return math.pi * total
-    tol = resolve_tol(tol)
     ps = as_cayley(psi)
+    sig = np.array([al + be for al, be in ps.terms])
+    if np.ptp(sig.real) + np.max(np.abs(sig.imag)) > _POLE_EPS:
+        raise OutOfRange(f"psi's terms need one real alpha+beta, got {sig}")
+    for al, be in as_cayley(phi).terms:
+        m = be - al
+        if abs(al + be - 1.0 - u) + abs(m - 2 * round(m.real / 2)) > _POLE_EPS:
+            raise OutOfRange(f"phi is not in P({u:g}, +): a term has "
+                             f"alpha+beta = {al + be:g}, weight {m:g}")
+
+    def both_sides(x):  # the integrand at x plus at -x, in one apply call
+        xs = np.concatenate([x, -x])
+        vals = intertwine_apply(phi, u, xs, tol) * np.conj(ps(xs))
+        return vals[:len(x)] + vals[len(x):]
+
     X = 150.0
+    tail = power_tail(both_sides, X, sig[0].real - 1.0 - u)
     nx, wx = gauss_panels(-X, X, 200, 16)
-    av = intertwine_apply(phi, u, nx, tol)
-    integrand_vals = av * np.conj(ps(nx))
-    core = np.sum(wx * integrand_vals)
-
-    def integrand(xa):
-        return intertwine_apply(phi, u, xa, tol) * np.conj(ps(xa))
-
-    t_up, e_up = fit_powerlaw_tail(lambda xa: np.abs(integrand(xa)), X)
-    # attach the phase of the integrand at the cut to the magnitude tail
-    ph_up = integrand(np.array([X * 1.05]))[0]
-    ph_lo = integrand(np.array([-X * 1.05]))[0]
-    t_lo, e_lo = fit_powerlaw_tail(lambda xa: np.abs(integrand(-xa)), X)
-    tails = t_up * ph_up / max(abs(ph_up), 1e-300) \
-        + t_lo * ph_lo / max(abs(ph_lo), 1e-300)
-    return core + tails
+    return np.sum(wx * intertwine_apply(phi, u, nx, tol) * np.conj(ps(nx))) \
+        + tail
 
 
 # ---------------------------------------------------------------------------

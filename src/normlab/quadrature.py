@@ -1,8 +1,8 @@
 """Quadrature kernels: panelized Gauss-Legendre, Gauss-Jacobi, tanh-sinh,
 the doubling rule that carries every a-integral to infinity
 (``outward``), a vectorized complex generalized exponential integral, the
-complex Gamma and log-Gamma functions, and the fitted power-law tail of
-``norms.intertwine_pair`` (``fit_powerlaw_tail``); also the package's
+complex Gamma and log-Gamma functions, and the exact power-series tail
+``power_tail`` that completes ``norms.intertwine_pair``; also the package's
 constants TWO_PI and BERNOULLI and its working tolerance
 (``resolve_tol``).
 
@@ -69,7 +69,7 @@ def gauss_jacobi(n: int, alpha: float, beta: float):
     Jacobi matrix, and each weight is the weight's total mass times the
     squared first component of its eigenvector.  Against a 40-digit
     oracle at n in {16, 24}, alpha = 0 and beta = u - 1, u in [0.05,
-    0.8]: nodes within 6e-16, weights within 7e-14 relative."""
+    1.5]: nodes within 7e-16, weights within 7e-14 relative."""
     k = np.arange(1, n)
     ab = alpha + beta
     s = 2.0 * k + ab
@@ -377,23 +377,14 @@ def expint(s, z):
     return out.reshape(shape)[()]
 
 
-def fit_powerlaw_tail(f, A):
-    r"""Estimate \int_A^inf f assuming f ~ C x^p.
-
-    Fits p from probe samples at A 1.6^k, k < 4; returns (tail_estimate,
-    reliability_error).
-    """
-    xs = A * 1.6 ** np.arange(4)
-    ys = np.array([float(np.real(f(np.array([x]))[0])) for x in xs])
-    if np.any(ys <= 0):
-        return 0.0, float(np.max(np.abs(ys)) * A)
-    p = np.polyfit(np.log(xs), np.log(ys), 1)[0]
-    C = ys[0] / xs[0] ** p
-    if p >= -1.001:
-        raise AccuracyNotReached(
-            f"tail exponent {p:.3f} too shallow to complete", achieved=None)
-    est = -C * A ** (p + 1.0) / (p + 1.0)
-    # reliability: spread of local exponent over the probe window
-    local = np.diff(np.log(ys)) / np.diff(np.log(xs))
-    err = float(abs(est) * (np.max(local) - np.min(local)))
-    return float(est), err
+def power_tail(f, X, beta):
+    r"""\int_X^inf f for f(x) = x^{-(2+beta)} (a power series in 1/x) and
+    an array-valued f: with x = X/s it is X \int_0^1 s^beta [f(X/s)
+    s^{-2-beta}] ds, the bracket analytic in s, on the 16-point
+    Gauss-Jacobi (0, beta) rule in s = (1+t)/2.  Raises DivergentIntegral
+    for beta <= -1."""
+    if beta <= -1.0:
+        raise DivergentIntegral(f"the tail diverges: beta = {beta:g} <= -1")
+    t, w = gauss_jacobi(16, 0.0, beta)
+    s = 0.5 * (1.0 + t)
+    return X * 2.0 ** (-1.0 - beta) * np.sum(w * f(X / s) * s ** (-2.0 - beta))

@@ -281,6 +281,11 @@ def test_sin_series_oracle_check_can_fail(monkeypatch, tmp_path):
     ["weyl-bracket", "--T1", "-1", "--assert-weyl"],
     ["main2-scan", "--T1", "-1"],
     ["eisenstein", "--T1", "-1"],
+    # the kernel runs at real u only
+    ["intertwine", "--u", "0.5", "--u1", "1", "--numeric"],
+    # |sin theta|^s is not integrable for Re(s) <= -1
+    ["sin-series", "--s", "-1"],
+    ["sin-series", "--s", "-1.5", "--signed"],
 ])
 def test_malformed_input_exits_2(argv, tmp_path, capsys):
     argv = _materialize(argv, tmp_path)
@@ -357,7 +362,9 @@ def test_exit_code_follows_the_error_base(exc, monkeypatch, capsys):
 def _bad_library_calls():
     from normlab.automorphic import p0_weighted_norm
     from normlab.coeffs import CoeffModel, parse_model_spec
-    from normlab.group import diagonal, weyl_flip
+    from normlab.fourier import regularized_pairing, sin_power_series
+    from normlab.group import (decompose_kan, diagonal, measure_weight,
+                               weyl_flip)
     from normlab.principal import ReprParams, SmoothVector
     params = ReprParams(1j, "+")
     tau = PeriodicDistribution(1, {1: 1.0}, params)
@@ -373,6 +380,11 @@ def _bad_library_calls():
         "weyl-flip": lambda: weyl_flip(1.0, -1.0),
         "p0-method": lambda: p0_weighted_norm(
             tau, SmoothVector.single(0, -1j), 1.0, 0.5, None, "bogus"),
+        "sin-exponent": lambda: sin_power_series(-1.5, 4),
+        "zero-frequency": lambda: regularized_pairing(
+            0, SmoothVector.single(0, 1j)),
+        "chart": lambda: measure_weight("bogus",
+                                        decompose_kan(diagonal(2.0))),
     }
 
 

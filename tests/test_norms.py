@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -115,8 +116,30 @@ def test_intertwine_pair_spectral_vs_quadrature(u):
     psi = SmoothVector(ReprParams(u, "+"), {0: 0.8, 2: -0.3 + 0.1j})
     spec = intertwine_pair(phi, psi, u, method="spectral")
     quad = intertwine_pair(phi, psi, u, method="quadrature")
-    assert quad == pytest.approx(spec, rel=1e-5)
+    assert quad == pytest.approx(spec, rel=1e-10)
     del lam
+
+
+@pytest.mark.parametrize("phi,psi,exc", [
+    # psi decays like |x|^-0.4: the integrand like |x|^-0.9
+    (SmoothVector.single(0, 0.5), CayleySum({(0.2, 0.2): 1.0}),
+     DivergentIntegral),
+    # psi's exponent sum is complex
+    (SmoothVector.single(0, 0.5), SmoothVector.single(0, 0.3 + 0.4j),
+     OutOfRange),
+    # psi's terms have two exponent sums
+    (SmoothVector.single(0, 0.5),
+     CayleySum.ktype(0, 0.5) + CayleySum.ktype(2, 0.3), OutOfRange),
+    # phi is not in P(0.5, +): another u, an odd weight
+    (SmoothVector.single(0, 0.3), SmoothVector.single(0, 0.5), OutOfRange),
+    (SmoothVector.single(1, 0.5), SmoothVector.single(1, 0.5), OutOfRange),
+])
+def test_intertwine_pair_refuses_outside_its_domain(phi, psi, exc):
+    # refused before the quadrature, which takes seconds
+    t0 = time.perf_counter()
+    with pytest.raises(exc):
+        intertwine_pair(phi, psi, 0.5)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_intertwine_pair_single_ktype_closed_form():

@@ -9,7 +9,8 @@ import pytest
 
 import normlab
 from normlab.errors import AccuracyNotReached, DivergentIntegral
-from normlab.quadrature import gamma, gauss_jacobi, loggamma, outward
+from normlab.quadrature import (gamma, gauss_jacobi, loggamma, outward,
+                                power_tail)
 
 EPS = np.finfo(float).eps
 
@@ -98,9 +99,9 @@ def _jacobi_oracle(n, alpha, beta, x0):
 
 
 @pytest.mark.parametrize("n", [16, 24])
-@pytest.mark.parametrize("u", [0.05, 0.2, 0.5, 0.8])
+@pytest.mark.parametrize("u", [0.05, 0.2, 0.5, 0.8, 1.0, 1.5])
 def test_gauss_jacobi_against_40_digit_oracle(n, u):
-    # measured: nodes within 6e-16, weights within 7e-14 relative
+    # measured: nodes within 7e-16, weights within 7e-14 relative
     x, w = gauss_jacobi(n, 0.0, u - 1.0)
     xo, wo = _jacobi_oracle(n, 0.0, u - 1.0, x)
     assert max(abs(float(a - b)) for a, b in zip(x, xo)) <= 4 * EPS
@@ -108,7 +109,7 @@ def test_gauss_jacobi_against_40_digit_oracle(n, u):
 
 
 @pytest.mark.parametrize("n", [16, 24])
-@pytest.mark.parametrize("u", [0.05, 0.2, 0.5, 0.8])
+@pytest.mark.parametrize("u", [0.05, 0.2, 0.5, 0.8, 1.0, 1.5])
 def test_gauss_jacobi_integrates_polynomials_exactly(n, u):
     # int_{-1}^1 (1+x)^k (1+x)^(u-1) dx = 2^(u+k) / (u+k), k <= 2n - 1
     x, w = gauss_jacobi(n, 0.0, u - 1.0)
@@ -116,6 +117,23 @@ def test_gauss_jacobi_integrates_polynomials_exactly(n, u):
     got = w @ (1.0 + x)[:, None] ** k
     rel = np.abs(got / (2.0 ** (u + k) / (u + k)) - 1.0)
     assert np.max(rel) <= 1e-13  # measured: 1.4e-14
+
+
+@pytest.mark.parametrize("X", [1.5, 10.0, 150.0])
+@pytest.mark.parametrize("f,beta,exact", [
+    (lambda x: 1.0 / (1.0 + x * x), 0.0, lambda X: math.atan(1.0 / X)),
+    (lambda x: x ** -2.5 * (1.0 + 1.0 / x), 0.5,
+     lambda X: X ** -1.5 / 1.5 + X ** -2.5 / 2.5),
+    (lambda x: x ** -1.5, -0.5, lambda X: 2.0 / math.sqrt(X)),
+])
+def test_power_tail_closed_forms(f, beta, exact, X):
+    # int_X^inf f for f = x^-(2+beta) (a power series in 1/x)
+    assert power_tail(f, X, beta) == pytest.approx(exact(X), rel=1e-14)
+
+
+def test_power_tail_refuses_beta_at_most_minus_one():
+    with pytest.raises(DivergentIntegral):
+        power_tail(lambda x: 1.0 / x, 10.0, -1.0)
 
 
 def test_import_loads_no_scipy():
