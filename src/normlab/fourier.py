@@ -66,6 +66,14 @@ def _tail_order(cs: CayleySum, X: float, tol: float):
     return J, b, series
 
 
+def live_edge(cs: CayleySum, tol: float = None) -> float:
+    """(max(50, 4 ln(1/tol)) + w) / (2 pi) at K-type weight w: as cs has
+    poles at x = +-i, |F[cs](xi)| decays like e^{-2 pi |xi|}, and from this
+    |xi| on :func:`fourier_transform_batch` returns exact zeros."""
+    w = cs.max_weight
+    return (max(50.0, 4.0 * math.log(1.0 / resolve_tol(tol))) + w) / TWO_PI
+
+
 def fourier_transform(v, xi: float, tol: float = None):
     """F[v](xi) for a CayleySum or SmoothVector (anything else raises
     TypeError).  Returns a complex value; raises NotIntegrable when the
@@ -74,7 +82,7 @@ def fourier_transform(v, xi: float, tol: float = None):
 
 
 def fourier_transform_batch(v, xis, tol: float = None, return_err: bool = False):
-    """Vectorized F[v] over an array of frequencies.
+    """Vectorized F[v] over an array of frequencies, 0 past ``live_edge``.
 
     Returns (values, max_error_estimate, meta) when return_err, else
     values.  The estimate is the largest change of the panel sum when the
@@ -88,13 +96,10 @@ def fourier_transform_batch(v, xis, tol: float = None, return_err: bool = False)
         raise NotIntegrable(
             f"F[v](0) diverges: decay exponent {cs.min_decay:.3f} <= 1")
     mw = cs.max_weight
-    # the integrand extends to poles at x = +-i, so |F[v](xi)| decays
-    # like e^{-2 pi |xi|}; frequencies whose value is provably far below
-    # tol^2 are returned as 0 with the bound folded into the error
-    thresh = max(50.0, 4.0 * math.log(1.0 / tol)) + mw
-    live = TWO_PI * np.abs(xis) < thresh
+    edge = live_edge(cs, tol)
+    live = np.abs(xis) < edge
     out = np.zeros(xis.shape, dtype=complex)
-    err = 0.0 if np.all(live) else math.exp(-thresh + mw) * sum(
+    err = 0.0 if np.all(live) else math.exp(mw - TWO_PI * edge) * sum(
         abs(c) for c in cs.terms.values())
     oms = TWO_PI * xis[live]
     if oms.size:

@@ -278,12 +278,13 @@ def _xi_grid(mw: float, lo: float, tol: float):
     (l, (x, w) coarse, [(x, w) new, one per level], (x, w) GL, Xi).
 
     The predicted level is the smallest k >= l whose rule, 2^(k+1) + 1
-    nodes, has 16 per zero of |Fv|^2 on (0, 1] and 16 more: there are
-    about (2/pi) sqrt(2 pi mw) such zeros.  At weight mw, |Fv|^2 has
-    about sqrt(2 mw / (pi xi)) zeros per unit length in xi, and a
-    16-point panel integrates about five of them to 1e-11.  Unit-width
-    panels hold at most five past the point xi_fine = 2 mw / (25 pi);
-    [1, xi_fine] gets panels sized for the density at xi = 1.
+    nodes, has 16 per zero of |Fv|^2 on (0, 1] and 16 more (at tol >=
+    1e-6, 13.25 and 25, as levels 7 and 8 are accepted there from weights
+    24 and 120 on): there are about (2/pi) sqrt(2 pi mw) such zeros.  At
+    weight mw, |Fv|^2 has about sqrt(2 mw / (pi xi)) zeros per unit length
+    in xi, and a 16-point panel integrates about five of them to 1e-11.
+    Unit-width panels hold at most five past the point xi_fine = 2 mw /
+    (25 pi); [1, xi_fine] gets panels sized for the density at xi = 1.
     """
     level = 6 if tol >= 1e-8 else 7
     Xi = _xi_end(mw, lo)
@@ -300,7 +301,8 @@ def _xi_grid(mw: float, lo: float, tol: float):
     if lo >= 1.0:
         empty = (np.empty(0), np.empty(0))
         return level, empty, [empty], gl, Xi
-    need = math.ceil(16.0 * (2.0 / math.pi * math.sqrt(TWO_PI * mw) + 1.0))
+    per, more = (13.25, 1.9) if tol >= 1e-6 else (16.0, 1.0)
+    need = math.ceil(per * (2.0 / math.pi * math.sqrt(TWO_PI * mw) + more))
     top = min(max(level, (need - 1).bit_length() - 1), _XI_MAX_LEVEL)
     return (level, tanh_sinh_map(lo, 1.0, level - 1),
             [tanh_sinh_map(lo, 1.0, k, new_only=True)

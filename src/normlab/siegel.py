@@ -14,7 +14,8 @@ amplitudes sit on the integer numerator lattice, one FFT per K-type gives
 their lag sums R(D), and a cell is sum_D R(D) Phi_t(D).  For L lattice
 points and M K-types this costs O(a-nodes M (L log L + M L)) time and
 O(a-nodes M L) memory, so region norms scale with the number of
-coefficients rather than with its square.
+coefficients rather than with its square.  Only live a-nodes count: one
+past the transform's zero edge (``fourier.live_edge``) gives 0.0 free.
 
 Every quadrature sits on a-grids whose amplitudes Fv_m(-n a^{-2}) are
 transformed once per call: a cell call takes stacked t-windows (the full
@@ -41,7 +42,7 @@ from .automorphic import coeff_sum
 from .coeffs import zeta
 from .errors import (EpsilonBarrier, MissingSymmetry, OutOfRange,
                      UnboundedOmega)
-from .fourier import fourier_transform_batch
+from .fourier import fourier_transform_batch, live_edge
 from .group import K_MASS
 from .norms import triple_norm
 from .principal import CayleySum, SmoothVector
@@ -144,6 +145,12 @@ class WhittakerModel:
         self.cm = np.array([v.coeffs[m] for m in self.ms], dtype=complex)
         self.js, self.ns, self.bs = tau.coefficient_arrays()
         self.harmonics = int(self.js[-1] - self.js[0])  # numerator span
+        self.cs = [CayleySum.ktype(m, self.v.params.u) for m in self.ms]
+
+    def _live(self, avals, tol):
+        """Live a-nodes: a batch-rounded |n| a^{-2} below the top live_edge."""
+        edge = max(live_edge(cs, tol) for cs in self.cs)
+        return (1.0 / avals ** 2) * np.min(np.abs(self.ns)) < edge
 
     def _amplitudes(self, avals, tol):
         """A[i_m, i_a, i_n] = Fv_m(-n a^{-2}), one transform batch per
@@ -152,30 +159,33 @@ class WhittakerModel:
         xi = (-np.outer(1.0 / ua ** 2, self.ns)).ravel()
         out = np.empty((len(self.ms), len(avals), len(self.ns)),
                        dtype=complex)
-        for i, m in enumerate(self.ms):
-            cs = CayleySum.ktype(m, self.v.params.u)
+        for i, cs in enumerate(self.cs):
             fv = fourier_transform_batch(cs, xi, tol)
             out[i] = fv.reshape(len(ua), len(self.ns))[idx]
         return out
 
     def _fm(self, a_flat, t_flat, tol):
         """Per-K-type Whittaker values f_m(a n_t), shape (m, pts).  Each
-        distinct a is transformed once; the distinct a-values, and then
-        their points, go in chunks of FM_CHUNK point-coefficient pairs,
-        so memory stays bounded whatever the number of points.  The phases
-        cost one exponential per point (``_lattice_phases``); their power
-        tables add about 2 sqrt(max |j|) entries to a point's row, which a
-        point chunk counts, so a sparse lattice such as {1, 4096} gets
-        short ones."""
+        distinct live a (``_live``) is transformed once, a dead one gives
+        0; the distinct a-values, and then their points, go in chunks of
+        FM_CHUNK point-coefficient pairs, so memory stays bounded whatever
+        the number of points.  The phases cost one exponential per point
+        (``_lattice_phases``); their power tables add about 2 sqrt(max
+        |j|) entries to a point's row, which a point chunk counts, so a
+        sparse lattice such as {1, 4096} gets short ones."""
         ua, inv = np.unique(a_flat, return_inverse=True)
         order = np.argsort(inv, kind="stable")
         first = np.searchsorted(inv[order], np.arange(len(ua) + 1))
-        out = np.empty((len(self.ms), len(a_flat)), dtype=complex)
+        out = np.zeros((len(self.ms), len(a_flat)), dtype=complex)
         step = max(1, FM_CHUNK // len(self.ns))
         row = len(self.ns) + 2 * math.isqrt(int(np.abs(self.js).max())) + 2
         pstep = max(1, FM_CHUNK // row)
-        for lo in range(0, len(ua), step):
-            hi = min(lo + step, len(ua))
+        # ua ascends, so the dead a-nodes lead; a chunk keeps its live ones
+        dead = len(ua) - np.count_nonzero(self._live(ua, tol))
+        for c0 in range(0, len(ua), step):
+            lo, hi = max(c0, dead), min(c0 + step, len(ua))
+            if lo >= hi:
+                continue
             amp = self._amplitudes(ua[lo:hi], tol) * self.bs[None, None, :]
             pts = order[first[lo]:first[hi]]
             for q in range(0, len(pts), pstep):
@@ -220,7 +230,8 @@ class WhittakerModel:
         a-nodes)), which all read the same lag sums.  It costs O(a-nodes M
         (L log L + M L)) time, O(a-nodes L) per window with one complex
         exponential per a-node and window edge (``_lattice_phases``), and
-        O(M FM_CHUNK) memory: the a-nodes go in chunks of FM_CHUNK // L."""
+        O(M FM_CHUNK) memory: the a-nodes go in chunks of FM_CHUNK // L.
+        A dead a-node (``_live``) gives 0.0 with no transform, FFT or phase."""
         avals = np.atleast_1d(np.asarray(avals, dtype=float))
         t_lo, t_hi, _ = np.broadcast_arrays(np.asarray(t_lo, dtype=float),
                                             np.asarray(t_hi, dtype=float),
@@ -240,10 +251,12 @@ class WhittakerModel:
                  if th is not None or m == q]
         lags = np.arange(1 - L, L)  # negative lags index from the end
         z = -2j * math.pi * lags / self.period
-        out = np.empty(t_lo.shape)
+        out = np.zeros(t_lo.shape)
         step = max(1, FM_CHUNK // L)
         for c0 in range(0, len(avals), step):
-            sel = slice(c0, c0 + step)
+            sel = c0 + np.flatnonzero(self._live(avals[c0:c0 + step], tol))
+            if not len(sel):
+                continue
             a = avals[sel]
             lattice = np.zeros((len(mm), len(a), L), dtype=complex)
             lattice[..., self.js - self.js[0]] = (

@@ -17,7 +17,8 @@ from normlab.errors import (AccuracyNotReached, NonIntegrableExponent,
                             NotIntegrable, ZeroFrequency)
 from normlab.fourier import (_cayley_tails, _panel_core, _panel_sums,
                              _split_radius, _tail_order, fourier_transform,
-                             fourier_transform_batch, regularized_pairing,
+                             fourier_transform_batch, live_edge,
+                             regularized_pairing,
                              series_coefficient_quadrature,
                              signed_sin_power_series, sin_power_series)
 from normlab.group import KanCoords
@@ -76,6 +77,18 @@ def test_dead_zone_returns_zero_with_bound():
     assert vals[1] != 0.0
     # the analytic bound folded into the error covers the dropped value
     assert err < 1e-9
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("u", [0.5, -0.3, 0.7j, 0.2 + 0.4j])
+def test_live_edge_is_where_the_zeros_start(u, tol):
+    for m in (0, 1, 8, 63, 128, 256):
+        cs = CayleySum.ktype(m, u)
+        e = live_edge(cs, tol)
+        inside, outside = e - 1e-12, e + 1e-12
+        vals = fourier_transform_batch(
+            cs, np.array([inside, -inside, outside, -outside]), tol)
+        assert np.all(vals[:2] != 0.0) and np.all(vals[2:] == 0.0), m
 
 
 def test_zero_frequency_divergence():

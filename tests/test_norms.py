@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import normlab.norms
-from normlab.norms import _xi_integral
+from normlab.norms import _xi_grid, _xi_integral
 from normlab.errors import (BadParameterRange, DivergentIntegral, OutOfRange,
                             ParityMismatch, PoleParameter)
 from normlab.norms import (comp_norm, g_normalizer, g_normalizer_closed,
@@ -258,7 +258,8 @@ def test_multiplier_map_sampler_route_matches():
 
 @pytest.mark.parametrize("weight, tol, level", [
     (0, 1e-8, 6), (24, 1e-8, 7), (112, 1e-8, 8), (184, 1e-8, 8),
-    (256, 1e-8, 8), (0, 1e-10, 7), (60, 1e-10, 7)])
+    (256, 1e-8, 8), (0, 1e-10, 7), (60, 1e-10, 7), (24, 1e-6, 6),
+    (112, 1e-6, 7), (256, 1e-6, 8)])
 def test_comp_norm_transforms_once(monkeypatch, weight, tol, level):
     # the first transform batch holds the tanh-sinh levels the weight
     # predicts, so the xi refinement stops inside it: one engine call,
@@ -275,6 +276,27 @@ def test_comp_norm_transforms_once(monkeypatch, weight, tol, level):
     assert len(seen) == 1
     assert nv.meta["xi_level"] == level
     assert nv.meta["n_xi"] == seen[0]
+
+
+@pytest.mark.parametrize("tol,off", [
+    (1e-6, {}), (1e-8, {92: 1, 96: 1}), (1e-10, {88: -1})])
+def test_xi_grid_predicts_the_accepted_level(tol, off):
+    # the predicted level against the running maximum over the weights of
+    # the level accepted at a real and at a complex order: the accepted
+    # level dips below it where the refinement's estimate settles early
+    # (at 1e-6 and u = 0.5, weights 120, 132, ...).  A level too many
+    # costs unused nodes, one too few a second engine call.  ``off`` pins
+    # where the prediction at 1e-8 and 1e-10, kept as it was, parts from
+    # that maximum
+    top, got = 0, {}
+    for w in range(0, 257, 4):
+        for u in (0.5, 0.3j):
+            nv = comp_norm(CayleySum.ktype(w, u), 0.5, tol)
+            top = max(top, nv.meta["xi_level"])
+        level, _, new, _, _ = _xi_grid(w, 0.0, tol)
+        if level + len(new) - 1 != top:
+            got[w] = level + len(new) - 1 - top
+    assert got == off
 
 
 @pytest.mark.parametrize("weight,p", [(4, 0.25), (4, -0.25), (40, 0.3)])

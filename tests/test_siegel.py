@@ -12,9 +12,10 @@ from normlab.coeffs import (CoeffModel, generate, parse_model_spec,
 from normlab.errors import (AccuracyNotReached, DivergentIntegral,
                             EpsilonBarrier, MissingSymmetry, OutOfRange,
                             UnboundedOmega)
+from normlab.fourier import fourier_transform_batch, live_edge
 from normlab.group import KanCoords
 from normlab.modular import CuspProfile, delta_profile, reduce_to_fundamental
-from normlab.principal import ReprParams, SmoothVector
+from normlab.principal import CayleySum, ReprParams, SmoothVector
 from normlab.quadrature import gauss_panels
 from normlab.siegel import (A_MIN, MAX_SEGMENTS, ConstantFunction,
                             RegionSpec, WhittakerModel, _lattice_phases,
@@ -212,6 +213,59 @@ def test_region_norm_transforms_at_its_tol(monkeypatch):
     monkeypatch.setattr(siegel, "fourier_transform_batch", recording)
     region_norm_minus(_model(), RegionSpec(1.0, 0.5), tol=1e-10)
     assert tols == {1e-10}
+
+
+@pytest.mark.parametrize("u,ktypes", [
+    (0.5, {0: 1.0}), (0.5, {2: 1.0, 8: 0.4j}), (0.7j, {64: 1.0}),
+    (0.7j, {0: 1.0, 256: 0.5 - 0.5j})])
+def test_dead_a_nodes_are_zero_and_leave_the_live_ones_alone(u, ktypes):
+    # an a-grid (unsorted) across the edge where the smallest frequency
+    # n_min a^{-2} = 0.5 a^{-2} meets the top K-type's live_edge; a node
+    # is dead when the engine gives an exact 0 for every amplitude
+    tau = PeriodicDistribution(2, {1: 1.0, -3: 0.5, 4: 0.2j},
+                               ReprParams(u, "+"))
+    model = WhittakerModel(tau, SmoothVector(ReprParams(-u, "+"), ktypes))
+    edge = max(live_edge(CayleySum.ktype(m, -u)) for m in ktypes)
+    a = math.sqrt(0.5 / edge) * np.random.default_rng(5).permutation(
+        np.geomspace(0.5, 2.0, 48))
+    xi = -np.outer(1.0 / a ** 2, model.ns).ravel()
+    dead = np.all([fourier_transform_batch(CayleySum.ktype(m, -u), xi)
+                   .reshape(len(a), -1) == 0 for m in ktypes], axis=(0, 2))
+    assert 0 < np.count_nonzero(dead) < len(a)
+    t = np.linspace(-0.7, 0.9, len(a))
+    theta = np.linspace(0.0, 6.0, len(a))
+    t_lo = np.stack([np.zeros_like(a), t])
+    calls = [lambda k: model.ksq(a[k], t[k]),
+             lambda k: model.value(theta[k], a[k], t[k]),
+             lambda k: model.cell_integral(a[k], t_lo[:, k], 1.3),
+             lambda k: model.cell_integral(a[k], t[k], 1.3, th=(0.3, 2.0))]
+    for call in calls:
+        whole = call(slice(None))
+        assert np.all(whole[..., dead] == 0.0)
+        assert np.array_equal(whole[..., ~dead], call(~dead))
+
+
+def test_work_counts_skip_the_dead_a_nodes(monkeypatch):
+    import normlab.siegel as siegel
+    model = _cell_table("divisor16", weyl=True)
+    freqs = []
+    real = siegel.fourier_transform_batch
+
+    def counting(v, xis, tol=None, **kw):
+        freqs.append(np.size(xis))
+        return real(v, xis, tol, **kw)
+
+    monkeypatch.setattr(siegel, "fourier_transform_batch", counting)
+    # |n| a^{-2} >= 25 > live_edge (about 12) at every node
+    a = np.geomspace(A_MIN, 0.2, 40)
+    assert not np.any(model.ksq(a, 0.3))
+    assert not np.any(model.value(0.4, a, 0.3))
+    assert not np.any(model.cell_integral(a, 0.0, 1.0))
+    assert freqs == []
+    # deterministic counts; transforming the dead nodes too took 12 calls
+    # and 197,120 frequencies
+    main_bound_check(model, 1.0, 0.5)
+    assert (len(freqs), sum(freqs)) == (10, 28352)
 
 
 def _ktype_pair_model(spec):
