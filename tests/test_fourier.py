@@ -406,9 +406,11 @@ def _panel_count(cs, xis, tol):
 
 _MIXED = (CayleySum.ktype(6, 0.4) + CayleySum.ktype(
     4, 0.4, 0.5 - 0.25j).times_power(1.5, 0.5))
+# real exponents and coefficients: the half pass
+_REAL2 = (CayleySum.ktype(6, 0.4) + CayleySum.ktype(
+    4, 0.4, 0.5).times_power(1.5, 0.5))
 
-
-@pytest.mark.parametrize("cs,xis,tol,n_max,wraps", [
+_PANEL_CASES = [
     # 25 panels, fewer than 2 SP + 2
     (CayleySum.ktype(0, 0.3), np.array([0.05, -0.3, 0.65]), 1e-6, 25, True),
     (CayleySum.ktype(0, -0.5), np.array([0.4]), 1e-8, 40, False),
@@ -420,7 +422,21 @@ _MIXED = (CayleySum.ktype(6, 0.4) + CayleySum.ktype(
     (CayleySum.ktype(256, 0.25), np.linspace(-50.0, 50.0, 31), 1e-8, None,
      False),
     (_MIXED, np.linspace(-8.0, 8.0, 33), 1e-8, None, True),
-])
+    (_REAL2, np.linspace(-8.0, 8.0, 33), 1e-8, None, True),
+    (CayleySum.ktype(8, 0.3j), np.linspace(-10.0, 10.0, 29), 1e-8, None,
+     True),
+]
+
+
+def _engine_panels(cs, X, n):
+    # the nodes and gv of the engine's n panels on [-X, X]
+    x16, w16 = np.polynomial.legendre.leggauss(16)
+    h = X / n
+    nodes = (-X + h * (2.0 * np.arange(n) + 1.0))[:, None] + h * x16
+    return nodes, h * w16 * cs(nodes)
+
+
+@pytest.mark.parametrize("cs,xis,tol,n_max,wraps", _PANEL_CASES)
 def test_gridded_panel_sum_matches_direct_sum(cs, xis, tol, n_max, wraps):
     # sum_{k,j} gv[k, j] e^{-i om x_kj} over the engine's panel grid, by
     # the gridded FFT and term by term
@@ -436,6 +452,89 @@ def test_gridded_panel_sum_matches_direct_sum(cs, xis, tol, n_max, wraps):
     direct = np.exp(-1j * np.outer(oms, nodes.ravel())) @ gv.ravel()
     got = _panel_core(cs, X, n, oms)[0]
     assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(gv))
+
+
+@pytest.mark.parametrize("cs,xis,tol,n_max,wraps", _PANEL_CASES)
+def test_panel_floor_bounds_the_rounding(cs, xis, tol, n_max, wraps):
+    # the declared floor eps (sqrt(16 n) + X max |om|) sum |gv| against
+    # the gap to a term-by-term sum with long-double phases on the same
+    # float nodes and gv: at weight 184 the full pass is 5.6e-14 sum |gv|
+    # off, above the sqrt(16 n) term alone (5.3e-14 sum |gv|)
+    X, n = _panel_count(cs, xis, tol)
+    nodes, gv = _engine_panels(cs, X, n)
+    oms = TWO_PI * xis
+    x, g = nodes.ravel().astype(np.longdouble), gv.ravel()
+    re, im = g.real.astype(np.longdouble), g.imag.astype(np.longdouble)
+    direct = np.empty(len(oms), dtype=complex)
+    for i, om in enumerate(oms):
+        ph = np.longdouble(om) * x
+        c, s = np.cos(ph), np.sin(ph)
+        direct[i] = complex(float(np.sum(re * c + im * s)),
+                            float(np.sum(im * c - re * s)))
+    got, floor = _panel_core(cs, X, n, oms)
+    assert floor == pytest.approx(np.finfo(float).eps * (
+        math.sqrt(16 * n) + X * np.max(np.abs(oms))) * np.sum(np.abs(gv)),
+        rel=1e-12)
+    assert np.max(np.abs(got - direct)) <= floor
+
+
+@pytest.mark.parametrize("weight", [0, 8, 64, 184, 256])
+def test_half_pass_admits_no_complex_sampler(weight):
+    # a real-u K-type takes the half pass (2 Re of 8 node columns), i v
+    # and a rotated v the full one: F is linear and F[v.rotate(theta)] =
+    # e^{i m theta} F[v], which 2 Re of a complex sampler would break.
+    # The passes agree to the gridded sum's accuracy (measured 1.3e-14
+    # sum |gv|; the full pass alone leaves an imaginary part of up to
+    # 9e-15 sum |gv| on this real F)
+    v = CayleySum.ktype(weight, 0.5)
+    xis = np.linspace(-4.0, weight / TWO_PI + 4.0, 37)
+    gv = _engine_panels(v, *_panel_count(v, xis, 1e-8))[1]
+    bound = 1e-13 * np.sum(np.abs(gv))
+    fv = fourier_transform_batch(v, xis, 1e-8)
+    iv = CayleySum({k: 1j * c for k, c in v.terms.items()})
+    assert np.max(np.abs(fourier_transform_batch(iv, xis, 1e-8) - 1j * fv)) \
+        <= bound
+    for theta in (0.3, 2.0):
+        rot = fourier_transform_batch(v.rotate(theta), xis, 1e-8)
+        assert np.max(np.abs(rot - np.exp(1j * weight * theta) * fv)) <= bound
+
+
+@pytest.mark.parametrize("n", [40, 196, 197, 1001])
+def test_half_pass_is_anchored_at_the_grid_centre(monkeypatch, n):
+    # the mirrored grid is centred on 0 exactly, while the float mids[n //
+    # 2] is an ulp of X off (by 3.3e-15 at n = 196): 2 Re of a sum phased
+    # there parts from the full pass by 1.9e-14 sum |gv| at n = 196 and
+    # weight 0, where the two passes otherwise agree to 1e-15 sum |gv|
+    v = CayleySum.ktype(0, 0.5)
+    oms = TWO_PI * np.linspace(-6.0, 6.0, 49)
+    half = _panel_core(v, 40.0, n, oms)[0]
+    monkeypatch.setattr(normlab.fourier, "_mirrored", lambda cs: False)
+    full = _panel_core(v, 40.0, n, oms)[0]
+    gv = _engine_panels(v, 40.0, n)[1]
+    assert np.max(np.abs(half - full)) <= 2e-15 * np.sum(np.abs(gv))
+
+
+@pytest.mark.parametrize("cs,cols", [
+    (CayleySum.ktype(8, 0.5), 8), (_REAL2, 8),
+    (CayleySum.ktype(8, 0.3j), 16), (_MIXED, 16)])
+def test_panel_pass_node_count(monkeypatch, cs, cols):
+    # a conjugate-symmetric sampler is evaluated at 8 n nodes a pass, any
+    # other at 16 n; return_err makes a second pass on 2 n panels
+    seen = []
+    original = CayleySum.__call__
+
+    def counting(self, x):
+        seen.append(np.size(x))
+        return original(self, x)
+
+    monkeypatch.setattr(CayleySum, "__call__", counting)
+    xis = np.linspace(-8.0, 8.0, 32)
+    n = _panel_count(cs, xis, 1e-8)[1]
+    fourier_transform_batch(cs, xis, 1e-8)
+    assert seen == [cols * n]
+    seen.clear()
+    fourier_transform_batch(cs, xis, 1e-8, return_err=True)
+    assert seen == [cols * n, 2 * cols * n]
 
 
 def test_transform_memory_is_bounded():

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import normlab.fourier
 import normlab.norms
 from normlab.norms import _xi_grid, _xi_integral
 from normlab.errors import (BadParameterRange, DivergentIntegral, OutOfRange,
@@ -276,6 +277,20 @@ def test_comp_norm_transforms_once(monkeypatch, weight, tol, level):
     assert len(seen) == 1
     assert nv.meta["xi_level"] == level
     assert nv.meta["n_xi"] == seen[0]
+
+
+@pytest.mark.parametrize("u", [-0.75, -0.25, 0.5, 0.8])
+def test_comp_norm_half_and_full_pass_agree(monkeypatch, u):
+    # a real-u K-type takes the engine's half panel pass; forced onto the
+    # full pass it gives the same norm from the same xi levels and nodes
+    half = [comp_norm(CayleySum.ktype(w, u), u, 1e-8)
+            for w in range(0, 257, 16)]
+    monkeypatch.setattr(normlab.fourier, "_mirrored", lambda cs: False)
+    for w, nv in zip(range(0, 257, 16), half):
+        full = comp_norm(CayleySum.ktype(w, u), u, 1e-8)
+        assert nv.value == pytest.approx(full.value, rel=1e-14, abs=0.0)
+        assert nv.meta["xi_level"] == full.meta["xi_level"]
+        assert nv.meta["n_xi"] == full.meta["n_xi"]
 
 
 @pytest.mark.parametrize("tol,off", [
