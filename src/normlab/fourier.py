@@ -12,6 +12,7 @@ integrand written against generalized exponential integrals.  When v(-x)
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -67,12 +68,67 @@ def _tail_order(cs: CayleySum, X: float, tol: float):
     return J, b, series
 
 
+# contour heights c of :func:`transform_bound`
+_HEIGHTS = -np.expm1(-np.linspace(0.02, 8.0, 64))
+
+
+def _logsum(e, axis):
+    top = np.max(e, axis, keepdims=True)
+    return np.squeeze(top, axis) + np.log(np.sum(np.exp(e - top), axis))
+
+
+@functools.lru_cache(maxsize=256)
+def _contour(terms):
+    """(L, edge) for the CayleySum of ``terms``: L[0, i] bounds log \\int
+    |v'(x - ic)| dx at c = _HEIGHTS[i], a term of v' being |(1+c+ix)^{-al}
+    (1-c-ix)^{-be}|; L[1, i] on Im x = +c, al and be swapped.  A term goes
+    on 32 Gauss-Legendre nodes in t, x = s sinh t, |t| <= 8, s = (1 - c) /
+    sqrt(1 + w c) its peak's width at weight w; past R = s sinh 8 it is at
+    most |x|^{-Re(al+be)} e^M, M the sum over al and be of max(0, -Re al)
+    log(1 + 4/R^2) / 2 + |Im al| pi/2.  edge is :func:`live_edge`'s."""
+    cs = CayleySum(dict(terms))
+    d = cs.derivative().terms
+    ab, lc = np.array(list(d)), np.log(np.abs(np.array(list(d.values()))))
+    c = _HEIGHTS[:, None]
+    s = (1.0 - c) / np.sqrt(1.0 + cs.max_weight * c)
+    t, w = _gl_rule(32)
+    x = s * np.sinh(8.0 * t)
+    lz = np.log(np.stack([1.0 + c + 1j * x, 1.0 - c - 1j * x]))
+    e = -np.einsum("skj,jcx->skcx", np.stack([ab, ab[:, ::-1]]), lz).real
+    core = _logsum(e + np.log(8.0 * w * np.cosh(8.0 * t)), -1) + np.log(s.T)
+    R, p = s.T * math.sinh(8.0), ab.sum(1).real[:, None]
+    grow = (np.maximum(-ab.real[..., None] * np.log1p(4.0 / R ** 2) / 2, 0.0)
+            + np.abs(ab.imag[..., None]) * (math.pi / 2)).sum(1)
+    with np.errstate(divide="ignore"):
+        tail = (1.0 - p) * np.log(R) - np.log(np.maximum(p - 1, 0) / 2) + grow
+    L = _logsum(np.logaddexp(core, tail) + lc[:, None], 1)
+    S = sum(abs(q) for _, q in terms)
+    if S == 0.0:
+        return L, math.inf
+    # per c, the root z = 2 pi xi of c z + log z = D, by Newton from above
+    D = np.clip(L - math.log(2.0 ** -52 * S), 0.0, 1e300)
+    lz = np.log(np.maximum(D, 1.0) / _HEIGHTS)
+    for _ in range(5):
+        lz -= (_HEIGHTS * np.exp(lz) + lz - D) / (_HEIGHTS * np.exp(lz) + 1)
+    return L, float(np.max(np.min(np.exp(lz), -1))) / TWO_PI
+
+
+def transform_bound(cs: CayleySum, xis):
+    """B(xi) >= |F[cs](xi)| at every nonzero xi of ``xis`` by a Paley-Wiener
+    contour shift: integrate by parts, move the line to Im x = -c sign xi
+    short of the poles at x = +-i, 0 < c < 1, and minimise over c of
+    e^{-2 pi c |xi|} / (2 pi |xi|) \\int |cs'(x - ic sign xi)| dx."""
+    xis = np.asarray(xis, dtype=float)
+    L = _contour(tuple(cs.terms.items()))[0][(xis < 0).astype(int)]
+    a = TWO_PI * np.abs(xis)
+    return np.exp(np.min(L - a[..., None] * _HEIGHTS, -1)) / a
+
+
 def live_edge(cs: CayleySum, tol: float = None) -> float:
-    """(max(50, 4 ln(1/tol)) + w) / (2 pi) at K-type weight w: as cs has
-    poles at x = +-i, |F[cs](xi)| decays like e^{-2 pi |xi|}, and from this
-    |xi| on :func:`fourier_transform_batch` returns exact zeros."""
-    w = cs.max_weight
-    return (max(50.0, 4.0 * math.log(1.0 / resolve_tol(tol))) + w) / TWO_PI
+    """The smallest |xi| past which :func:`transform_bound` is at most
+    2^-52 sum |c| on both signs; :func:`fourier_transform_batch` returns
+    exact zeros there, as accurate as any value it computes (any tol)."""
+    return _contour(tuple(cs.terms.items()))[1]
 
 
 def fourier_transform(v, xi: float, tol: float = None):
@@ -96,19 +152,18 @@ def fourier_transform_batch(v, xis, tol: float = None, return_err: bool = False)
     if np.any(xis == 0.0) and cs.min_decay <= 1.0 + 1e-12:
         raise NotIntegrable(
             f"F[v](0) diverges: decay exponent {cs.min_decay:.3f} <= 1")
-    mw = cs.max_weight
-    edge = live_edge(cs, tol)
+    edge = live_edge(cs)
     live = np.abs(xis) < edge
     out = np.zeros(xis.shape, dtype=complex)
-    err = 0.0 if np.all(live) else math.exp(mw - TWO_PI * edge) * sum(
-        abs(c) for c in cs.terms.values())
-    oms = TWO_PI * xis[live]
+    err = 0.0 if np.all(live) else max(transform_bound(cs, [edge, -edge]))
+    # each distinct frequency once
+    oms, at = np.unique(TWO_PI * xis[live], return_inverse=True)
     if oms.size:
         # one panel grid for the call; panel width <= 2 regardless of
         # omega: the integrand always has poles at x = +-i, which caps
         # the convergence radius of wide panels
-        n_panels = max(int(math.ceil(X)), int(math.ceil(
-            2.0 * X * (np.max(np.abs(oms)) + mw + 1.0) * 3.0 / 32.0)))
+        n_panels = max(int(math.ceil(X)), int(math.ceil(2.0 * X * (
+            np.max(np.abs(oms)) + cs.max_weight + 1.0) * 3.0 / 32.0)))
         vals, floor = _panel_core(cs, X, n_panels, oms)
         if return_err:
             gap = np.abs(vals - _panel_core(cs, X, 2 * n_panels, oms)[0])
@@ -116,7 +171,7 @@ def fourier_transform_batch(v, xis, tol: float = None, return_err: bool = False)
         # tails in one vectorized sweep across every frequency
         up, lo = ([(s0, a[:J]) for s0, a in series[side]]
                   for side in ("upper", "lower"))
-        out[live] = vals + _cayley_tails(up, lo, X, oms)
+        out[live] = (vals + _cayley_tails(up, lo, X, oms))[at]
     return (out, err, {"tol": tol}) if return_err else out
 
 
@@ -137,15 +192,14 @@ def _panel_core(cs, X, n, oms):
     x16, w16 = _gl_rule(16)
     h, half = X / n, _mirrored(cs)
     cols = slice(8 if half else 16)
-    mids = -X + h * (2.0 * np.arange(n) + 1.0)
+    # exactly antisymmetric, mids[n - 1 - k] = -mids[k]
+    mids = h * (2.0 * np.arange(n) + 1.0 - n)
     gv = h * w16[cols] * cs(mids[:, None] + h * x16[cols])
     T = _panel_sums(gv, 2.0 * h * oms)
     # the nodes are symmetric, x_{15-j} = -x_j
     e = np.exp(-1j * h * np.outer(oms, x16[8:]))
     low = T[:, 7::-1] * e.conj()
-    # exactly h or 0: 2 Re would spread the float mids[c]'s ulp of X
-    mid_c = h * (1 - n % 2) if half else mids[n // 2]
-    sums = np.exp(-1j * mid_c * oms) * np.sum(
+    sums = np.exp(-1j * mids[n // 2] * oms) * np.sum(
         low if half else T[:, 8:] * e + low, axis=1)
     floor = np.finfo(float).eps * (math.sqrt(16 * n) + X * np.max(np.abs(oms)))
     return (2.0 * sums.real if half else sums), floor * (1 + half) * np.sum(

@@ -15,7 +15,8 @@ their lag sums R(D), and a cell is sum_D R(D) Phi_t(D).  For L lattice
 points and M K-types this costs O(a-nodes M (L log L + M L)) time and
 O(a-nodes M L) memory, so region norms scale with the number of
 coefficients rather than with its square.  Only live a-nodes count: one
-past the transform's zero edge (``fourier.live_edge``) gives 0.0 free.
+past the transform's zero edge (``fourier.live_edge``, where a
+Paley-Wiener bound on |Fv| falls to 2^-52 sum |c|) gives 0.0 free.
 
 Every quadrature sits on a-grids whose amplitudes Fv_m(-n a^{-2}) are
 transformed once per call: a cell call takes stacked t-windows (the full
@@ -147,22 +148,17 @@ class WhittakerModel:
         self.harmonics = int(self.js[-1] - self.js[0])  # numerator span
         self.cs = [CayleySum.ktype(m, self.v.params.u) for m in self.ms]
 
-    def _live(self, avals, tol):
+    def _live(self, avals):
         """Live a-nodes: a batch-rounded |n| a^{-2} below the top live_edge."""
-        edge = max(live_edge(cs, tol) for cs in self.cs)
+        edge = max(live_edge(cs) for cs in self.cs)
         return (1.0 / avals ** 2) * np.min(np.abs(self.ns)) < edge
 
     def _amplitudes(self, avals, tol):
         """A[i_m, i_a, i_n] = Fv_m(-n a^{-2}), one transform batch per
-        K-type over the distinct a-values, at tolerance ``tol``."""
-        ua, idx = np.unique(avals, return_inverse=True)
-        xi = (-np.outer(1.0 / ua ** 2, self.ns)).ravel()
-        out = np.empty((len(self.ms), len(avals), len(self.ns)),
-                       dtype=complex)
-        for i, cs in enumerate(self.cs):
-            fv = fourier_transform_batch(cs, xi, tol)
-            out[i] = fv.reshape(len(ua), len(self.ns))[idx]
-        return out
+        K-type (which transforms each distinct a once), at ``tol``."""
+        xi = -np.outer(1.0 / avals ** 2, self.ns)
+        return np.array([fourier_transform_batch(cs, xi, tol)
+                         for cs in self.cs])
 
     def _fm(self, a_flat, t_flat, tol):
         """Per-K-type Whittaker values f_m(a n_t), shape (m, pts).  Each
@@ -181,7 +177,7 @@ class WhittakerModel:
         row = len(self.ns) + 2 * math.isqrt(int(np.abs(self.js).max())) + 2
         pstep = max(1, FM_CHUNK // row)
         # ua ascends, so the dead a-nodes lead; a chunk keeps its live ones
-        dead = len(ua) - np.count_nonzero(self._live(ua, tol))
+        dead = len(ua) - np.count_nonzero(self._live(ua))
         for c0 in range(0, len(ua), step):
             lo, hi = max(c0, dead), min(c0 + step, len(ua))
             if lo >= hi:
@@ -254,7 +250,7 @@ class WhittakerModel:
         out = np.zeros(t_lo.shape)
         step = max(1, FM_CHUNK // L)
         for c0 in range(0, len(avals), step):
-            sel = c0 + np.flatnonzero(self._live(avals[c0:c0 + step], tol))
+            sel = c0 + np.flatnonzero(self._live(avals[c0:c0 + step]))
             if not len(sel):
                 continue
             a = avals[sel]

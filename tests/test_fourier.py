@@ -18,7 +18,7 @@ from normlab.errors import (AccuracyNotReached, NonIntegrableExponent,
 from normlab.fourier import (_cayley_tails, _panel_core, _panel_sums,
                              _split_radius, _tail_order, fourier_transform,
                              fourier_transform_batch, live_edge,
-                             regularized_pairing,
+                             regularized_pairing, transform_bound,
                              series_coefficient_quadrature,
                              signed_sin_power_series, sin_power_series)
 from normlab.group import KanCoords
@@ -89,6 +89,62 @@ def test_live_edge_is_where_the_zeros_start(u, tol):
         vals = fourier_transform_batch(
             cs, np.array([inside, -inside, outside, -outside]), tol)
         assert np.all(vals[:2] != 0.0) and np.all(vals[2:] == 0.0), m
+
+
+def _whittaker_abs_fv(m, u, xi):
+    # |F[ktype(m, u)](xi)| in closed form (Gradshteyn & Ryzhik 3.384.9):
+    # 2 pi 2^{-(al+be)/2} p^{(al+be)/2-1} W_{(be-al)/2, (1-al-be)/2}(2 p)
+    # / Gamma(be), p = 2 pi xi, for xi > 0; al and be swap for xi < 0
+    al, be = mpmath.mpc((1 + u - m) / 2), mpmath.mpc((1 + u + m) / 2)
+    if xi < 0:
+        al, be = be, al
+    p = 2 * mpmath.pi * abs(xi)
+    return float(abs(2 * mpmath.pi * 2 ** (-(al + be) / 2)
+                     * p ** ((al + be) / 2 - 1) * mpmath.rgamma(be)
+                     * mpmath.whitw((be - al) / 2, (1 - al - be) / 2, 2 * p)))
+
+
+_BOUND_GRID = [(m, u) for m in (0, 2, 8, 64, 128, 256)
+               for u in (0.5, -0.75, 0.25, 0.7j, 1j)]
+
+
+@pytest.mark.parametrize("m,u", _BOUND_GRID)
+def test_transform_bound_against_whittaker(m, u):
+    # never below |Fv| on either sign; at weight >= 64, on xi > 0 past the
+    # turning point 2 pi xi = m, within x2 of it (measured: at most 1.18)
+    cs = CayleySum.ktype(m, u)
+    xis = [0.5, 2.0, 7.0, -0.5, -2.0]
+    past = list(np.linspace(m / TWO_PI + 1.0, live_edge(cs), 5)) \
+        if m >= 64 else []
+    with mpmath.workdps(20):
+        fv = np.array([_whittaker_abs_fv(m, u, x) for x in xis + past])
+    bound = transform_bound(cs, np.array(xis + past))
+    assert np.all(bound >= fv)
+    assert np.all(bound[len(xis):] <= 2.0 * fv[len(xis):])
+
+
+@pytest.mark.parametrize("m,u", _BOUND_GRID)
+def test_zeroed_frequencies_are_below_the_rounding_floor(m, u):
+    # every frequency the engine zeroes has |Fv| <= 2^-52 sum |c|, so an
+    # exact 0 is as accurate as any value it computes.  |Fv| falls past
+    # the turning point, so the edge itself is the worst point.  Weight
+    # 256 adds the band [52.5, 56] on xi > 0, where a margin edge of
+    # (4 ln(1e8) + w) / 2 pi = 52.47 zeroed values of about 4e-12.  On
+    # xi < 0 at weights >= 128 |Fv| is below 1e-170 at the edge, where
+    # mpmath's W takes seconds; transform_bound (checked above) reads
+    # below 1e-80 there
+    cs = CayleySum.ktype(m, u)
+    edge = live_edge(cs)
+    xis = [edge * (1 + 1e-12), 1.05 * edge] + (
+        [-edge * (1 + 1e-12), -1.05 * edge] if m < 128 else [])
+    if m == 256:
+        xis += list(np.linspace(52.5, 56.0, 8))
+    vals = fourier_transform_batch(cs, np.array(xis))
+    assert np.all(vals[:2] == 0.0)
+    with mpmath.workdps(20):
+        for xi, val in zip(xis, vals):
+            if val == 0.0:
+                assert _whittaker_abs_fv(m, u, xi) <= 2.0 ** -52, xi
 
 
 def test_zero_frequency_divergence():
@@ -398,8 +454,9 @@ def test_panel_sums_match_their_definition(n):
 
 
 def _panel_count(cs, xis, tol):
-    # the engine's panel count for one call
-    om_max = TWO_PI * np.max(np.abs(xis)) + cs.max_weight
+    # the engine's panel count for one call, sized by its live frequencies
+    live = xis[np.abs(xis) < live_edge(cs)]
+    om_max = TWO_PI * np.max(np.abs(live)) + cs.max_weight
     X = _split_radius(tol)
     return X, max(math.ceil(X), math.ceil(2.0 * X * (om_max + 1.0) * 3 / 32))
 
@@ -535,6 +592,49 @@ def test_panel_pass_node_count(monkeypatch, cs, cols):
     seen.clear()
     fourier_transform_batch(cs, xis, 1e-8, return_err=True)
     assert seen == [cols * n, 2 * cols * n]
+
+
+@pytest.mark.parametrize("weight", [0, 64, 128, 256])
+def test_full_pass_leaves_a_real_transform_real(monkeypatch, weight):
+    # the panel midpoints are exactly antisymmetric, so a real-u K-type
+    # (v(-x) = conj v(x), F real) forced onto the full pass keeps an
+    # imaginary part at the rounding of sum |gv| (measured 5.6e-17; up to
+    # 5.7e-14 at weight 128 with midpoints -X + h (2k + 1))
+    monkeypatch.setattr(normlab.fourier, "_mirrored", lambda cs: False)
+    for u in (0.5, -0.75, 0.25):
+        cs = CayleySum.ktype(weight, u)
+        xis = np.linspace(-4.0, weight / TWO_PI + 4.0, 41)
+        X, n = _panel_count(cs, xis, 1e-8)
+        got = _panel_core(cs, X, n, TWO_PI * xis)[0]
+        gv = _engine_panels(cs, X, n)[1]
+        assert np.max(np.abs(got.imag)) <= 1e-15 * np.sum(np.abs(gv)), u
+
+
+@pytest.mark.parametrize("cs", [CayleySum.ktype(8, 0.5),
+                                CayleySum.ktype(8, 0.3j), _MIXED])
+def test_each_distinct_frequency_is_transformed_once(monkeypatch, cs):
+    # both signs of level 7's tanh-sinh nodes on (0, 1], 47 of whose 257
+    # round to 1.0: 514 frequencies, 422 distinct.  The values equal, bit
+    # for bit, the panel sums and tails taken at every requested one
+    x = tanh_sinh_map(0.0, 1.0, 7)[0]
+    xis = np.concatenate([x, -x])
+    seen = []
+    original = normlab.fourier._panel_core
+
+    def counting(cs, X, n, oms):
+        seen.append(len(oms))
+        return original(cs, X, n, oms)
+
+    monkeypatch.setattr(normlab.fourier, "_panel_core", counting)
+    got = fourier_transform_batch(cs, xis, 1e-8)
+    assert seen == [422]
+    X, n = _panel_count(cs, xis, 1e-8)
+    J, _, series = _tail_order(cs, X, 1e-8)
+    up, lo = ([(s0, a[:J]) for s0, a in series[side]]
+              for side in ("upper", "lower"))
+    oms = TWO_PI * xis
+    assert np.array_equal(got, original(cs, X, n, oms)[0]
+                          + _cayley_tails(up, lo, X, oms))
 
 
 def test_transform_memory_is_bounded():

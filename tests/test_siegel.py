@@ -194,7 +194,12 @@ def test_ksq_transforms_each_distinct_a_once(monkeypatch):
     # coefficients plus 10 phase-table entries)
     monkeypatch.setattr(siegel, "FM_CHUNK", 64 * len(model.ns))
     chunked = model.ksq(a, t)
-    assert sum(freqs) == len(a_nodes) * len(model.ns) * len(model.ms)
+    # a node is live while n_min a^{-2} is below the top live_edge
+    edge = max(live_edge(cs) for cs in model.cs)
+    live = (1.0 / a_nodes ** 2) * np.min(np.abs(model.ns)) < edge
+    assert 0 < np.count_nonzero(live) < len(a_nodes)
+    assert sum(freqs) == (np.count_nonzero(live) * len(model.ns)
+                          * len(model.ms))
     # each batch's panel grid is sized by its largest frequency, so
     # values agree to the transform's absolute error
     np.testing.assert_allclose(chunked, whole, rtol=0,
@@ -256,16 +261,17 @@ def test_work_counts_skip_the_dead_a_nodes(monkeypatch):
         return real(v, xis, tol, **kw)
 
     monkeypatch.setattr(siegel, "fourier_transform_batch", counting)
-    # |n| a^{-2} >= 25 > live_edge (about 12) at every node
+    # |n| a^{-2} >= 25 > live_edge (about 6.4) at every node
     a = np.geomspace(A_MIN, 0.2, 40)
     assert not np.any(model.ksq(a, 0.3))
     assert not np.any(model.value(0.4, a, 0.3))
     assert not np.any(model.cell_integral(a, 0.0, 1.0))
     assert freqs == []
     # deterministic counts; transforming the dead nodes too took 12 calls
-    # and 197,120 frequencies
+    # and 197,120 frequencies, and the margin edge (max(50, 4 ln(1/tol))
+    # + w) / 2 pi 10 calls and 28,352
     main_bound_check(model, 1.0, 0.5)
-    assert (len(freqs), sum(freqs)) == (10, 28352)
+    assert (len(freqs), sum(freqs)) == (10, 19584)
 
 
 def _ktype_pair_model(spec):
