@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import (ConstantTermPresent, DivergentIntegral,
                      HypothesisUnverifiable, OutOfRange, TailNotControlled)
-from .fourier import fourier_transform_batch
+from .fourier import fourier_transform_batch, live_edge, transform_bound
 from .group import KanCoords
-from .norms import _xi_end, _xi_integral, weighted_fv_integral
+from .norms import _xi_integral, weighted_fv_integral
 from .principal import ReprParams, SmoothVector, as_cayley
 from .quadrature import gauss_panels, outward, resolve_tol
 
@@ -144,6 +144,8 @@ def _coefficient_tail_estimate(tau, cs, a, ns, tol):
     pv = np.abs(fourier_transform_batch(cs, -probes, tol))
     if pv[0] < 1e-280:
         return 0.0
+    if pv[1] == 0.0:  # past the zero edge: the bound on |Fv| there
+        pv[1] = transform_bound(cs, -probes[1:])[0]
     c = -(np.log(pv[1]) - np.log(pv[0])) / (probes[1] - probes[0])
     sigma, C = tau.growth_sigma, tau.growth_C
     step = 1.0 / (tau.period * a ** 2)
@@ -248,9 +250,8 @@ def _p0_geometric(tau, v, a1, eps, tol):
     ``quadrature.outward`` from [a_lo, 160] at a1 = inf."""
     cs = as_cayley(v)
     n_min = np.min(np.abs(tau.coefficient_arrays()[1]))
-    # below a_lo every transform argument n / a^2 lies past the xi end
-    # (and past 12, where the decay range of Fv ends at low weight)
-    a_lo = math.sqrt(n_min / max(12.0, _xi_end(cs.max_weight)))
+    # below a_lo every transform argument n / a^2 lies past the zero edge
+    a_lo = math.sqrt(n_min / live_edge(cs))
 
     def block(lo, hi):
         n_pan = max(8, int(12 * math.log(hi / lo)))

@@ -124,7 +124,7 @@ def transform_bound(cs: CayleySum, xis):
     return np.exp(np.min(L - a[..., None] * _HEIGHTS, -1)) / a
 
 
-def live_edge(cs: CayleySum, tol: float = None) -> float:
+def live_edge(cs: CayleySum) -> float:
     """The smallest |xi| past which :func:`transform_bound` is at most
     2^-52 sum |c| on both signs; :func:`fourier_transform_batch` returns
     exact zeros there, as accurate as any value it computes (any tol)."""
@@ -218,13 +218,15 @@ def _panel_sums(gv, theta):
     M = 1 << (max(2 * n, 4 * sp + 4) - 1).bit_length()
     tau = math.pi * sp / (M * (M - 0.5 * n))
     q = np.arange(n) - n // 2
-    grid = np.zeros((gv.shape[1], M), dtype=complex)
-    grid[:, q % M] = (gv * (math.sqrt(math.pi / tau) / M
-                            * np.exp(tau * q * q))[:, None]).T
-    # one grid point per row, wrapped past both ends (m0 = M included):
-    # the points nearest any theta are one window
-    windows = np.lib.stride_tricks.sliding_window_view(np.fft.fft(grid).T[
-        np.arange(-sp, M + sp + 1) % M], 2 * sp + 1, axis=0)
+    # the FFT in place down rows 0..M-1, rows 0..2 sp-1 again below them:
+    # any theta's nearest points (m0 = M too) are one window, no 2nd grid
+    grid = np.zeros((M + 2 * sp, gv.shape[1]), dtype=complex)
+    grid[q % M] = gv * (math.sqrt(math.pi / tau) / M
+                        * np.exp(tau * q * q))[:, None]
+    np.fft.fft(grid[:M], axis=0, out=grid[:M])
+    grid[M:] = grid[:2 * sp]
+    windows = np.lib.stride_tricks.sliding_window_view(grid, 2 * sp + 1,
+                                                       axis=0)
     t = np.mod(theta, TWO_PI) * (M / TWO_PI)
     m0 = np.rint(t).astype(int)
     out = np.empty((len(theta), gv.shape[1]), dtype=complex)
@@ -234,7 +236,7 @@ def _panel_sums(gv, theta):
         b = slice(a, a + 128)
         d = ((t[b] - m0[b])[:, None] - np.arange(-sp, sp + 1)) * (TWO_PI / M)
         w = np.exp(-d * d / (4.0 * tau))
-        out[b] = (windows[m0[b]] @ w[..., None])[..., 0]
+        out[b] = (windows[(m0[b] - sp) % M] @ w[..., None])[..., 0]
     return out
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (AccuracyNotReached, BadParameterRange,
                      DivergentIntegral, OutOfRange, ParityMismatch,
                      PoleParameter)
-from .fourier import fourier_transform_batch
+from .fourier import fourier_transform_batch, live_edge
 from .group import K_MASS
 from .principal import CayleySum, ReprParams, SmoothVector, as_cayley
 from .quadrature import (TWO_PI, gauss_jacobi, gauss_panels, gauss_rule,
@@ -263,18 +263,13 @@ def intertwine_pair(phi, psi, u: float, tol: float = None,
 _XI_MAX_LEVEL = 12
 
 
-def _xi_end(mw: float, lo: float = 0.0) -> float:
-    """Xi = max(mw / (2 pi) + 4.5, lo + 4): past it |Fv| at K-type weight
-    mw has decayed exponentially, so the xi-quadrature stops there."""
-    return max(mw / TWO_PI + 4.5, lo + 4.0)
-
-
-def _xi_grid(mw: float, lo: float, tol: float):
-    r"""Starting quadrature grid in xi > lo for \int xi^p |Fv|^2: the
+def _xi_grid(cs, lo: float, tol: float):
+    r"""Starting quadrature grid in xi > lo for \int xi^p |F cs|^2: the
     tanh-sinh rule on (lo, 1] (algebraic singularity at 0), split into its
     level-(l-1) nodes and the new nodes of each level from l to the one
     the weight predicts (all empty when lo >= 1), and GL panels on
-    [max(lo, 1), Xi] with Xi = :func:`_xi_end`.  Returns
+    [max(lo, 1), Xi], Xi = max(lo, ``fourier.live_edge(cs)``), past which
+    the engine returns exact zeros (weight 0 when lo is past it).  Returns
     (l, (x, w) coarse, [(x, w) new, one per level], (x, w) GL, Xi).
 
     The predicted level is the smallest k >= l whose rule, 2^(k+1) + 1
@@ -287,7 +282,7 @@ def _xi_grid(mw: float, lo: float, tol: float):
     (25 pi); [1, xi_fine] gets panels sized for the density at xi = 1.
     """
     level = 6 if tol >= 1e-8 else 7
-    Xi = _xi_end(mw, lo)
+    mw, Xi = cs.max_weight, max(lo, live_edge(cs))
     start = max(lo, 1.0)
     xi_fine = 2.0 * mw / (25.0 * math.pi)
     if xi_fine > start:
@@ -335,9 +330,9 @@ def _xi_integral(cs, p, edges, signs, tol):
     nodes.  ``meta`` records Xi, the transformed node count (``n_xi``,
     every node transformed, the predicted levels' too where the estimate
     stopped short of them), the final level and that estimate (``Xi``,
-    ``xi_level``, ``xi_err``, relative).  ``tail`` bounds the part past
-    Xi, where Fv decays exponentially (pole of v at distance 1 from the
-    real axis), from the last GL node; it is not added to the values.
+    ``xi_level``, ``xi_err``, relative).  Past Xi the engine returns exact
+    zeros; ``tail`` reads the last GL node, just inside that edge, so it is
+    at the rounding floor.  It is not added to the values.
     """
     # transform ~ |xi|^{d-1} near 0 when the decay exponent d < 1
     if edges[0] == 0.0 and 2.0 * min(cs.min_decay - 1.0, 0.0) + p <= -1.0:
@@ -353,7 +348,7 @@ def _xi_integral(cs, p, edges, signs, tol):
         return dens.reshape(len(signs), len(x))
 
     lo = edges[-1]
-    level, (xc, wc), new, (xg, wg), Xi = _xi_grid(cs.max_weight, lo, tol)
+    level, (xc, wc), new, (xg, wg), Xi = _xi_grid(cs, lo, tol)
     segs = [_segment_rule(p, a, b, level) for a, b in zip(edges, edges[1:])]
     parts = [x for x, _ in segs] + [xc] + [x for x, _ in new] + [xg]
     dens = density(np.concatenate(parts))

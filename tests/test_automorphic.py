@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -111,6 +113,31 @@ def test_whittaker_declared_growth_tail_estimate(N):
             assert actual <= ev.tailEstimate <= 10.0 * actual
             pinned += 1
     assert pinned >= 2
+
+
+def test_whittaker_tail_estimate_past_the_zero_edge():
+    # at a = 0.84-0.88 the first probe, 4 a^{-2}, lies inside the
+    # transform's zero edge (5.77) and the second, 5 a^{-2}, past it: the
+    # estimate reads the bound there, not log(0).  The reference sums the
+    # weight-0 closed form 2 pi^{(1+u)/2} |xi|^{u/2} K_{u/2}(2 pi |xi|) /
+    # Gamma((1+u)/2) over n = 5..40; the estimate is about 4 times it
+    tau = _tau({n: n ** -0.5 for n in range(1, 5)}, growth_sigma=-0.5,
+               growth_C=1.0)
+    uv = mpmath.mpc(-1j)  # the vector's order
+
+    def fv(xi):
+        return 2 * mpmath.pi ** ((1 + uv) / 2) * abs(xi) ** (uv / 2) \
+            * mpmath.besselk(uv / 2, 2 * mpmath.pi * abs(xi)) \
+            / mpmath.gamma((1 + uv) / 2)
+
+    for a in (0.84, 0.86, 0.88):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = whittaker_eval(tau, _v(0), KanCoords(0.0, a, 0.3))
+        true = float(abs(sum(n ** -0.5 * fv(-n / a ** 2)
+                             * mpmath.exp(-0.6j * mpmath.pi * n)
+                             for n in range(5, 41)))) * a ** -1.0
+        assert true <= ev.tailEstimate <= 10.0 * true
 
 
 def test_coeff_sum_trivial():

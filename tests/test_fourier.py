@@ -84,7 +84,7 @@ def test_dead_zone_returns_zero_with_bound():
 def test_live_edge_is_where_the_zeros_start(u, tol):
     for m in (0, 1, 8, 63, 128, 256):
         cs = CayleySum.ktype(m, u)
-        e = live_edge(cs, tol)
+        e = live_edge(cs)
         inside, outside = e - 1e-12, e + 1e-12
         vals = fourier_transform_batch(
             cs, np.array([inside, -inside, outside, -outside]), tol)

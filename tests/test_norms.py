@@ -189,6 +189,19 @@ def test_comp_norm_meets_default_tol_at_high_weight(u):
         assert halves == pytest.approx(expect, rel=1e-8)
 
 
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_comp_norm_within_tol_up_to_weight_256(tol):
+    # the xi range ends at the transform's zero edge, so tol alone sets
+    # the accuracy: no margin caps it at high weight
+    for u in (0.25, -0.25, 0.5, -0.5, -0.75, 0.8):
+        gpi = g_normalizer_closed(u) * math.pi
+        for weight in range(0, 257, 8):
+            nv = comp_norm(CayleySum.ktype(weight, u), u, tol)
+            expect = abs(gpi * _mp_c2m(weight // 2, u))
+            assert nv.value == pytest.approx(expect, rel=tol, abs=0.0), \
+                (weight, u)
+
+
 def test_comp_norm_plancherel_at_zero():
     # u = 0 is the plain L^2 norm: ||v_0^{(i lam)}||^2 = pi
     nv = comp_norm(SmoothVector.single(0, 0.9j), 0.0)
@@ -308,7 +321,7 @@ def test_xi_grid_predicts_the_accepted_level(tol, off):
         for u in (0.5, 0.3j):
             nv = comp_norm(CayleySum.ktype(w, u), 0.5, tol)
             top = max(top, nv.meta["xi_level"])
-        level, _, new, _, _ = _xi_grid(w, 0.0, tol)
+        level, _, new, _, _ = _xi_grid(CayleySum.ktype(w, 0.5), 0.0, tol)
         if level + len(new) - 1 != top:
             got[w] = level + len(new) - 1 - top
     assert got == off
