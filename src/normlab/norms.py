@@ -24,7 +24,8 @@ from .fourier import fourier_transform_batch, live_edge
 from .group import K_MASS
 from .principal import CayleySum, ReprParams, SmoothVector, as_cayley
 from .quadrature import (TWO_PI, gauss_jacobi, gauss_panels, gauss_rule,
-                         power_tail, resolve_tol, tanh_sinh_map)
+                         power_tail, resolve_tol, split_panels,
+                         tanh_sinh_map)
 from .quadrature import _sinpi
 from .quadrature import gamma as _gamma
 from .quadrature import loggamma as _loggamma
@@ -264,75 +265,64 @@ _XI_MAX_LEVEL = 12
 
 
 def _xi_grid(cs, lo: float, tol: float):
-    r"""Starting quadrature grid in xi > lo for \int xi^p |F cs|^2: the
-    tanh-sinh rule on (lo, 1] (algebraic singularity at 0), split into its
-    level-(l-1) nodes and the new nodes of each level from l to the one
-    the weight predicts (all empty when lo >= 1), and GL panels on
-    [max(lo, 1), Xi], Xi = max(lo, ``fourier.live_edge(cs)``), past which
-    the engine returns exact zeros (weight 0 when lo is past it).  Returns
-    (l, (x, w) coarse, [(x, w) new, one per level], (x, w) GL, Xi).
+    r"""The two sizes of the xi-rule for \int_lo xi^p |F cs|^2: the
+    tanh-sinh level l the weight predicts below xi = 1 (algebraic
+    singularity at 0), and the end Xi = max(lo, ``fourier.live_edge(cs)``)
+    of the range, past which the engine returns exact zeros.  Returns
+    (l, Xi).
 
-    The predicted level is the smallest k >= l whose rule, 2^(k+1) + 1
-    nodes, has 16 per zero of |Fv|^2 on (0, 1] and 16 more (at tol >=
-    1e-6, 13.25 and 25, as levels 7 and 8 are accepted there from weights
-    24 and 120 on): there are about (2/pi) sqrt(2 pi mw) such zeros.  At
-    weight mw, |Fv|^2 has about sqrt(2 mw / (pi xi)) zeros per unit length
-    in xi, and a 16-point panel integrates about five of them to 1e-11.
-    Unit-width panels hold at most five past the point xi_fine = 2 mw /
-    (25 pi); [1, xi_fine] gets panels sized for the density at xi = 1.
+    The predicted level is the smallest k >= 6 (7 at tol < 1e-8) whose
+    rule, 2^(k+1) + 1 nodes, has 16 per zero of |Fv|^2 on (0, 1] and 16
+    more (at tol >= 1e-6, 13.25 and 25, as levels 7 and 8 settle there
+    from weights 24 and 120 on): there are about (2/pi) sqrt(2 pi mw) such
+    zeros at weight mw.  It is capped at ``_XI_MAX_LEVEL``.
     """
-    level = 6 if tol >= 1e-8 else 7
-    mw, Xi = cs.max_weight, max(lo, live_edge(cs))
-    start = max(lo, 1.0)
-    xi_fine = 2.0 * mw / (25.0 * math.pi)
-    if xi_fine > start:
-        zeros_per_unit = math.sqrt(2.0 * mw / math.pi)
-        fx, fw = gauss_panels(start, xi_fine, int(math.ceil(
-            (xi_fine - start) * zeros_per_unit / 5.0)), 16)
-        cx, cw = gauss_panels(xi_fine, Xi, max(4, int(Xi - xi_fine) + 1), 16)
-        gl = np.concatenate([fx, cx]), np.concatenate([fw, cw])
-    else:
-        gl = gauss_panels(start, Xi, max(4, int(Xi - start) + 1), 16)
-    if lo >= 1.0:
-        empty = (np.empty(0), np.empty(0))
-        return level, empty, [empty], gl, Xi
     per, more = (13.25, 1.9) if tol >= 1e-6 else (16.0, 1.0)
-    need = math.ceil(per * (2.0 / math.pi * math.sqrt(TWO_PI * mw) + more))
-    top = min(max(level, (need - 1).bit_length() - 1), _XI_MAX_LEVEL)
-    return (level, tanh_sinh_map(lo, 1.0, level - 1),
-            [tanh_sinh_map(lo, 1.0, k, new_only=True)
-             for k in range(level, top + 1)], gl, Xi)
+    need = math.ceil(per * (2.0 / math.pi * math.sqrt(TWO_PI * cs.max_weight)
+                            + more))
+    return (min(max(6 if tol >= 1e-8 else 7, (need - 1).bit_length() - 1),
+                _XI_MAX_LEVEL), max(lo, live_edge(cs)))
 
 
-def _segment_rule(p, lo, hi, level):
-    r"""Nodes and weights for \int_lo^hi xi^p |Fv|^2 d xi, 0 <= lo < hi:
-    the level-``level`` tanh-sinh rule where the end at lo may be
-    singular (lo = 0 or p < 0), GL panels about half a unit wide else."""
-    if lo == 0.0 or p < 0:
-        return tanh_sinh_map(lo, hi, level)
-    return gauss_panels(lo, hi, max(4, int(2 * (hi - lo)) + 1), 16)
+def _gl_panels(mw, a, b):
+    r"""16-point GL panels on the pieces [a[k], b[k]], 1 <= a <= b, for
+    \int xi^p |Fv|^2 at K-type weight mw.  Returns nodes, weights and the
+    piece k of each node, piece by piece.  |Fv|^2 has about sqrt(2 mw /
+    (pi xi)) zeros per unit length in xi, and a 16-point panel integrates
+    about five of them to 1e-11.  Unit-width panels, at least four, hold
+    at most five past xi_fine = 2 mw / (25 pi); [a, xi_fine] gets panels
+    sized for the density at a."""
+    fine = np.minimum(np.maximum(2.0 * mw / (25.0 * math.pi), a), b)
+    n_fine = np.ceil((fine - a) * np.sqrt(2.0 * mw / (math.pi * a)) / 5.0)
+    n_unit = np.where(b > fine, np.maximum(4, np.floor(b - fine) + 1), 0)
+    # [a, fine] and [fine, b] of each piece, piece by piece
+    p_lo, p_hi, owner = split_panels(
+        np.array([a, fine]).T.ravel(), np.array([fine, b]).T.ravel(),
+        np.array([n_fine, n_unit], dtype=int).T.ravel())
+    x, w = gauss_rule(p_lo, p_hi, 16)
+    return x, w, np.repeat(owner // 2, 16)
 
 
 def _xi_integral(cs, p, edges, signs, tol):
     r"""sum over s in ``signs`` of \int xi^p |Fv(s xi)|^2 d xi over each
     segment [e_k, e_{k+1}] of the increasing ``edges`` and over [e_K, inf).
-    Returns (values, tail, meta), one value per segment, the last on the
-    rule of :func:`_xi_grid` from e_K and the others on
-    :func:`_segment_rule`; every segment's nodes go into one first
-    transform batch.
+    Returns (values, tail, meta), one value per segment.  Every piece takes
+    one rule: tanh-sinh below xi = 1 at the level l of :func:`_xi_grid`
+    (its level-(l-1) nodes and the new ones of l), :func:`_gl_panels` from
+    xi = 1 on.  Every piece's nodes go into one first transform batch.
 
     |Fv|^2 has about (2/pi) sqrt(2 pi w) zeros on (0,1] at K-type weight
-    w, so the tanh-sinh rule there is refined level by level until its
-    error estimate (Q_l - Q_{l-1})^2 / value, the double-exponential
-    convergence model, is below tol * value.  Nested levels share nodes:
-    the first transform batch holds every level up to the one the weight
-    predicts, and a refinement past it transforms only that level's new
-    nodes.  ``meta`` records Xi, the transformed node count (``n_xi``,
-    every node transformed, the predicted levels' too where the estimate
-    stopped short of them), the final level and that estimate (``Xi``,
-    ``xi_level``, ``xi_err``, relative).  Past Xi the engine returns exact
-    zeros; ``tail`` reads the last GL node, just inside that edge, so it is
-    at the rounding floor.  It is not added to the values.
+    w, so the last piece's tanh-sinh sum there is judged by the estimate
+    (Q_l - Q_{l-1})^2 / value, the double-exponential convergence model,
+    first at the predicted level l and then, transforming only each new
+    level's nodes, past it until the estimate is below tol.  At
+    ``_XI_MAX_LEVEL`` unsettled it raises AccuracyNotReached (``achieved``:
+    the estimate).  ``meta`` records Xi, the transformed node count
+    (``n_xi``), the final level and that estimate (``Xi``, ``xi_level``,
+    ``xi_err``, relative).  Past Xi the engine returns exact zeros;
+    ``tail`` reads the last GL node, just inside that edge, so it is at
+    the rounding floor (0 when e_K is past it).  It is not added to the
+    values.
     """
     # transform ~ |xi|^{d-1} near 0 when the decay exponent d < 1
     if edges[0] == 0.0 and 2.0 * min(cs.min_decay - 1.0, 0.0) + p <= -1.0:
@@ -348,36 +338,45 @@ def _xi_integral(cs, p, edges, signs, tol):
         return dens.reshape(len(signs), len(x))
 
     lo = edges[-1]
-    level, (xc, wc), new, (xg, wg), Xi = _xi_grid(cs, lo, tol)
-    segs = [_segment_rule(p, a, b, level) for a, b in zip(edges, edges[1:])]
-    parts = [x for x, _ in segs] + [xc] + [x for x, _ in new] + [xg]
-    dens = density(np.concatenate(parts))
-    # the signs' sum over each part: segments, coarse, one per level, GL
+    level, Xi = _xi_grid(cs, lo, tol)
+    # piece k is [a_k, b_k], the segments and then [lo, Xi]: tanh-sinh
+    # below xi = 1 at level l - 1 and the new nodes of l, GL from 1 on
+    a = np.asarray(edges, dtype=float)
+    b = np.append(a[1:], Xi)
+    ts = np.flatnonzero(a < 1.0)
+    ends = np.minimum(b[ts], 1.0)[:, None]
+    rules = [(x.ravel(), w.ravel(), np.repeat(ts, x.shape[1])) for x, w in (
+        tanh_sinh_map(a[ts, None], ends, level - 1),
+        tanh_sinh_map(a[ts, None], ends, level, new_only=True))]
+    rules.append(_gl_panels(cs.max_weight, np.maximum(a, 1.0),
+                            np.maximum(b, 1.0)))
+    dens = density(np.concatenate([x for x, _, _ in rules]))
+    # each rule's sum over each piece, the signs summed
     both = np.split(np.sum(dens, axis=0),
-                    np.cumsum([len(x) for x in parts[:-1]]))
-    values = [float(np.sum(w * d)) for (_, w), d in zip(segs, both)]
-    both = both[len(segs):]
-    coarse = float(np.sum(wc * both[0]))
-    head = 0.5 * coarse + float(np.sum(new[0][1] * both[1]))
-    rest = float(np.sum(wg * both[-1]))
-    ahead = [(w, d) for (_, w), d in zip(new[1:], both[2:-1])]
+                    np.cumsum([len(x) for x, _, _ in rules[:-1]]))
+    coarse, new, rest = (np.bincount(k, w * d, minlength=len(a))
+                         for (_, w, k), d in zip(rules, both))
+    values = 0.5 * coarse + new + rest
+    # the last piece's tanh-sinh sum is refined
+    coarse, head, rest = coarse[-1], 0.5 * coarse[-1] + new[-1], rest[-1]
     n_xi = dens.size
     while True:
-        scale = max(abs(head + rest), 1e-300)
-        xi_err = ((head - coarse) / scale) ** 2
-        if xi_err <= tol or level >= _XI_MAX_LEVEL:
+        xi_err = ((head - coarse) / max(abs(head + rest), 1e-300)) ** 2
+        if xi_err <= tol:
             break
+        if level >= _XI_MAX_LEVEL:
+            raise AccuracyNotReached(
+                f"xi refinement unsettled at tanh-sinh level {level}: "
+                f"estimate {xi_err:.3g} > tol {tol:.3g}", achieved=xi_err)
         level += 1
-        if ahead:
-            wn, d = ahead.pop(0)
-        else:
-            xn, wn = tanh_sinh_map(lo, 1.0, level, new_only=True)
-            d = np.sum(density(xn), axis=0)
-            n_xi += len(signs) * len(xn)
+        xn, wn = tanh_sinh_map(lo, 1.0, level, new_only=True)
+        d = density(xn)
+        n_xi += d.size
         coarse, head = head, 0.5 * head + float(np.sum(wn * d))
-    tail = float(np.max(dens[:, -1]) * Xi ** max(p, 0.0)) \
-        / (4.0 * math.pi) * len(signs)
-    return np.array(values + [head + rest]), tail, {
+    values[-1] = head + rest
+    tail = float(np.max(dens[:, -1]) if Xi > lo else 0.0) \
+        * Xi ** max(p, 0.0) / (4.0 * math.pi) * len(signs)
+    return values, tail, {
         "Xi": Xi, "n_xi": n_xi, "xi_level": level, "xi_err": xi_err}
 
 

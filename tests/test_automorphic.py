@@ -168,6 +168,18 @@ def test_dual_path_identity(eps, a1, weight):
     assert geometric == pytest.approx(spectral, rel=1e-6)
 
 
+def test_dual_path_identity_at_weight_96():
+    # at a1 = 1 the n < 0 side's segment [1, 3] holds about 11 zeros of
+    # |Fv|^2; it takes the GL panels sized by their density, as the tail
+    # does, where a fixed tanh-sinh level left it 2e-5 off
+    u = 0.7j
+    tau = _tau({1: 1.0, -1: 0.5, 2: 0.3, -3: 0.2}, u=u)
+    v = _v(96, u)
+    spectral = p0_weighted_norm(tau, v, 1.0, 0.5, method="spectral")
+    geometric = p0_weighted_norm(tau, v, 1.0, 0.5, method="geometric")
+    assert geometric == pytest.approx(spectral, rel=1e-9, abs=0)
+
+
 def test_monotone_in_a1():
     u = 1j
     tau = _tau({1: 1.0, -1: 0.5}, u=u)

@@ -101,6 +101,14 @@ def test_verify_whittaker_at_infinite_a1(eps, tmp_path):
     assert rep["relError"] <= 1e-9
 
 
+def test_verify_whittaker_at_weight_96(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["verify-whittaker", "--m", "96", "--u0", "0", "--u1", "0.7",
+                 "--model", "finite:b1=1,b-1=0.5,b2=0.3,b-3=0.2",
+                 "--eps", "0.5", "--a1", "1", "--out", str(out)]) == 0
+    assert _report(out)["relError"] <= 1e-9
+
+
 def test_verify_whittaker_eps_zero_barrier(capsys):
     assert main(["verify-whittaker", "--eps", "0"]) == 2
     assert "eps" in capsys.readouterr().err

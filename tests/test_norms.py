@@ -7,14 +7,17 @@ import pytest
 
 import normlab.fourier
 import normlab.norms
-from normlab.norms import _xi_grid, _xi_integral
-from normlab.errors import (BadParameterRange, DivergentIntegral, OutOfRange,
-                            ParityMismatch, PoleParameter)
+from normlab.norms import _gl_panels, _xi_grid, _xi_integral
+from normlab.errors import (AccuracyNotReached, BadParameterRange,
+                            DivergentIntegral, OutOfRange, ParityMismatch,
+                            PoleParameter)
+from normlab.fourier import fourier_transform_batch, live_edge
 from normlab.norms import (comp_norm, g_normalizer, g_normalizer_closed,
                            intertwine_apply, intertwine_constant,
                            intertwine_pair, kirillov_norm, multiplier_map,
                            triple_norm, weighted_fv_integral)
 from normlab.principal import CayleySum, ReprParams, SmoothVector, ktype_eval
+from normlab.quadrature import tanh_sinh_map
 
 C0_HALF = 5.244115108584236  # frozen: c_0 at u = 1/2, Gamma oracle
 
@@ -202,6 +205,40 @@ def test_comp_norm_within_tol_up_to_weight_256(tol):
                 (weight, u)
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_comp_norm_within_tol_between_the_sweep_weights(tol):
+    # weights off the step-8 sweep above where the tanh-sinh sum on
+    # (0, 1] once settled below the level it had already transformed
+    for u in (0.5, 0.25, 0.8):
+        gpi = g_normalizer_closed(u) * math.pi
+        for weight in (120, 140, 164, 182, 198, 226, 234, 250, 252):
+            nv = comp_norm(CayleySum.ktype(weight, u), u, tol)
+            expect = abs(gpi * _mp_c2m(weight // 2, u))
+            assert nv.value == pytest.approx(expect, rel=tol, abs=0.0), \
+                (weight, u)
+
+
+def test_xi_refinement_raises_at_the_level_cap(monkeypatch):
+    # capped at level 6, the weight-256 sum on (0, 1] is unsettled: the
+    # call raises with the estimate (Q_6 - Q_5)^2 / value as ``achieved``
+    cs = CayleySum.ktype(256, 0.5)
+    monkeypatch.setattr(normlab.norms, "_XI_MAX_LEVEL", 6)
+    with pytest.raises(AccuracyNotReached) as exc:
+        comp_norm(cs, 0.5, 1e-8)
+
+    def q(x, w):
+        xs = np.concatenate([x, -x])
+        dens = np.abs(fourier_transform_batch(cs, xs, 1e-8)) ** 2 \
+            * np.abs(xs) ** -0.5
+        return float(np.sum(np.concatenate([w, w]) * dens))
+
+    q5, q6 = (q(*tanh_sinh_map(0.0, 1.0, k)) for k in (5, 6))
+    rest = q(*_gl_panels(256, np.array([1.0]), np.array([live_edge(cs)]))[:2])
+    assert exc.value.achieved > 1e-8
+    assert exc.value.achieved == pytest.approx(
+        ((q6 - q5) / (q6 + rest)) ** 2, rel=1e-6)
+
+
 def test_comp_norm_plancherel_at_zero():
     # u = 0 is the plain L^2 norm: ||v_0^{(i lam)}||^2 = pi
     nv = comp_norm(SmoothVector.single(0, 0.9j), 0.0)
@@ -272,12 +309,13 @@ def test_multiplier_map_sampler_route_matches():
 
 @pytest.mark.parametrize("weight, tol, level", [
     (0, 1e-8, 6), (24, 1e-8, 7), (112, 1e-8, 8), (184, 1e-8, 8),
-    (256, 1e-8, 8), (0, 1e-10, 7), (60, 1e-10, 7), (24, 1e-6, 6),
+    (256, 1e-8, 8), (0, 1e-10, 7), (60, 1e-10, 7), (24, 1e-6, 7),
     (112, 1e-6, 7), (256, 1e-6, 8)])
 def test_comp_norm_transforms_once(monkeypatch, weight, tol, level):
-    # the first transform batch holds the tanh-sinh levels the weight
-    # predicts, so the xi refinement stops inside it: one engine call,
-    # every transformed frequency counted in n_xi
+    # the first transform batch holds the tanh-sinh level the weight
+    # predicts and the one below it, and the xi refinement settles at the
+    # predicted level: one engine call, every transformed frequency
+    # counted in n_xi
     seen = []
     original = normlab.norms.fourier_transform_batch
 
@@ -307,30 +345,37 @@ def test_comp_norm_half_and_full_pass_agree(monkeypatch, u):
 
 
 @pytest.mark.parametrize("tol,off", [
-    (1e-6, {}), (1e-8, {92: 1, 96: 1}), (1e-10, {88: -1})])
+    (1e-6, {}), (1e-8, {}), (1e-10, {88: -1})])
 def test_xi_grid_predicts_the_accepted_level(tol, off):
     # the predicted level against the running maximum over the weights of
-    # the level accepted at a real and at a complex order: the accepted
-    # level dips below it where the refinement's estimate settles early
-    # (at 1e-6 and u = 0.5, weights 120, 132, ...).  A level too many
-    # costs unused nodes, one too few a second engine call.  ``off`` pins
-    # where the prediction at 1e-8 and 1e-10, kept as it was, parts from
-    # that maximum
+    # the level accepted at a real and at a complex order.  The refinement
+    # starts at the predicted level, so a level too many transforms nodes
+    # the tol did not need and one too few costs a second engine call.
+    # ``off`` pins where the prediction parts from that maximum
     top, got = 0, {}
     for w in range(0, 257, 4):
         for u in (0.5, 0.3j):
             nv = comp_norm(CayleySum.ktype(w, u), 0.5, tol)
             top = max(top, nv.meta["xi_level"])
-        level, _, new, _, _ = _xi_grid(CayleySum.ktype(w, 0.5), 0.0, tol)
-        if level + len(new) - 1 != top:
-            got[w] = level + len(new) - 1 - top
+        level = _xi_grid(CayleySum.ktype(w, 0.5), 0.0, tol)[0]
+        if level != top:
+            got[w] = level - top
     assert got == off
+
+
+def test_xi_integral_past_the_zero_edge():
+    # pieces past fourier.live_edge integrate the engine's exact zeros, and
+    # a last edge past it leaves the tail rule without nodes
+    cs = CayleySum.ktype(0, 0.5j)
+    parts, tail, _ = _xi_integral(cs, 0.0, [2.0, 50.0, 100.0], (1,), 1e-8)
+    assert parts[0] > 0.0 and list(parts[1:]) == [0.0, 0.0] and tail == 0.0
+    assert weighted_fv_integral(cs, 0.0, 100.0, 1) == 0.0
 
 
 @pytest.mark.parametrize("weight,p", [(4, 0.25), (4, -0.25), (40, 0.3)])
 def test_xi_integral_segments_add_up(weight, p):
-    # [0, 0.5] and (p < 0) [0.5, 2] on tanh-sinh, else GL; [2, inf) on
-    # the xi grid from 2, the same value as the one-edge call from 2
+    # [0, 0.5] and [0.5, 1] on tanh-sinh, [1, 2] on GL panels; [2, inf)
+    # on the xi grid from 2, the same value as the one-edge call from 2
     cs = CayleySum.ktype(weight, 0.3j)
     whole, _, _ = _xi_integral(cs, p, [0.0], (1, -1), 1e-10)
     parts, _, _ = _xi_integral(cs, p, [0.0, 0.5, 2.0], (1, -1), 1e-10)
