@@ -236,8 +236,8 @@ def _p0_spectral(tau, v, a1, eps, tol):
         else:
             # breakpoints where the cutoff n <= a * a1^2 admits a new term
             edges = [n / a1 ** 2 for n in ns]
-        seg = _xi_integral(as_cayley(v), -0.5 * eps + u0, edges, (-sign,),
-                           tol)[0]
+        seg = _xi_integral([as_cayley(v)], [[1.0]], -0.5 * eps + u0, edges,
+                           (-sign,), tol)[0][0]
         total += 0.5 * p * float(np.dot(partials, seg))
     return total
 

@@ -264,12 +264,12 @@ def intertwine_pair(phi, psi, u: float, tol: float = None,
 _XI_MAX_LEVEL = 12
 
 
-def _xi_grid(cs, lo: float, tol: float):
-    r"""The two sizes of the xi-rule for \int_lo xi^p |F cs|^2: the
-    tanh-sinh level l the weight predicts below xi = 1 (algebraic
-    singularity at 0), and the end Xi = max(lo, ``fourier.live_edge(cs)``)
-    of the range, past which the engine returns exact zeros.  Returns
-    (l, Xi).
+def _xi_grid(basis, tol: float):
+    r"""The two sizes of the xi-rule for \int xi^p |Fv|^2, v any
+    combination of the samplers ``basis``: the tanh-sinh level l their
+    largest weight mw predicts below xi = 1 (algebraic singularity at 0),
+    and their largest ``fourier.live_edge``, past which the engine returns
+    exact zeros for each of them.  Returns (l, edge).
 
     The predicted level is the smallest k >= 6 (7 at tol < 1e-8) whose
     rule, 2^(k+1) + 1 nodes, has 16 per zero of |Fv|^2 on (0, 1] and 16
@@ -277,11 +277,11 @@ def _xi_grid(cs, lo: float, tol: float):
     from weights 24 and 120 on): there are about (2/pi) sqrt(2 pi mw) such
     zeros at weight mw.  It is capped at ``_XI_MAX_LEVEL``.
     """
+    mw = max(cs.max_weight for cs in basis)
     per, more = (13.25, 1.9) if tol >= 1e-6 else (16.0, 1.0)
-    need = math.ceil(per * (2.0 / math.pi * math.sqrt(TWO_PI * cs.max_weight)
-                            + more))
+    need = math.ceil(per * (2.0 / math.pi * math.sqrt(TWO_PI * mw) + more))
     return (min(max(6 if tol >= 1e-8 else 7, (need - 1).bit_length() - 1),
-                _XI_MAX_LEVEL), max(lo, live_edge(cs)))
+                _XI_MAX_LEVEL), max(live_edge(cs) for cs in basis))
 
 
 def _gl_panels(mw, a, b):
@@ -303,65 +303,74 @@ def _gl_panels(mw, a, b):
     return x, w, np.repeat(owner // 2, 16)
 
 
-def _xi_integral(cs, p, edges, signs, tol):
-    r"""sum over s in ``signs`` of \int xi^p |Fv(s xi)|^2 d xi over each
-    segment [e_k, e_{k+1}] of the increasing ``edges`` and over [e_K, inf).
-    Returns (values, tail, meta), one value per segment.  Every piece takes
-    one rule: tanh-sinh below xi = 1 at the level l of :func:`_xi_grid`
-    (its level-(l-1) nodes and the new ones of l), :func:`_gl_panels` from
-    xi = 1 on.  Every piece's nodes go into one first transform batch.
+def _xi_integral(basis, rows, p, edges, signs, tol):
+    r"""For each row c of ``rows``, v = sum_b c_b basis[b]: the sum over s
+    in ``signs`` of \int xi^p |Fv(s xi)|^2 d xi over each segment [e_k,
+    e_{k+1}] of the increasing ``edges`` and over [e_K, inf).  Returns
+    (values, tails, meta), values[r, k] by row and segment.  One rule,
+    sized by :func:`_xi_grid` for the basis: tanh-sinh below xi = 1 at
+    its level l (the level-(l-1) nodes and the new ones of l),
+    :func:`_gl_panels` from 1 to Xi = max(e_K, edge), and no nodes on a
+    piece that starts past the edge.  F is linear: each basis sampler is
+    transformed once per level, every piece's nodes in one first batch.
 
     |Fv|^2 has about (2/pi) sqrt(2 pi w) zeros on (0,1] at K-type weight
     w, so the last piece's tanh-sinh sum there is judged by the estimate
     (Q_l - Q_{l-1})^2 / value, the double-exponential convergence model,
     first at the predicted level l and then, transforming only each new
-    level's nodes, past it until the estimate is below tol.  At
+    level's nodes, past it until every row's estimate is below tol.  At
     ``_XI_MAX_LEVEL`` unsettled it raises AccuracyNotReached (``achieved``:
-    the estimate).  ``meta`` records Xi, the transformed node count
-    (``n_xi``), the final level and that estimate (``Xi``, ``xi_level``,
-    ``xi_err``, relative).  Past Xi the engine returns exact zeros;
-    ``tail`` reads the last GL node, just inside that edge, so it is at
-    the rounding floor (0 when e_K is past it).  It is not added to the
-    values.
+    the largest estimate).  ``meta`` records Xi, the transformed node
+    count over the basis (``n_xi``), the final level and the largest
+    estimate (``Xi``, ``xi_level``, ``xi_err``, relative).  Past Xi the
+    engine returns exact zeros; a row's tail reads the last GL node, just
+    inside that edge, so it is at the rounding floor (0 when e_K is past
+    it).  It is not added to the values.
     """
     # transform ~ |xi|^{d-1} near 0 when the decay exponent d < 1
-    if edges[0] == 0.0 and 2.0 * min(cs.min_decay - 1.0, 0.0) + p <= -1.0:
+    decay = min(cs.min_decay for cs in basis)
+    if edges[0] == 0.0 and 2.0 * min(decay - 1.0, 0.0) + p <= -1.0:
         raise DivergentIntegral(
-            f"xi -> 0 end diverges: decay exponent {cs.min_decay:.3f}, "
+            f"xi -> 0 end diverges: decay exponent {decay:.3f}, "
             f"power {p} (need 2*min(d-1,0) + p > -1)")
 
     def density(x):
-        # xi^p |Fv(s xi)|^2, one row per sign s
+        # xi^p |Fv(s xi)|^2, indexed [row, sign, node]
         xs = np.concatenate([s * x for s in signs])
-        dens = np.abs(fourier_transform_batch(cs, xs, tol)) ** 2 \
-            * np.abs(xs) ** p
-        return dens.reshape(len(signs), len(x))
+        fv = np.asarray(rows) @ np.array([fourier_transform_batch(cs, xs, tol)
+                                          for cs in basis])
+        dens = np.abs(fv) ** 2 * np.abs(xs) ** p
+        return dens.reshape(len(rows), len(signs), len(x))
 
     lo = edges[-1]
-    level, Xi = _xi_grid(cs, lo, tol)
-    # piece k is [a_k, b_k], the segments and then [lo, Xi]: tanh-sinh
-    # below xi = 1 at level l - 1 and the new nodes of l, GL from 1 on
+    level, edge = _xi_grid(basis, tol)
+    Xi = max(lo, edge)
+    # piece k is [a_k, b_k], the segments and then [lo, Xi], empty past the
+    # edge: tanh-sinh below 1 at level l - 1 and l's new nodes, GL from 1
     a = np.asarray(edges, dtype=float)
-    b = np.append(a[1:], Xi)
+    b = np.where(a < edge, np.append(a[1:], Xi), a)
     ts = np.flatnonzero(a < 1.0)
     ends = np.minimum(b[ts], 1.0)[:, None]
     rules = [(x.ravel(), w.ravel(), np.repeat(ts, x.shape[1])) for x, w in (
         tanh_sinh_map(a[ts, None], ends, level - 1),
         tanh_sinh_map(a[ts, None], ends, level, new_only=True))]
-    rules.append(_gl_panels(cs.max_weight, np.maximum(a, 1.0),
-                            np.maximum(b, 1.0)))
+    rules.append(_gl_panels(max(cs.max_weight for cs in basis),
+                            np.maximum(a, 1.0), np.maximum(b, 1.0)))
     dens = density(np.concatenate([x for x, _, _ in rules]))
-    # each rule's sum over each piece, the signs summed
-    both = np.split(np.sum(dens, axis=0),
-                    np.cumsum([len(x) for x, _, _ in rules[:-1]]))
-    coarse, new, rest = (np.bincount(k, w * d, minlength=len(a))
+    # each rule's sum over each piece, row by row, the signs summed
+    both = np.split(np.sum(dens, axis=1),
+                    np.cumsum([len(x) for x, _, _ in rules[:-1]]), axis=1)
+    coarse, new, rest = (np.array([np.bincount(k, w * dr, minlength=len(a))
+                                   for dr in d])
                          for (_, w, k), d in zip(rules, both))
     values = 0.5 * coarse + new + rest
     # the last piece's tanh-sinh sum is refined
-    coarse, head, rest = coarse[-1], 0.5 * coarse[-1] + new[-1], rest[-1]
-    n_xi = dens.size
+    coarse, rest = coarse[:, -1], rest[:, -1]
+    head = 0.5 * coarse + new[:, -1]
+    n_xi = len(basis) * dens[0].size
     while True:
-        xi_err = ((head - coarse) / max(abs(head + rest), 1e-300)) ** 2
+        est = ((head - coarse) / np.maximum(abs(head + rest), 1e-300)) ** 2
+        xi_err = float(np.max(est))
         if xi_err <= tol:
             break
         if level >= _XI_MAX_LEVEL:
@@ -371,12 +380,12 @@ def _xi_integral(cs, p, edges, signs, tol):
         level += 1
         xn, wn = tanh_sinh_map(lo, 1.0, level, new_only=True)
         d = density(xn)
-        n_xi += d.size
-        coarse, head = head, 0.5 * head + float(np.sum(wn * d))
-    values[-1] = head + rest
-    tail = float(np.max(dens[:, -1]) if Xi > lo else 0.0) \
-        * Xi ** max(p, 0.0) / (4.0 * math.pi) * len(signs)
-    return values, tail, {
+        n_xi += len(basis) * d[0].size
+        coarse, head = head, 0.5 * head + np.array([np.sum(wn * r) for r in d])
+    values[:, -1] = head + rest
+    top = np.max(dens[:, :, -1], axis=1) if Xi > lo else np.zeros(len(rows))
+    tails = top * Xi ** max(p, 0.0) / (4.0 * math.pi) * len(signs)
+    return values, tails, {
         "Xi": Xi, "n_xi": n_xi, "xi_level": level, "xi_err": xi_err}
 
 
@@ -388,16 +397,17 @@ def comp_norm(v, u: float, tol: float = None) -> NormValue:
     """
     if not (-1.0 < u < 1.0):
         raise OutOfRange(f"comp_norm needs |u| < 1, got {u}")
-    (val,), tail, meta = _xi_integral(as_cayley(v), -u, [0.0], (1, -1),
-                                      resolve_tol(tol))
-    return NormValue("C_u", val, tail, params={"u": u}, meta=meta)
+    ((val,),), (tail,), meta = _xi_integral([as_cayley(v)], [[1.0]], -u,
+                                            [0.0], (1, -1), resolve_tol(tol))
+    return NormValue("C_u", val, float(tail), params={"u": u}, meta=meta)
 
 
 def weighted_fv_integral(v, p: float, lo: float, sign: int,
                          tol: float = None) -> float:
     r"""\int_lo^infty a^p |Fv(sign * a)|^2 da by :func:`_xi_integral`, the
     rule of comp_norm on one half-line."""
-    return _xi_integral(as_cayley(v), p, [lo], (sign,), resolve_tol(tol))[0][0]
+    return _xi_integral([as_cayley(v)], [[1.0]], p, [lo], (sign,),
+                        resolve_tol(tol))[0][0, 0]
 
 
 def kirillov_norm(v, u0: float, tol: float = None) -> NormValue:
@@ -419,9 +429,13 @@ def triple_norm(v: SmoothVector, u: float, tol: float = None,
     (K-eigenvectors have constant-norm orbits).
     method="direct": trapezoid in theta over one full K-orbit -- exact
     for the finite trigonometric polynomial the orbit traces, and
-    independent of the orthogonality argument.
+    independent of the orthogonality argument.  Its rotations are the
+    coefficient rows of one :func:`_xi_integral` call over the K-types,
+    each K-type transformed once per xi-level, not once per rotation.
     """
     tol = resolve_tol(tol)
+    if not (-1.0 < u < 1.0):
+        raise OutOfRange(f"triple_norm needs |u| < 1, got {u}")
     if method == "spectral":
         val = 0.0
         tail = 0.0
@@ -433,17 +447,16 @@ def triple_norm(v: SmoothVector, u: float, tol: float = None,
                          params={"u": u}, meta={"k_mass": K_MASS,
                                                 "method": method})
     if method == "direct":
-        weights = sorted(v.coeffs)
-        spread = (weights[-1] - weights[0]) if weights else 0
-        n_theta = 2 * spread + 4
-        val = 0.0
-        tail = 0.0
-        for j in range(n_theta):
-            th = K_MASS * j / n_theta
-            nm = comp_norm(v.rotated(th).sampler, u, tol)
-            val += nm.value * K_MASS / n_theta
-            tail += nm.tailBound * K_MASS / n_theta
-        return NormValue("triple", val, tail,
+        weights = sorted(v.coeffs) or [0]  # the zero vector: zero rows
+        n_theta = 2 * (weights[-1] - weights[0]) + 4
+        # row j: the K-type coefficients of v rotated by 2 pi j / n_theta
+        rows = [[v.rotated(K_MASS * j / n_theta).coeffs.get(m, 0.0)
+                 for m in weights] for j in range(n_theta)]
+        vals, tails, _ = _xi_integral(
+            [CayleySum.ktype(m, v.params.u) for m in weights], rows, -u,
+            [0.0], (1, -1), tol)
+        return NormValue("triple", float(np.sum(vals)) * K_MASS / n_theta,
+                         float(np.sum(tails)) * K_MASS / n_theta,
                          params={"u": u}, meta={"k_mass": K_MASS,
                                                 "method": method,
                                                 "n_theta": n_theta})

@@ -239,6 +239,28 @@ def test_xi_refinement_raises_at_the_level_cap(monkeypatch):
         ((q6 - q5) / (q6 + rest)) ** 2, rel=1e-6)
 
 
+def test_comp_norm_near_u_zero_against_closed_form():
+    # the engine's E_s orders 1 + u sit next to the integer 1 here, where
+    # Gamma(1-s) z^{s-1} and the k = 0 series term cancel
+    mpmath.mp.dps = 30
+    try:
+        for u in (1e-8, -1e-8, 1e-6, -1e-6):
+            uu = mpmath.mpf(u)
+            g = mpmath.pi ** (uu - 0.5) * mpmath.gamma((1 - uu) / 2) \
+                / mpmath.gamma(uu / 2)
+            for weight in (0, 8, 64):
+                half = (uu + 1) / 2
+                c = 2 ** (1 - uu) * mpmath.pi * mpmath.gamma(uu) / (
+                    mpmath.gamma(half + weight // 2)
+                    * mpmath.gamma(half - weight // 2))
+                nv = comp_norm(CayleySum.ktype(weight, u), u, 1e-10)
+                assert nv.value == pytest.approx(
+                    abs(float(g * mpmath.pi * c)), rel=1e-10, abs=0.0), \
+                    (u, weight)
+    finally:
+        mpmath.mp.dps = 15
+
+
 def test_comp_norm_plancherel_at_zero():
     # u = 0 is the plain L^2 norm: ||v_0^{(i lam)}||^2 = pi
     nv = comp_norm(SmoothVector.single(0, 0.9j), 0.0)
@@ -259,10 +281,59 @@ def test_kirillov_is_comp_norm_with_flipped_sign():
 
 
 def test_triple_norm_spectral_vs_direct():
-    v = SmoothVector(ReprParams(0.8j, "+"), {0: 1.0, 2: 0.5, -2: 0.25j})
-    a = triple_norm(v, -0.25, method="spectral")
-    b = triple_norm(v, -0.25, method="direct")
-    assert b.value == pytest.approx(a.value, rel=1e-8)
+    # an imaginary representation u at a real norm u
+    for rep_u in (0.8j, 0.2j):
+        v = SmoothVector(ReprParams(rep_u, "+"), {0: 1.0, 2: 0.5, -2: 0.25j})
+        a = triple_norm(v, -0.25, method="spectral")
+        b = triple_norm(v, -0.25, method="direct")
+        assert b.value == pytest.approx(a.value, rel=1e-12, abs=0.0), rep_u
+
+
+@pytest.mark.parametrize("spread", [2, 8, 16])
+def test_triple_norm_direct_against_closed_form(spread):
+    # representation u = norm u: |||v|||_u^2 = 2 pi sum_w |b_w|^2 G(u) pi
+    # |c_w(u)|, b_w the coefficient of the weight-w K-type, both methods
+    # within tol of it and within 1e-12 of each other
+    rng = np.random.default_rng(spread)
+    for u in (0.4, -0.6):
+        k0 = 2 * int(rng.integers(-6, 6))
+        coeffs = {w: complex(*rng.standard_normal(2))
+                  for w in range(k0, k0 + spread + 1, 2)}
+        v = SmoothVector(ReprParams(u, "+"), coeffs)
+        gpi = g_normalizer_closed(u) * math.pi
+        expect = 2.0 * math.pi * sum(
+            abs(b) ** 2 * abs(gpi * _mp_c2m(w // 2, u))
+            for w, b in coeffs.items())
+        direct = triple_norm(v, u, 1e-8, method="direct")
+        spectral = triple_norm(v, u, 1e-8, method="spectral")
+        assert direct.meta["n_theta"] == 2 * spread + 4
+        assert direct.value == pytest.approx(expect, rel=1e-8, abs=0.0)
+        assert spectral.value == pytest.approx(expect, rel=1e-8, abs=0.0)
+        assert direct.value == pytest.approx(spectral.value, rel=1e-12,
+                                             abs=0.0)
+
+
+def test_triple_norm_direct_transforms_each_ktype_once(monkeypatch):
+    # F is linear, so the rotations share their K-types' transforms: per
+    # xi-level one engine call per K-type, all on the same nodes
+    seen = []
+    original = normlab.norms.fourier_transform_batch
+
+    def counting(v, xis, tol=None, return_err=False):
+        seen.append((tuple(v.terms), xis))
+        return original(v, xis, tol, return_err)
+
+    monkeypatch.setattr(normlab.norms, "fourier_transform_batch", counting)
+    v = SmoothVector(ReprParams(0.3, "+"), {-2: 1.0, 0: 0.5j, 2: 0.25,
+                                            4: -1.0 + 0.5j})
+    nv = triple_norm(v, 0.3, method="direct")
+    ktypes = [tuple(CayleySum.ktype(m, 0.3).terms) for m in sorted(v.coeffs)]
+    assert nv.meta["n_theta"] == 16
+    assert seen and len(seen) % len(ktypes) == 0
+    for i in range(0, len(seen), len(ktypes)):
+        level = seen[i:i + len(ktypes)]
+        assert [t for t, _ in level] == ktypes
+        assert all(np.array_equal(xis, level[0][1]) for _, xis in level)
 
 
 def test_triple_norm_single_ktype_is_kmass_comp_norm():
@@ -357,7 +428,7 @@ def test_xi_grid_predicts_the_accepted_level(tol, off):
         for u in (0.5, 0.3j):
             nv = comp_norm(CayleySum.ktype(w, u), 0.5, tol)
             top = max(top, nv.meta["xi_level"])
-        level = _xi_grid(CayleySum.ktype(w, 0.5), 0.0, tol)[0]
+        level = _xi_grid([CayleySum.ktype(w, 0.5)], tol)[0]
         if level != top:
             got[w] = level - top
     assert got == off
@@ -367,9 +438,40 @@ def test_xi_integral_past_the_zero_edge():
     # pieces past fourier.live_edge integrate the engine's exact zeros, and
     # a last edge past it leaves the tail rule without nodes
     cs = CayleySum.ktype(0, 0.5j)
-    parts, tail, _ = _xi_integral(cs, 0.0, [2.0, 50.0, 100.0], (1,), 1e-8)
+    (parts,), (tail,), _ = _xi_integral([cs], [[1.0]], 0.0,
+                                        [2.0, 50.0, 100.0], (1,), 1e-8)
     assert parts[0] > 0.0 and list(parts[1:]) == [0.0, 0.0] and tail == 0.0
     assert weighted_fv_integral(cs, 0.0, 100.0, 1) == 0.0
+
+
+def test_xi_integral_gives_no_nodes_past_the_zero_edge(monkeypatch):
+    # the P_0 segments [n, n + 1] of a 64-numerator model at a1 = 1 run far
+    # past fourier.live_edge, where every transform is an exact zero.  A
+    # piece that starts there gets no nodes and one that straddles the
+    # edge keeps its rule, so the values are the full rule's, bit for bit
+    cs = SmoothVector(ReprParams(-0.75j, "+"), {0: 1.0, 2: 0.3 - 0.2j}).sampler
+    edges = [float(n) for n in range(1, 65)]
+    seen = []
+    original = normlab.norms.fourier_transform_batch
+
+    def recording(v, xis, tol=None, return_err=False):
+        seen.append(xis)
+        return original(v, xis, tol, return_err)
+
+    monkeypatch.setattr(normlab.norms, "fourier_transform_batch", recording)
+    (vals,), _, meta = _xi_integral([cs], [[1.0]], -0.25, edges, (-1,), 1e-8)
+    # the full rule: GL panels on every piece, all from xi >= 1
+    edge = live_edge(cs)
+    a = np.array(edges)
+    x, w, k = _gl_panels(cs.max_weight, a, np.append(a[1:], max(a[-1], edge)))
+    dead = a[k] >= edge
+    assert 2.0 < edge < 63.0
+    assert meta["n_xi"] == np.count_nonzero(~dead) < len(x)
+    assert np.array_equal(np.concatenate(seen), -x[~dead])
+    fv = original(cs, -x, 1e-8)
+    assert not np.any(fv[dead])
+    full = np.bincount(k, w * (np.abs(fv) ** 2 * x ** -0.25), minlength=len(a))
+    assert np.array_equal(vals, full)
 
 
 @pytest.mark.parametrize("weight,p", [(4, 0.25), (4, -0.25), (40, 0.3)])
@@ -377,9 +479,10 @@ def test_xi_integral_segments_add_up(weight, p):
     # [0, 0.5] and [0.5, 1] on tanh-sinh, [1, 2] on GL panels; [2, inf)
     # on the xi grid from 2, the same value as the one-edge call from 2
     cs = CayleySum.ktype(weight, 0.3j)
-    whole, _, _ = _xi_integral(cs, p, [0.0], (1, -1), 1e-10)
-    parts, _, _ = _xi_integral(cs, p, [0.0, 0.5, 2.0], (1, -1), 1e-10)
-    last, _, _ = _xi_integral(cs, p, [2.0], (1, -1), 1e-10)
+    (whole,), _, _ = _xi_integral([cs], [[1.0]], p, [0.0], (1, -1), 1e-10)
+    (parts,), _, _ = _xi_integral([cs], [[1.0]], p, [0.0, 0.5, 2.0],
+                                  (1, -1), 1e-10)
+    (last,), _, _ = _xi_integral([cs], [[1.0]], p, [2.0], (1, -1), 1e-10)
     assert len(whole) == 1 and len(parts) == 3 and len(last) == 1
     assert sum(parts) == pytest.approx(whole[0], rel=1e-10)
     assert parts[-1] == pytest.approx(last[0], rel=1e-14)
