@@ -74,8 +74,7 @@ def _profile_from(p):
     if p["profile"] != "model":
         raise ConfigInvalid(f"unknown profile {p['profile']!r} "
                             "(use delta, constant[:c], or model)")
-    return WhittakerModel(_tau_from(p), _vector_from(p),
-                          assert_weyl=p["assert_weyl"])
+    return WhittakerModel(_tau_from(p), _vector_from(p))
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +307,11 @@ def cmd_weyl_bracket(p, tol):
                              "Weyl-transported bounds")]}
 
 
+# main2_check's lhs is the norm of an asserted-Weyl model's symmetrization
+SYMMETRIZED_LHS = ("Weyl-symmetrized model: |f| for a <= 1, |f(xw)| for "
+                   "a > 1; not the model's own norm")
+
+
 def cmd_main2_scan(p, tol):
     tau = _tau_from(p)
     v = _vector_from(p)
@@ -319,6 +323,7 @@ def cmd_main2_scan(p, tol):
     ratios = [r["ratio"] for r in rows]
     monotone = all(r2 > r1 for r1, r2 in zip(ratios, ratios[1:]))
     return {"T1": p["T1"], "rows": rows, "monotoneIncreasing": monotone,
+            "lhsFunction": SYMMETRIZED_LHS,
             "checks": [_flag("ratios-finite",
                              all(math.isfinite(r) for r in ratios),
                              "fitted ratio defined at every eps")]}
@@ -338,7 +343,8 @@ def cmd_eisenstein(p, tol):
     dist = generate(CoeffModel("divisor", N=p["N"], lam=p["lam"]))
     rep = eisenstein_scenario(dist, p["lam"], p["eps"], p["T1"], tol)
     return {"N": p["N"], "lam": p["lam"], "eps": p["eps"], "T1": p["T1"],
-            "lhs": rep["lhs"], "rhs": rep["rhsNorm"], "ratio": rep["ratio"],
+            "lhs": rep["lhs"], "lhsFunction": SYMMETRIZED_LHS,
+            "rhs": rep["rhsNorm"], "ratio": rep["ratio"],
             "partialSum": rep["partial_sum"], "fullSum": rep["full_sum"],
             "tailBound": rep["tail_bound"],
             "checks": [_flag("partial-sum-within-tail-bound",
@@ -449,7 +455,6 @@ _MODEL_ARGS = [
 
 _PROFILE_ARGS = _MODEL_ARGS + [
     ("profile", string, "model", "integrand: model | delta | constant[:c]"),
-    ("assert-weyl", switch, False, "assert Weyl symmetry of the model"),
 ]
 
 _REGION_ARGS = _PROFILE_ARGS + [

@@ -74,7 +74,7 @@ class HypothesisUnverifiable(NormlabError):
 
 
 class MissingSymmetry(InvalidInput):
-    """Operation requires a symmetry flag the model does not declare."""
+    """Operation requires Weyl symmetry the profile lacks (``f.weyl``)."""
 
 
 class EpsilonBarrier(InvalidInput):

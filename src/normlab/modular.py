@@ -4,8 +4,8 @@ F(g) = y^6 |Delta(z)| at z = g^{-1} . i is genuinely invariant under the
 full integer lattice acting on the right (weight-12 modularity of Delta
 cancels the y^6 factor), so it is exactly t-periodic with period 1 and
 exactly symmetric under the rotation by the Weyl element -- unlike model
-Whittaker functions, whose symmetry is merely asserted.  In the K a n_t
-coordinates, z = -t + i a^{-2} independently of k.
+Whittaker functions, which are not.  In the K a n_t coordinates,
+z = -t + i a^{-2} independently of k.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from .coeffs import ramanujan_tau_table
 from .group import K_MASS
 from .quadrature import TWO_PI, gauss_rule, split_panels
-from .siegel import FM_CHUNK, SymmetryFlags
+from .siegel import FM_CHUNK
 
 
 def reduce_to_fundamental(x, y):
@@ -60,9 +60,7 @@ class CuspProfile:
 
     period = 1
     harmonics = np.inf  # about a^2 oscillations per period, unbounded
-
-    def __init__(self):
-        self.flags = SymmetryFlags(hasWeyl=True)
+    weyl = True
 
     def value(self, theta, a, t):
         """|F| at k_theta a n_t; z = g^{-1} . i = -t + i a^{-2}."""

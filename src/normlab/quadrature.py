@@ -278,49 +278,37 @@ def loggamma(z):
 # Generalized exponential integral E_s(z), complex order, Re(z) >= 0
 # ---------------------------------------------------------------------------
 
-_EULER = 0.5772156649015328606
 # 1/14, 1/13, ..., 1: log(1 + x)/x = sum_k (-x)^k / (k + 1), |x| <= 0.05
 _LOG1P_OVER_X = 1.0 / np.arange(14.0, 0.0, -1.0)
 _NEAR_INTEGER = 0.05
 
 
-def _power_sum(s, z, head, skip=None):
-    """head + sum_{k >= 1} (-z)^k / (k! (1 - s + k)), the term k = ``skip``
-    (an array) left out, summed until every element's term is below 1e-17
-    of its sum."""
-    term = np.ones_like(z)
-    acc = np.zeros_like(z) + head
-    for k in range(1, 400):
-        term = term * (-z) / k
-        add = term / (1.0 - s + k)
+def _power_sum(s, z, skip=None):
+    """sum_{k >= 0} (-z)^k / (k! (1 - s + k)), the term k = ``skip`` (an
+    array) left out, summed until every element's term is below 1e-17 of
+    its sum; the test reads a left-out term, whose denominator may be 0,
+    as its numerator."""
+    term, acc = np.ones_like(z), np.zeros_like(z)
+    for k in range(400):
+        d = 1.0 - s + k
+        add = term / (d if skip is None else np.where(skip == k, 1.0, d))
         acc = acc + (add if skip is None else np.where(skip == k, 0.0, add))
         if np.all(np.abs(add) <= 1e-17 * np.abs(acc)):
             return acc
+        term = term * (-z) / (k + 1)
     raise AccuracyNotReached("expint power series did not converge")
 
 
 def _expint_series(s, z):
-    """E_s(z) = Gamma(1-s) z^{s-1} - sum_k (-z)^k / (k! (1-s+k)).  Integer
-    orders n >= 1 by upward recurrence from E_1(z) = -gamma - log z -
-    sum_{k>=1} (-z)^k / (k k!).  Within 0.05 of such an n, Gamma(1-s)
-    z^{s-1} and the term k = n-1 cancel as s -> n; the pair is taken as one,
-    -(-z)^{n-1}/(n-1)! expm1(g)/eps with eps = s - n and g = eps log z +
-    log Gamma(1-eps) - sum_{j<n} log(1 + eps/j), each logarithm by its
-    series in eps.  Its eps -> 0 limit is the integer formula's (-z)^{n-1}
-    (psi(n) - log z)/(n-1)!."""
+    """E_s(z) = Gamma(1-s) z^{s-1} - sum_k (-z)^k / (k! (1-s+k)).  Within
+    0.05 of an integer n >= 1, Gamma(1-s) z^{s-1} and the term k = n-1
+    cancel as s -> n; the pair is taken as one, -(-z)^{n-1}/(n-1)!
+    expm1(eps h)/eps with eps = s - n and h = log z - log Gamma(1-eps)/eps
+    - sum_{j<n} log(1 + eps/j)/eps, each logarithm by its series in eps,
+    and -(-z)^{n-1}/(n-1)! h at eps = 0, where h = log z - psi(n)."""
     n = np.rint(s.real)
     near = (n >= 1) & (np.abs(s - n) <= _NEAR_INTEGER)
-    integer = near & (s == n)
-    near &= ~integer
-    rest = ~(integer | near)
     out = np.empty_like(z)
-    if np.any(integer):
-        zi, ni = z[integer], n[integer]
-        e = -_EULER - np.log(zi) - _power_sum(1.0, zi, 0.0)
-        ez = np.exp(-zi)
-        for m in range(1, int(ni.max())):
-            e = np.where(m < ni, (ez - zi * e) / m, e)
-        out[integer] = e
     if np.any(near):
         sn, zn, nn = s[near], z[near], n[near]
         eps = sn - nn
@@ -331,13 +319,14 @@ def _expint_series(s, z):
             lead = np.where(inside, lead * -zn / j, lead)
             harm = np.where(inside, harm + np.polyval(
                 _LOG1P_OVER_X, -eps / j) / j, harm)
-        g = eps * (np.log(zn) - np.polyval(_LOG_GAMMA_TAYLOR, -eps) - harm)
-        out[near] = -lead * np.expm1(g) / eps - _power_sum(
-            sn, zn, np.where(nn == 1, 0.0, 1.0 / (1.0 - sn)), skip=nn - 1)
-    if np.any(rest):
-        sr, zr = s[rest], z[rest]
-        out[rest] = gamma(1.0 - sr) * np.power(zr, sr - 1.0) \
-            - _power_sum(sr, zr, 1.0 / (1.0 - sr))
+        h = np.log(zn) - np.polyval(_LOG_GAMMA_TAYLOR, -eps) - harm
+        at = eps == 0.0
+        out[near] = -lead * np.where(at, h, np.expm1(eps * h) / np.where(
+            at, 1.0, eps)) - _power_sum(sn, zn, skip=nn - 1)
+    if not np.all(near):
+        sr, zr = s[~near], z[~near]
+        out[~near] = gamma(1.0 - sr) * np.power(zr, sr - 1.0) \
+            - _power_sum(sr, zr)
     return out
 
 
@@ -376,11 +365,13 @@ def expint(s, z):
     the rest, and also |z| <= 0.4 |Im s| on the imaginary axis opposite
     Im s, where the fraction converges to a wrong value; either runs only
     on a nonempty set.  For real s in [0.25, 60] and z on either axis
-    with |z| <= 60 the relative error is below 1e-13, also within 0.05 of
-    an integer order, where the series takes its cancelling pair as one
-    expression (``_expint_series``; measured against mpmath there at |s -
-    n| = 1e-12 to 0.05, n in {1, 2, 3, 4, 6, 10, 25, 60} and |z| <= 1.99
-    on both axes: within 1e-14).  Mapped against mpmath over Re(s) in
+    with |z| <= 60 the relative error is below 1.2e-13: measured against
+    mpmath at orders 0.05 to 0.5 from n = 1 ... 60, the worst is 1.15e-13
+    at E_{1.9}(1.0).  Within 0.05 of an integer order, integers included,
+    the series takes its cancelling pair as one expression
+    (``_expint_series``; measured against mpmath there at |s - n| = 0 to
+    0.05, n in {1, 2, 3, 4, 6, 10, 25, 60} and |z| <= 1.99 on both axes
+    and the real one: within 1e-14).  Mapped against mpmath over Re(s) in
     [0.25, 60], |Im s| <= 120 and |z| <= 60 on both axes, it is below
     1e-12 except where Im(s) Im(z) < 0, |Im s| >= 16 and 8 <= |z| <= 0.8
     |Im s|: there the series cancels and the fraction is off too (8e-3 at

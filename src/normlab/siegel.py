@@ -56,11 +56,6 @@ FM_CHUNK = 1 << 17  # point-coefficient pairs per Whittaker-value chunk
 
 
 @dataclass
-class SymmetryFlags:
-    hasWeyl: bool = False
-
-
-@dataclass
 class RegionSpec:
     T1: float
     eps: float
@@ -79,11 +74,12 @@ class RegionSpec:
 class ConstantFunction:
     """f == c on all of G; the closed-form oracle for region norms."""
 
+    weyl = True  # |f(xw)| = |f(x)|
+
     def __init__(self, c: float = 1.0, period: int = 1):
         self.c = c
         self.harmonics = 0  # highest harmonic of |f|^2 in t, per period
         self.period = period
-        self.flags = SymmetryFlags(hasWeyl=True)
 
     def ksq(self, avals, ts, tol=None):
         avals = np.atleast_1d(np.asarray(avals, dtype=float))
@@ -130,9 +126,10 @@ class WhittakerModel:
     partial-period t-integrals close in elementary phases.
 
     Weyl symmetry |f(xw)| = |f(x)| holds for genuine automorphic data
-    but not for an arbitrary model pair (tau, v); it is asserted by
-    flag, never derived.
-    """
+    but not for a model pair (tau, v): ``weyl`` is False unless the
+    ``assert_weyl`` keyword sets it, which only ``main2_check``, the tests
+    and perfbench's region workload pass; every Weyl path then measures
+    the symmetrized model (|f| for a <= 1, |f(xw)| for a > 1)."""
 
     def __init__(self, tau, v: SmoothVector, assert_weyl: bool = False):
         if not tau.coeffs:
@@ -141,7 +138,7 @@ class WhittakerModel:
         self.v = v
         self.period = tau.period
         self.u = complex(tau.params.u)
-        self.flags = SymmetryFlags(hasWeyl=assert_weyl)
+        self.weyl = assert_weyl
         self.ms = sorted(v.coeffs)
         self.cm = np.array([v.coeffs[m] for m in self.ms], dtype=complex)
         self.js, self.ns, self.bs = tau.coefficient_arrays()
@@ -275,8 +272,8 @@ class WhittakerModel:
 
 
 def _require_weyl(f):
-    if not f.flags.hasWeyl:
-        raise MissingSymmetry("operation requires the Weyl-symmetry flag")
+    if not f.weyl:
+        raise MissingSymmetry("operation requires a Weyl-symmetric profile")
 
 
 def _segment_edges(T1, a1, period, a_lo=A_MIN):
@@ -436,9 +433,9 @@ def region_norm_plus_weyl_exact(f, spec: RegionSpec,
 
 
 def region_norm_plus(f, spec: RegionSpec, tol: float = None) -> float:
-    """The plus-region norm: through the Weyl flip when the symmetry flag
-    is present, by direct quadrature otherwise."""
-    if f.flags.hasWeyl:
+    """The plus-region norm: through the Weyl flip when f is Weyl-symmetric
+    (``f.weyl``), by direct quadrature otherwise."""
+    if f.weyl:
         return region_norm_plus_weyl_exact(f, spec, tol)
     return region_norm_plus_direct(f, spec, tol)
 

@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -14,6 +15,8 @@ import normlab.cli as cli
 import normlab.errors as errors
 from normlab.automorphic import PeriodicDistribution
 from normlab.cli import main
+from normlab.siegel import (RegionSpec, WhittakerModel,
+                             region_norm_plus_direct)
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                       "README.md")
@@ -237,8 +240,8 @@ def test_sin_series_oracle_check_can_fail(monkeypatch, tmp_path):
     ["region-norm", "--a1", "nan"],
     ["region-norm", "--T1", "nan"],
     ["region-norm", "--a1", "inf"],
-    ["weyl-bracket", "--assert-weyl", "--a1", "nan"],
-    ["weyl-bracket", "--assert-weyl", "--T1", "nan"],
+    ["weyl-bracket", "--a1", "nan"],
+    ["weyl-bracket", "--T1", "nan"],
     ["intertwine", "--u", "nan"],
     ["eisenstein", "--N", "0"],
     ["sin-series", "--s", "nan"],
@@ -285,8 +288,8 @@ def test_sin_series_oracle_check_can_fail(monkeypatch, tmp_path):
     ["omega-norm", "--omega", "0,6.283185307179586,1,0"],
     ["omega-norm", "--omega", "6.283185307179586,0,0,1"],
     # a negative T1
-    ["region-norm", "--T1", "-1", "--side", "full", "--assert-weyl"],
-    ["weyl-bracket", "--T1", "-1", "--assert-weyl"],
+    ["region-norm", "--T1", "-1", "--side", "full"],
+    ["weyl-bracket", "--T1", "-1"],
     ["main2-scan", "--T1", "-1"],
     ["eisenstein", "--T1", "-1"],
     # the kernel runs at real u only
@@ -405,12 +408,17 @@ def test_library_input_errors_are_invalid_input(name):
 
 
 def test_every_flag_has_a_documented_type():
+    # the flags column of the type table against the parser, both ways: a
+    # flag the parser drops must leave the table, and a new one enter it
     docs = os.path.join(os.path.dirname(README), "docs", "config.md")
     with open(docs) as fh:
-        table = fh.read().split("## Parameter types", 1)[1].split("##")[0]
+        table = fh.read().split("## Parameter types", 1)[1].split("\n## ")[0]
+    named = {name for line in table.splitlines() if line.startswith("| ")
+             for name in re.findall(r"`([^`]+)`", line.split("|")[2])}
     flags = {arg for _, args in cli.SUBCOMMANDS.values()
              for arg, _, _, _ in cli._COMMON + args}
-    assert {f for f in flags if f"`{f}`" not in table} == set()
+    assert flags - named == set()
+    assert named - flags - set(cli.SUBCOMMANDS) == set()
 
 
 def _readme_commands():
@@ -477,11 +485,41 @@ def _run_json(argv, capsys):
                          + [["intertwine", "--numeric"]],
                          ids=lambda argv: " ".join(argv))
 def test_every_subcommand_runs_at_its_defaults(argv, tmp_path, capsys):
-    extra = {"weyl-bracket": ["--assert-weyl"],
+    extra = {"weyl-bracket": ["--profile", "delta"],
              "gen-coeffs": ["--out-coeffs", str(tmp_path / "c.json")]}
     code, rep, err = _run_json(argv + extra.get(argv[0], []), capsys)
     assert code == 0 and "FAIL" not in err
     assert rep["subcommand"] == argv[0]
+
+
+def test_no_flag_asserts_weyl_symmetry_of_a_model(capsys):
+    # a model's plus region is integrated directly: at a1 = 10 the
+    # Weyl-transported value of the symmetrized model would read 0.0
+    with pytest.raises(SystemExit) as exc:
+        main(["region-norm", "--assert-weyl"])
+    assert exc.value.code == 2
+    code, rep, _ = _run_json(["region-norm", "--side", "plus", "--a1", "10"],
+                             capsys)
+    p = {"model": "finite:b1=1", "u0": 0.0, "u1": 1.0, "parity": "+",
+         "m": 0}
+    model = WhittakerModel(cli._tau_from(p), cli._vector_from(p))
+    direct = region_norm_plus_direct(model, RegionSpec(1.0, 0.5, 10.0,
+                                                       "plus"))
+    assert code == 0 and rep["value"] == direct > 1.0
+    assert main(["weyl-bracket"]) == 2
+    assert "Weyl-symmetric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["main2-scan", "--eps-list", "0.5"],
+                                  ["eisenstein", "--N", "8"]])
+def test_symmetrized_lhs_is_named(argv, capsys):
+    # both integrate a model with asserted Weyl symmetry, so their lhs is
+    # not the model's own norm, and the report says so
+    code, rep, _ = _run_json(argv, capsys)
+    assert code == 0
+    assert rep["lhsFunction"] == ("Weyl-symmetrized model: |f| for a <= 1, "
+                                  "|f(xw)| for a > 1; not the model's own "
+                                  "norm")
 
 
 def test_intertwine_at_odd_integer_u_reports_zero(capsys):

@@ -207,15 +207,20 @@ def test_comp_norm_within_tol_up_to_weight_256(tol):
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-8])
 def test_comp_norm_within_tol_between_the_sweep_weights(tol):
-    # weights off the step-8 sweep above where the tanh-sinh sum on
-    # (0, 1] once settled below the level it had already transformed
-    for u in (0.5, 0.25, 0.8):
-        gpi = g_normalizer_closed(u) * math.pi
-        for weight in (120, 140, 164, 182, 198, 226, 234, 250, 252):
-            nv = comp_norm(CayleySum.ktype(weight, u), u, tol)
-            expect = abs(gpi * _mp_c2m(weight // 2, u))
-            assert nv.value == pytest.approx(expect, rel=tol, abs=0.0), \
-                (weight, u)
+    # the weights where the tanh-sinh sum on (0, 1] once settled below the
+    # level it had already transformed, at every u, and every even weight
+    # off the step-8 sweep above, at one u each in turn
+    us = (0.5, 0.25, 0.8)
+    named = (120, 140, 164, 182, 198, 226, 234, 250, 252)
+    off_grid = [w for w in range(2, 256, 2) if w % 8]
+    cases = {(w, u) for w in named for u in us}
+    cases |= {(w, us[i % 3]) for i, w in enumerate(off_grid)}
+    for weight, u in sorted(cases):
+        nv = comp_norm(CayleySum.ktype(weight, u), u, tol)
+        expect = abs(g_normalizer_closed(u) * math.pi
+                     * _mp_c2m(weight // 2, u))
+        assert nv.value == pytest.approx(expect, rel=tol, abs=0.0), \
+            (weight, u)
 
 
 def test_xi_refinement_raises_at_the_level_cap(monkeypatch):
