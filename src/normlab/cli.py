@@ -71,9 +71,11 @@ def _profile_from(p):
         return ConstantFunction(_convert("profile constant", real, c or 1.0))
     if p["profile"] == "delta":
         return CuspProfile()
-    if p["profile"] != "model":
+    if p["profile"] != "model" or "model" not in p:
+        choices = ("delta, constant[:c], or model" if "model" in p
+                   else "delta or constant[:c]")
         raise ConfigInvalid(f"unknown profile {p['profile']!r} "
-                            "(use delta, constant[:c], or model)")
+                            f"(use {choices})")
     return WhittakerModel(_tau_from(p), _vector_from(p))
 
 
@@ -457,11 +459,13 @@ _PROFILE_ARGS = _MODEL_ARGS + [
     ("profile", string, "model", "integrand: model | delta | constant[:c]"),
 ]
 
-_REGION_ARGS = _PROFILE_ARGS + [
+_CUT_ARGS = [
     ("T1", real, 1.0, "unipotent truncation"),
     ("eps", real, 0.5, "weight exponent"),
     ("a1", real, 1.0, "diagonal cutoff"),
 ]
+
+_REGION_ARGS = _PROFILE_ARGS + _CUT_ARGS
 
 SUBCOMMANDS = {
     "decompose": (cmd_decompose, [
@@ -506,7 +510,9 @@ SUBCOMMANDS = {
         ("eps", real, 0.5, "growth exponent to test")]),
     "region-norm": (cmd_region_norm, _REGION_ARGS + [
         ("side", string, "minus", "minus | plus | full")]),
-    "weyl-bracket": (cmd_weyl_bracket, _REGION_ARGS),
+    "weyl-bracket": (cmd_weyl_bracket, [
+        ("profile", string, "delta",
+         "Weyl-symmetric integrand: delta | constant[:c]")] + _CUT_ARGS),
     "main2-scan": (cmd_main2_scan, _MODEL_ARGS + [
         ("T1", real, 1.0, "unipotent truncation"),
         ("eps-list", reals, "0.5,0.25,0.125,0.0625",

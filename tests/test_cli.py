@@ -242,6 +242,7 @@ def test_sin_series_oracle_check_can_fail(monkeypatch, tmp_path):
     ["region-norm", "--a1", "inf"],
     ["weyl-bracket", "--a1", "nan"],
     ["weyl-bracket", "--T1", "nan"],
+    ["weyl-bracket", "--profile", "model"],
     ["intertwine", "--u", "nan"],
     ["eisenstein", "--N", "0"],
     ["sin-series", "--s", "nan"],
@@ -485,8 +486,7 @@ def _run_json(argv, capsys):
                          + [["intertwine", "--numeric"]],
                          ids=lambda argv: " ".join(argv))
 def test_every_subcommand_runs_at_its_defaults(argv, tmp_path, capsys):
-    extra = {"weyl-bracket": ["--profile", "delta"],
-             "gen-coeffs": ["--out-coeffs", str(tmp_path / "c.json")]}
+    extra = {"gen-coeffs": ["--out-coeffs", str(tmp_path / "c.json")]}
     code, rep, err = _run_json(argv + extra.get(argv[0], []), capsys)
     assert code == 0 and "FAIL" not in err
     assert rep["subcommand"] == argv[0]
@@ -498,16 +498,20 @@ def test_no_flag_asserts_weyl_symmetry_of_a_model(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["region-norm", "--assert-weyl"])
     assert exc.value.code == 2
-    code, rep, _ = _run_json(["region-norm", "--side", "plus", "--a1", "10"],
-                             capsys)
-    p = {"model": "finite:b1=1", "u0": 0.0, "u1": 1.0, "parity": "+",
-         "m": 0}
-    model = WhittakerModel(cli._tau_from(p), cli._vector_from(p))
-    direct = region_norm_plus_direct(model, RegionSpec(1.0, 0.5, 10.0,
-                                                       "plus"))
+    argv = ["region-norm", "--side", "plus", "--a1", "10"]
+    code, rep, _ = _run_json(argv, capsys)
+    p = cli._merge_params(cli._build_parser().parse_args(argv))
+    model = cli._profile_from(p)
+    assert isinstance(model, WhittakerModel) and not model.weyl
+    direct = region_norm_plus_direct(
+        model, RegionSpec(p["T1"], p["eps"], p["a1"], p["side"]))
     assert code == 0 and rep["value"] == direct > 1.0
-    assert main(["weyl-bracket"]) == 2
-    assert "Weyl-symmetric" in capsys.readouterr().err
+    # weyl-bracket takes no model: neither its profile nor its flags
+    assert main(["weyl-bracket", "--profile", "model"]) == 2
+    assert "use delta or constant[:c]" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["weyl-bracket", "--model", "finite:b1=1"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [["main2-scan", "--eps-list", "0.5"],

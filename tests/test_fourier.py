@@ -344,13 +344,14 @@ def test_expint_meets_1e13_on_both_axes(axis):
 @pytest.mark.parametrize("axis", [1.0, 1j, -1j])
 def test_expint_near_integer_orders(axis):
     # Gamma(1-s) z^{s-1} and the k = n-1 series term cancel as s -> n: a
-    # difference of the two lost up to 7 digits at |s - n| = 1e-8
+    # difference of the two lost up to 7 digits at |s - n| = 1e-8; e = 0,
+    # the integer order itself, is the limit of the same expression
     mpmath.mp.dps = 40
     try:
         zs = np.array([0.05, 0.5, 1.5, 1.99]) * axis
         for n in (1, 2, 3, 6):
-            for e in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2):
-                for s in (n + e, n - e):
+            for e in (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2):
+                for s in {n + e, n - e}:
                     got = expint(s, zs)
                     for z, g in zip(zs, got):
                         ref = _mp_expint(complex(s), z)
