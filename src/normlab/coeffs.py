@@ -81,12 +81,15 @@ def sigma_power(n: int, s: complex) -> complex:
 
 def zeta(s):
     """Riemann zeta at complex s with Re s > 1, elementwise, by
-    Euler-Maclaurin: the first 19 terms, the integral and end terms at
-    n = 20, and 8 Bernoulli corrections.  For Re s in [1.1, 6] and
-    |Im s| <= 10 the first omitted correction is below 1e-18, so rounding
-    (about 1e-15 relative) dominates."""
+    Euler-Maclaurin: the first n - 1 terms, the integral and end terms at
+    n = max(20, ceil(max |Im s|)), and 8 Bernoulli corrections.  With n
+    at least |Im s| the first omitted correction, about 2 |s (s+1) ...
+    (s+16)| / ((2 pi)^18 n^{Re s + 17}), is at most 2.1e-15 for Re s >=
+    1.1 (largest at |Im s| = 20), so rounding dominates: within 1e-13 of
+    mpmath for Re s in [1.1, 6] and |Im s| <= 100 (3.4e-15 at 1.1 +
+    100i).  Below |Im s| = 20, n = 20."""
     s = np.asarray(s, dtype=complex)
-    n = 20
+    n = max(20, math.ceil(np.max(np.abs(s.imag), initial=0.0)))
     total = np.sum(np.arange(1.0, n)[:, None] ** -s.ravel(), axis=0)
     total = total.reshape(s.shape) + n ** (1 - s) / (s - 1) + 0.5 * n ** -s
     rising = s  # s (s+1) ... (s+2k-2)

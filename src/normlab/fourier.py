@@ -8,6 +8,12 @@ splits at |x| = X, sums the finite part on equal panels by one gridded
 FFT, and completes both tails with the exact asymptotic series of the
 integrand written against generalized exponential integrals.  When v(-x)
 = conj v(x) (real exponents and coefficients), half the nodes suffice.
+
+A call may carry a basis of samplers (the K-types of a vector) at one set
+of frequencies: they share one panel grid, whose node values are the
+stacked columns of one FFT and one gather, and one tail sweep, whose
+chains hold every sampler's series as rows.  Each keeps its own tail
+order, its own zeros past its ``live_edge`` and its own error estimate.
 """
 
 from __future__ import annotations
@@ -141,21 +147,26 @@ def fourier_transform(v, xi: float, tol: float = None):
 def fourier_transform_batch(v, xis, tol: float = None, return_err: bool = False):
     """Vectorized F[v] over an array of frequencies, 0 past ``live_edge``.
 
-    Returns (values, max_error_estimate, meta) when return_err, else
-    values.  The estimate is the largest change of the panel sum when the
-    panels are halved, plus the tail bound and a rounding floor."""
+    ``v`` is a sampler or a list or tuple of them sharing ``xis``: a basis
+    gives one row per sampler, a single sampler ``xis.shape``.  Returns
+    (values, max_error_estimate, meta) when return_err, else values.  The
+    estimate is the largest change of the panel sum when the panels are
+    halved, plus the tail bound and a rounding floor, over the basis."""
     tol = resolve_tol(tol)
     xis = np.asarray(xis, dtype=float)
-    cs = as_cayley(v)
+    single = not isinstance(v, (list, tuple))
+    basis = [as_cayley(cs) for cs in ([v] if single else v)]
     X = _split_radius(tol)
-    J, tail_b, series = _tail_order(cs, X, tol)
-    if np.any(xis == 0.0) and cs.min_decay <= 1.0 + 1e-12:
-        raise NotIntegrable(
-            f"F[v](0) diverges: decay exponent {cs.min_decay:.3f} <= 1")
-    edge = live_edge(cs)
-    live = np.abs(xis) < edge
-    out = np.zeros(xis.shape, dtype=complex)
-    err = 0.0 if np.all(live) else max(transform_bound(cs, [edge, -edge]))
+    orders = [_tail_order(cs, X, tol) for cs in basis]
+    for cs in basis:
+        if np.any(xis == 0.0) and cs.min_decay <= 1.0 + 1e-12:
+            raise NotIntegrable(
+                f"F[v](0) diverges: decay exponent {cs.min_decay:.3f} <= 1")
+    edges = [live_edge(cs) for cs in basis]
+    live = np.abs(xis) < max(edges)
+    out = np.zeros((len(basis),) + xis.shape, dtype=complex)
+    err = max((max(transform_bound(cs, [e, -e])) for cs, e in zip(basis, edges)
+               if not np.all(np.abs(xis) < e)), default=0.0)
     # each distinct frequency once
     oms, at = np.unique(TWO_PI * xis[live], return_inverse=True)
     if oms.size:
@@ -163,15 +174,20 @@ def fourier_transform_batch(v, xis, tol: float = None, return_err: bool = False)
         # omega: the integrand always has poles at x = +-i, which caps
         # the convergence radius of wide panels
         n_panels = max(int(math.ceil(X)), int(math.ceil(2.0 * X * (
-            np.max(np.abs(oms)) + cs.max_weight + 1.0) * 3.0 / 32.0)))
-        vals, floor = _panel_core(cs, X, n_panels, oms)
+            np.max(np.abs(oms)) + max(cs.max_weight for cs in basis) + 1.0)
+            * 3.0 / 32.0)))
+        vals, floor = _panel_core(basis, X, n_panels, oms)
         if return_err:
-            gap = np.abs(vals - _panel_core(cs, X, 2 * n_panels, oms)[0])
-            err = max(err, float(np.max(gap)) + tail_b + floor)
-        # tails in one vectorized sweep across every frequency
-        up, lo = ([(s0, a[:J]) for s0, a in series[side]]
-                  for side in ("upper", "lower"))
-        out[live] = (vals + _cayley_tails(up, lo, X, oms))[at]
+            gap = np.abs(vals - _panel_core(basis, X, 2 * n_panels, oms)[0])
+            err = max(err, float(np.max(np.max(gap, axis=1) + floor + [
+                b for _, b, _ in orders])))
+        # tails in one vectorized sweep across every frequency and sampler
+        up, lo = ([[(s0, a[:J]) for s0, a in series[side]]
+                   for J, _, series in orders] for side in ("upper", "lower"))
+        out[:, live] = (vals + _cayley_tails(up, lo, X, oms))[:, at]
+        for row, e in zip(out, edges):  # each sampler's own zeros
+            row[np.abs(xis) >= e] = 0.0
+    out = out[0] if single else out
     return (out, err, {"tol": tol}) if return_err else out
 
 
@@ -181,29 +197,34 @@ def _mirrored(cs) -> bool:
                for (al, be), c in cs.terms.items())
 
 
-def _panel_core(cs, X, n, oms):
-    """sum_{k,j} gv[k, j] e^{-i om (mid_k + h x_j)} for every om, gv the
-    16-point Gauss-Legendre weights times v on n equal panels of [-X, X],
-    and the rounding floor eps (sqrt(16 n) + X max |om|) sum |gv|.  As
-    mid_k = mid_c + 2h (k - c), c = n // 2, a sum is e^{-i om mid_c} sum_j
-    e^{-i om h x_j} T_j(2 h om) in the panel sums of :func:`_panel_sums`.
-    If :func:`_mirrored`, node (k, j) mirrors (n-1-k, 15-j) with conjugate
-    gv: the sum is 2 Re of the one over j < 8, v at 8 n nodes."""
+def _panel_core(basis, X, n, oms):
+    """sum_{k,j} gv[k, j] e^{-i om (mid_k + h x_j)} for every om and every
+    sampler of ``basis``, shape (samplers, oms), gv the 16-point Gauss-
+    Legendre weights times the sampler on n equal panels of [-X, X], and
+    each sampler's rounding floor eps (sqrt(16 n) + X max |om|) sum |gv|.
+    As mid_k = mid_c + 2h (k - c), c = n // 2, a sum is e^{-i om mid_c}
+    sum_j e^{-i om h x_j} T_j(2 h om) in the panel sums of
+    :func:`_panel_sums`, which take every sampler's node values as columns
+    of one FFT.  If every sampler is :func:`_mirrored`, node (k, j) mirrors
+    (n-1-k, 15-j) with conjugate gv: the sum is 2 Re of the one over j <
+    8, each sampler at 8 n nodes."""
     x16, w16 = _gl_rule(16)
-    h, half = X / n, _mirrored(cs)
+    h, half = X / n, all(_mirrored(cs) for cs in basis)
     cols = slice(8 if half else 16)
     # exactly antisymmetric, mids[n - 1 - k] = -mids[k]
     mids = h * (2.0 * np.arange(n) + 1.0 - n)
-    gv = h * w16[cols] * cs(mids[:, None] + h * x16[cols])
-    T = _panel_sums(gv, 2.0 * h * oms)
+    gv = np.stack([h * w16[cols] * cs(mids[:, None] + h * x16[cols])
+                   for cs in basis], axis=1)
+    T = _panel_sums(gv.reshape(n, -1), 2.0 * h * oms).reshape(
+        len(oms), *gv.shape[1:])
     # the nodes are symmetric, x_{15-j} = -x_j
-    e = np.exp(-1j * h * np.outer(oms, x16[8:]))
-    low = T[:, 7::-1] * e.conj()
-    sums = np.exp(-1j * mids[n // 2] * oms) * np.sum(
-        low if half else T[:, 8:] * e + low, axis=1)
+    e = np.exp(-1j * h * np.outer(oms, x16[8:]))[:, None]
+    low = T[..., 7::-1] * e.conj()
+    sums = np.exp(-1j * mids[n // 2] * oms)[:, None] * np.sum(
+        low if half else T[..., 8:] * e + low, axis=-1)
     floor = np.finfo(float).eps * (math.sqrt(16 * n) + X * np.max(np.abs(oms)))
-    return (2.0 * sums.real if half else sums), floor * (1 + half) * np.sum(
-        np.abs(gv))
+    return (2.0 * sums.real if half else sums).T, floor * (1 + half) * np.sum(
+        np.abs(gv), axis=(0, 2))
 
 
 def _panel_sums(gv, theta):
@@ -230,10 +251,12 @@ def _panel_sums(gv, theta):
     t = np.mod(theta, TWO_PI) * (M / TWO_PI)
     m0 = np.rint(t).astype(int)
     out = np.empty((len(theta), gv.shape[1]), dtype=complex)
-    # the gather, (chunk, 16, 2 sp + 1), runs in chunks: for 20,000
-    # frequencies at once it would be 170 MB
-    for a in range(0, len(theta), 128):
-        b = slice(a, a + 128)
+    # the gather, (chunk, columns, 2 sp + 1), runs in chunks of 2048
+    # frequency-columns: for 20,000 frequencies at once, 16 columns, it
+    # would be 170 MB
+    step = max(1, 2048 // max(gv.shape[1], 16))
+    for a in range(0, len(theta), step):
+        b = slice(a, a + step)
         d = ((t[b] - m0[b])[:, None] - np.arange(-sp, sp + 1)) * (TWO_PI / M)
         w = np.exp(-d * d / (4.0 * tau))
         out[b] = (windows[(m0[b] - sp) % M] @ w[..., None])[..., 0]
@@ -242,11 +265,12 @@ def _panel_sums(gv, theta):
 
 def _chains(up, lo):
     """Merge the series (s0, a) of ``CayleySum.asymptotic_series`` of both
-    sides whose orders differ by integers: [(s0, A)], A[j, k] the
-    coefficient of |x|^{-(s0+k)} on side j (0 upper, 1 lower)."""
+    sides of every sampler, up[b] and lo[b], whose orders differ by
+    integers: [(s0, A)], A[2 b + j, k] the coefficient of |x|^{-(s0+k)} on
+    side j (0 upper, 1 lower) of sampler b."""
     chains = []
-    tagged = [(s0, a, j) for j, series in enumerate((up, lo))
-              for s0, a in series]
+    tagged = [(s0, a, 2 * b + j) for b, sides in enumerate(zip(up, lo))
+              for j, series in enumerate(sides) for s0, a in series]
     for s0, a, j in sorted(tagged, key=lambda t: t[0].real):
         for i, (c0, acc) in enumerate(chains):
             d = s0 - c0
@@ -258,24 +282,24 @@ def _chains(up, lo):
                 chains[i] = (c0, acc)
                 break
         else:
-            acc = np.zeros((2, len(a)), dtype=complex)
+            acc = np.zeros((2 * len(up), len(a)), dtype=complex)
             acc[j] = a
             chains.append((s0, acc))
     return chains
 
 
 def _cayley_tails(up, lo, X, oms):
-    r"""Asymptotic-tail contribution for every frequency at once: the sum
-    of a[n] X^{1-s} E_s(+-i om X), s = s0 + n, over the series (s0, a) of
-    ``up`` (sign +) and ``lo`` (sign -), in the form of
-    ``CayleySum.asymptotic_series``.
+    r"""Asymptotic-tail contribution for every frequency and sampler at
+    once, shape (samplers, oms): for sampler b the sum of a[n] X^{1-s}
+    E_s(+-i om X), s = s0 + n, over the series (s0, a) of ``up[b]`` (sign
+    +) and ``lo[b]`` (sign -), in the form of ``CayleySum.asymptotic_series``.
 
-    Both sides' series go into one chain per order class (orders that
-    differ by integers), and a chain runs once over the distinct points
-    t in {+om, -om} its sides need, with z = i t X: the lower side at om
-    needs the point the upper side needs at -om.  When the chain's order
-    is real, E_s(conj z) = conj E_s(z), so it runs over the distinct |t|
-    only and takes the values at t < 0 by conjugation.
+    Every sampler's series of both sides go into one chain per order class
+    (orders that differ by integers), as rows, and a chain runs once over
+    the distinct points t in {+om, -om} its rows need, with z = i t X: the
+    lower side at om needs the point the upper side needs at -om.  When
+    the chain's order is real, E_s(conj z) = conj E_s(z), so it runs over
+    the distinct |t| only and takes the values at t < 0 by conjugation.
 
     The orders s0, s0 + 1, ... of one chain obey E_{s+1}(z) = (e^{-z} -
     z E_s(z))/s (DLMF 8.19.12).  Run upward it damps errors where
@@ -283,10 +307,10 @@ def _cayley_tails(up, lo, X, oms):
     So each z is seeded at the chain order nearest |z|, all of a chain's
     seeds in one ``expint`` call with an array of orders (which raises
     AccuracyNotReached off its domain), and recurred away from it."""
-    vals = np.zeros(oms.shape, dtype=complex)
-    # the upper side needs t = +om, the lower t = -om
+    vals = np.zeros((len(up), len(oms)), dtype=complex)
+    # the upper side needs t = +om, the lower t = -om; row 2 b + side
     t = np.concatenate([oms, -oms])
-    side = np.repeat([0, 1], len(oms))
+    row = 2 * np.arange(len(up))[:, None] + np.repeat([0, 1], len(oms))
     for s0, A in _chains(up, lo):
         if not np.any(A):
             continue
@@ -294,10 +318,10 @@ def _cayley_tails(up, lo, X, oms):
         pts, at = np.unique(np.abs(t) if real else t, return_inverse=True)
         acc = _chain_tail(s0, np.concatenate([A, A.conj()]) if real else A,
                           X, 1j * (pts * X))
-        v = acc[at, side]
+        v = acc[at, row]
         if real:
-            v = np.where(t < 0, acc[at, side + 2].conj(), v)
-        vals += v[:len(oms)] + v[len(oms):]
+            v = np.where(t < 0, acc[at, row + len(A)].conj(), v)
+        vals += v[:, :len(oms)] + v[:, len(oms):]
     return vals
 
 

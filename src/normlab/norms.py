@@ -312,7 +312,8 @@ def _xi_integral(basis, rows, p, edges, signs, tol):
     its level l (the level-(l-1) nodes and the new ones of l),
     :func:`_gl_panels` from 1 to Xi = max(e_K, edge), and no nodes on a
     piece that starts past the edge.  F is linear: each basis sampler is
-    transformed once per level, every piece's nodes in one first batch.
+    transformed once per level, every piece's nodes in one first batch,
+    and every sampler in the same engine call.
 
     |Fv|^2 has about (2/pi) sqrt(2 pi w) zeros on (0,1] at K-type weight
     w, so the last piece's tanh-sinh sum there is judged by the estimate
@@ -337,8 +338,7 @@ def _xi_integral(basis, rows, p, edges, signs, tol):
     def density(x):
         # xi^p |Fv(s xi)|^2, indexed [row, sign, node]
         xs = np.concatenate([s * x for s in signs])
-        fv = np.asarray(rows) @ np.array([fourier_transform_batch(cs, xs, tol)
-                                          for cs in basis])
+        fv = np.asarray(rows) @ fourier_transform_batch(basis, xs, tol)
         dens = np.abs(fv) ** 2 * np.abs(xs) ** p
         return dens.reshape(len(rows), len(signs), len(x))
 

@@ -52,6 +52,7 @@ from .quadrature import (gauss_panels, gauss_rule, outward, resolve_tol,
 
 A_MIN = 1e-4        # declared a -> 0 cutoff of the minus region
 MAX_SEGMENTS = 2000  # floor-constant segments resolved exactly
+MAX_CAP_NODES = 1 << 26  # (a', T') nodes of the Weyl-flipped plus cap
 FM_CHUNK = 1 << 17  # point-coefficient pairs per Whittaker-value chunk
 
 
@@ -151,11 +152,11 @@ class WhittakerModel:
         return (1.0 / avals ** 2) * np.min(np.abs(self.ns)) < edge
 
     def _amplitudes(self, avals, tol):
-        """A[i_m, i_a, i_n] = Fv_m(-n a^{-2}), one transform batch per
-        K-type (which transforms each distinct a once), at ``tol``."""
-        xi = -np.outer(1.0 / avals ** 2, self.ns)
-        return np.array([fourier_transform_batch(cs, xi, tol)
-                         for cs in self.cs])
+        """A[i_m, i_a, i_n] = Fv_m(-n a^{-2}), one transform batch for
+        every K-type at once (which transforms each distinct a once per
+        K-type), at ``tol``."""
+        return fourier_transform_batch(
+            self.cs, -np.outer(1.0 / avals ** 2, self.ns), tol)
 
     def _fm(self, a_flat, t_flat, tol):
         """Per-K-type Whittaker values f_m(a n_t), shape (m, pts).  Each
@@ -406,29 +407,39 @@ def region_norm_plus_weyl_exact(f, spec: RegionSpec,
     so no sqrt-kink at a' = 1/a1 meets the quadrature.  The rectangle runs
     in b = 1/a' from a1 to infinity (``quadrature.outward``).  Exact for
     genuinely Weyl-symmetric f; for asserted symmetry it is the value the
-    symmetrized model would have."""
+    symmetrized model would have.  Its rows run in chunks of FM_CHUNK
+    nodes; OutOfRange where the cap would pass MAX_CAP_NODES nodes."""
     tol = resolve_tol(tol)
     _require_weyl(f)
     T1, a1, eps = spec.T1, spec.a1, spec.eps
     n_T = max(8, int(4 * T1) + 4)
+    if 144 * max(4, n_T // 2) * n_T > MAX_CAP_NODES:
+        raise OutOfRange(f"the Weyl-flipped cap at T1 = {T1:g} passes "
+                         f"{MAX_CAP_NODES} nodes")
     xu, wu = gauss_panels(0.0, 1.0, n_T, 12)  # unit rule for T' spans
+    step = max(1, FM_CHUNK // len(xu))
 
-    def rows(ap, Tp, w):  # broadcast to (a'-rows, T'-nodes)
-        ap, Tp, w = (x.ravel() for x in np.broadcast_arrays(ap, Tp, w))
-        w = w * (Tp ** 2 + 1.0) ** (0.5 * eps) * ap ** (-eps)
-        return float(np.sum(w * f.ksq(ap, Tp / ap ** 2, tol)))
+    def rows(ap, T0, dT, w):  # a'-rows (columns) at T' = T0 + dT xu
+        total = 0.0
+        for r in range(0, len(ap), step):
+            a, Tp, wt = (x.ravel() for x in np.broadcast_arrays(
+                ap[r:r + step], T0[r:r + step] + dT[r:r + step] * xu,
+                w[r:r + step] * wu))
+            wt = wt * (Tp ** 2 + 1.0) ** (0.5 * eps) * a ** (-eps)
+            total += float(np.sum(wt * f.ksq(a, Tp / a ** 2, tol)))
+        return total
 
     def rectangle(lo, hi):
         lg, lw = gauss_panels(math.log(lo), math.log(hi),
                               math.ceil(4 * math.log(hi / lo)), 12)
-        return rows(np.exp(-lg)[:, None], -T1 * xu[None, :],
-                    lw[:, None] * T1 * wu[None, :])
+        zero = np.zeros((len(lg), 1))
+        return rows(np.exp(-lg)[:, None], zero, zero - T1,
+                    lw[:, None] * T1)
 
     sg, sw = gauss_panels(0.0, T1, max(4, n_T // 2), 12)
     span = (T1 - sg)[:, None]
-    cap = rows(np.sqrt(1.0 + sg ** 2)[:, None] / a1,
-               -sg[:, None] - span * xu[None, :],
-               (sw * sg / (1.0 + sg ** 2))[:, None] * span * wu)
+    cap = rows(np.sqrt(1.0 + sg ** 2)[:, None] / a1, -sg[:, None], -span,
+               (sw * sg / (1.0 + sg ** 2))[:, None] * span)
     return outward(rectangle, a1, 2.0 * a1, tol) + cap
 
 

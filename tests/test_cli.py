@@ -193,6 +193,14 @@ def test_divergent_plus_region_exits_3(capsys):
                      "normlab: numerical failure: the a-integral still grows")
 
 
+def test_oversized_weyl_cap_exits_2(capsys):
+    # at T1 = 1e4 the cap would be a (240024, 480048) array
+    assert main(["region-norm", "--profile", "constant", "--side", "plus",
+                 "--eps", "-0.5", "--T1", "1e4"]) == 2
+    assert _one_line(capsys.readouterr().err,
+                     "normlab: invalid configuration: the Weyl-flipped cap")
+
+
 def test_regress_against_frozen_tables():
     assert main(["regress"]) == 0
 

@@ -106,9 +106,13 @@ def test_parse_model_spec_errors():
 
 
 def test_zeta_against_mpmath():
-    sr, si = np.meshgrid(np.linspace(1.1, 6.0, 15), np.linspace(-10, 10, 21))
+    # Re s in [1.1, 6], |Im s| <= 100; one call per Im s, so each row runs
+    # at its own number of Euler-Maclaurin terms, max(20, ceil |Im s|).
+    # With 20 terms throughout, 1.1 + 100i was 3.6e-4 off
+    sr, si = np.meshgrid(np.linspace(1.1, 6.0, 15), np.concatenate(
+        [np.linspace(-10, 10, 21), np.linspace(-100, 100, 41)]))
     s = sr + 1j * si
-    got = zeta(s)
+    got = np.array([zeta(row) for row in s])
     with mpmath.workdps(30):
         ref = np.array([complex(mpmath.zeta(mpmath.mpc(z.real, z.imag)))
                         for z in s.ravel()]).reshape(s.shape)

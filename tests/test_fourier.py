@@ -473,9 +473,11 @@ def test_panel_sums_match_their_definition(n):
 
 
 def _panel_count(cs, xis, tol):
-    # the engine's panel count for one call, sized by its live frequencies
-    live = xis[np.abs(xis) < live_edge(cs)]
-    om_max = TWO_PI * np.max(np.abs(live)) + cs.max_weight
+    # the engine's panel count for one call (of a sampler or a basis),
+    # sized by its live frequencies and its largest weight
+    basis = cs if isinstance(cs, list) else [cs]
+    live = xis[np.abs(xis) < max(live_edge(b) for b in basis)]
+    om_max = TWO_PI * np.max(np.abs(live)) + max(b.max_weight for b in basis)
     X = _split_radius(tol)
     return X, max(math.ceil(X), math.ceil(2.0 * X * (om_max + 1.0) * 3 / 32))
 
@@ -526,7 +528,7 @@ def test_gridded_panel_sum_matches_direct_sum(cs, xis, tol, n_max, wraps):
     theta = 2.0 * h * np.abs(oms)
     assert wraps == (np.max(theta) > TWO_PI > np.min(theta))
     direct = np.exp(-1j * np.outer(oms, nodes.ravel())) @ gv.ravel()
-    got = _panel_core(cs, X, n, oms)[0]
+    got = _panel_core([cs], X, n, oms)[0][0]
     assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(gv))
 
 
@@ -547,7 +549,7 @@ def test_panel_floor_bounds_the_rounding(cs, xis, tol, n_max, wraps):
         c, s = np.cos(ph), np.sin(ph)
         direct[i] = complex(float(np.sum(re * c + im * s)),
                             float(np.sum(im * c - re * s)))
-    got, floor = _panel_core(cs, X, n, oms)
+    (got,), (floor,) = _panel_core([cs], X, n, oms)
     assert floor == pytest.approx(np.finfo(float).eps * (
         math.sqrt(16 * n) + X * np.max(np.abs(oms))) * np.sum(np.abs(gv)),
         rel=1e-12)
@@ -583,19 +585,24 @@ def test_half_pass_is_anchored_at_the_grid_centre(monkeypatch, n):
     # weight 0, where the two passes otherwise agree to 1e-15 sum |gv|
     v = CayleySum.ktype(0, 0.5)
     oms = TWO_PI * np.linspace(-6.0, 6.0, 49)
-    half = _panel_core(v, 40.0, n, oms)[0]
+    half = _panel_core([v], 40.0, n, oms)[0][0]
     monkeypatch.setattr(normlab.fourier, "_mirrored", lambda cs: False)
-    full = _panel_core(v, 40.0, n, oms)[0]
+    full = _panel_core([v], 40.0, n, oms)[0][0]
     gv = _engine_panels(v, 40.0, n)[1]
     assert np.max(np.abs(half - full)) <= 2e-15 * np.sum(np.abs(gv))
 
 
 @pytest.mark.parametrize("cs,cols", [
     (CayleySum.ktype(8, 0.5), 8), (_REAL2, 8),
-    (CayleySum.ktype(8, 0.3j), 16), (_MIXED, 16)])
+    (CayleySum.ktype(8, 0.3j), 16), (_MIXED, 16),
+    ([CayleySum.ktype(8, 0.5), CayleySum.ktype(2, -0.25)], 8),
+    ([CayleySum.ktype(8, 0.5), CayleySum.ktype(8, 0.3j)], 16),
+    ([_REAL2, _MIXED], 16)])
 def test_panel_pass_node_count(monkeypatch, cs, cols):
     # a conjugate-symmetric sampler is evaluated at 8 n nodes a pass, any
-    # other at 16 n; return_err makes a second pass on 2 n panels
+    # other at 16 n; return_err makes a second pass on 2 n panels.  Each
+    # sampler of a basis is evaluated once a pass on the shared grid, at
+    # 8 n nodes only when every sampler is conjugate-symmetric
     seen = []
     original = CayleySum.__call__
 
@@ -606,11 +613,12 @@ def test_panel_pass_node_count(monkeypatch, cs, cols):
     monkeypatch.setattr(CayleySum, "__call__", counting)
     xis = np.linspace(-8.0, 8.0, 32)
     n = _panel_count(cs, xis, 1e-8)[1]
+    k = len(cs) if isinstance(cs, list) else 1
     fourier_transform_batch(cs, xis, 1e-8)
-    assert seen == [cols * n]
+    assert seen == [cols * n] * k
     seen.clear()
     fourier_transform_batch(cs, xis, 1e-8, return_err=True)
-    assert seen == [cols * n, 2 * cols * n]
+    assert seen == [cols * n] * k + [2 * cols * n] * k
 
 
 @pytest.mark.parametrize("weight", [0, 64, 128, 256])
@@ -624,7 +632,7 @@ def test_full_pass_leaves_a_real_transform_real(monkeypatch, weight):
         cs = CayleySum.ktype(weight, u)
         xis = np.linspace(-4.0, weight / TWO_PI + 4.0, 41)
         X, n = _panel_count(cs, xis, 1e-8)
-        got = _panel_core(cs, X, n, TWO_PI * xis)[0]
+        got = _panel_core([cs], X, n, TWO_PI * xis)[0][0]
         gv = _engine_panels(cs, X, n)[1]
         assert np.max(np.abs(got.imag)) <= 1e-15 * np.sum(np.abs(gv)), u
 
@@ -652,8 +660,87 @@ def test_each_distinct_frequency_is_transformed_once(monkeypatch, cs):
     up, lo = ([(s0, a[:J]) for s0, a in series[side]]
               for side in ("upper", "lower"))
     oms = TWO_PI * xis
-    assert np.array_equal(got, original(cs, X, n, oms)[0]
-                          + _cayley_tails(up, lo, X, oms))
+    assert np.array_equal(got, original([cs], X, n, oms)[0][0]
+                          + _cayley_tails([up], [lo], X, oms)[0])
+
+
+_BASIS_XIS = np.concatenate([-tanh_sinh_map(0.0, 1.0, 6)[0],
+                             np.linspace(-9.0, 9.0, 72)])
+
+
+@pytest.mark.parametrize("u,weights", [(-0.7j, (0, 2)), (0.5, (4, 6)),
+                                       (0.25, (0, 64)), (0.3j, (2, 8, 16))])
+def test_basis_rows_match_their_solo_calls(u, weights):
+    # one panel grid (sized by the basis) and one tail sweep for every
+    # sampler: each row is its sampler's own transform, to the engine's
+    # accuracy (measured up to 2.6e-14 max|F|, weight 0 beside 64; the
+    # top weight's row, on its own grid, equals its solo call)
+    basis = [CayleySum.ktype(w, u) for w in weights]
+    rows = fourier_transform_batch(basis, _BASIS_XIS, 1e-8)
+    assert rows.shape == (len(basis), len(_BASIS_XIS))
+    for cs, row in zip(basis, rows):
+        solo = fourier_transform_batch(cs, _BASIS_XIS, 1e-8)
+        assert np.max(np.abs(row - solo)) <= 1e-13 * np.max(np.abs(solo))
+
+
+@pytest.mark.parametrize("cs", [CayleySum.ktype(8, 0.5),
+                                CayleySum.ktype(6, 0.3 + 0.4j), _MIXED])
+def test_basis_of_one_is_the_single_call(cs):
+    xis = _BASIS_XIS.reshape(-1, 3)
+    vals, err, _ = fourier_transform_batch(cs, xis, 1e-8, return_err=True)
+    rows, rows_err, _ = fourier_transform_batch([cs], xis, 1e-8,
+                                                return_err=True)
+    assert rows.shape == (1,) + xis.shape
+    assert np.array_equal(rows[0], vals) and rows_err == err
+    assert np.array_equal(fourier_transform_batch((cs,), xis, 1e-8)[0], vals)
+
+
+def test_basis_rows_keep_their_own_zero_edge():
+    # weight 64 keeps the grid live far past weight 0's live_edge, where
+    # the weight-0 row is still an exact zero
+    basis = [CayleySum.ktype(0, 0.5), CayleySum.ktype(64, 0.5)]
+    e0, e64 = (live_edge(cs) for cs in basis)
+    assert e0 < 20.0 < e64
+    xis = np.linspace(-20.0, 20.0, 161)
+    rows = fourier_transform_batch(basis, xis, 1e-8)
+    dead = np.abs(xis) >= e0
+    assert dead.any() and not np.any(rows[0, dead])
+    assert np.all(rows[0, ~dead] != 0.0) and np.all(rows[1] != 0.0)
+    assert np.array_equal(rows[0], np.where(dead, 0.0, rows[0]))
+
+
+def test_basis_checks_each_sampler_for_a_divergent_zero():
+    # decay 1 + Re u: -0.25 gives 0.75, so F(0) diverges for that sampler
+    # alone, and the whole call raises
+    ok = [CayleySum.ktype(0, 0.5), CayleySum.ktype(2, 0.5)]
+    bad = [CayleySum.ktype(0, 0.5), CayleySum.ktype(2, -0.25)]
+    xis = np.array([-0.5, 0.0, 0.5])
+    assert np.all(np.isfinite(fourier_transform_batch(ok, xis, 1e-8)))
+    with pytest.raises(NotIntegrable, match="0.750"):
+        fourier_transform_batch(bad, xis, 1e-8)
+    assert np.all(np.isfinite(fourier_transform_batch(bad, xis[::2], 1e-8)))
+
+
+@pytest.mark.parametrize("u", [0.5, 0.4j])
+def test_basis_error_estimate_bounds_every_row(u):
+    # the estimate is the largest over the basis, so it bounds each row's
+    # gap to the pass on 2 n panels: the unit row's as well as that of the
+    # first sampler, whose 1e-12 coefficient makes its own estimate far
+    # smaller than the unit row's gap.  All xis are live for both
+    basis = [CayleySum.ktype(24, u, 1e-12), CayleySum.ktype(0, u)]
+    xis, tol = np.linspace(-5.0, 5.0, 56), 1e-8
+    rows, err, _ = fourier_transform_batch(basis, xis, tol, return_err=True)
+    X, n = _panel_count(basis, xis, tol)
+    orders = [_tail_order(cs, X, tol) for cs in basis]
+    up, lo = ([[(s0, a[:J]) for s0, a in series[side]]
+               for J, _, series in orders] for side in ("upper", "lower"))
+    oms = TWO_PI * xis
+    fine = _panel_core(basis, X, 2 * n, oms)[0] + _cayley_tails(up, lo, X,
+                                                               oms)
+    for cs, row, ref in zip(basis, rows, fine):
+        live = np.abs(xis) < live_edge(cs)
+        gap = np.max(np.abs(row[live] - ref[live]))
+        assert 0.0 < gap <= err
 
 
 def test_transform_memory_is_bounded():
@@ -751,7 +838,7 @@ def test_cayley_tails_weight_256_against_mpmath(tol):
     up = cs.asymptotic_series("upper", J)
     lo = cs.asymptotic_series("lower", J)
     xis = np.array([0.029, 0.0305, 0.032, -0.031])
-    got = _cayley_tails(up, lo, X, TWO_PI * xis)
+    got = _cayley_tails([up], [lo], X, TWO_PI * xis)[0]
     mpmath.mp.dps = 40
     try:
         for xi, g in zip(xis, got):
@@ -802,7 +889,7 @@ def test_paired_tails_against_mpmath(cs, xis):
     J = _tail_order(cs, X, tol)[0]
     up = cs.asymptotic_series("upper", J)
     lo = cs.asymptotic_series("lower", J)
-    got = _cayley_tails(up, lo, X, TWO_PI * xis)
+    got = _cayley_tails([up], [lo], X, TWO_PI * xis)[0]
     mpmath.mp.dps = 30
     try:
         for xi, g in zip(xis, got):

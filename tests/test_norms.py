@@ -320,12 +320,13 @@ def test_triple_norm_direct_against_closed_form(spread):
 
 def test_triple_norm_direct_transforms_each_ktype_once(monkeypatch):
     # F is linear, so the rotations share their K-types' transforms: per
-    # xi-level one engine call per K-type, all on the same nodes
+    # xi-level one engine call that carries every K-type, in weight order,
+    # on one node set
     seen = []
     original = normlab.norms.fourier_transform_batch
 
     def counting(v, xis, tol=None, return_err=False):
-        seen.append((tuple(v.terms), xis))
+        seen.append(([tuple(cs.terms) for cs in v], xis))
         return original(v, xis, tol, return_err)
 
     monkeypatch.setattr(normlab.norms, "fourier_transform_batch", counting)
@@ -334,11 +335,7 @@ def test_triple_norm_direct_transforms_each_ktype_once(monkeypatch):
     nv = triple_norm(v, 0.3, method="direct")
     ktypes = [tuple(CayleySum.ktype(m, 0.3).terms) for m in sorted(v.coeffs)]
     assert nv.meta["n_theta"] == 16
-    assert seen and len(seen) % len(ktypes) == 0
-    for i in range(0, len(seen), len(ktypes)):
-        level = seen[i:i + len(ktypes)]
-        assert [t for t, _ in level] == ktypes
-        assert all(np.array_equal(xis, level[0][1]) for _, xis in level)
+    assert seen and all(terms == ktypes for terms, _ in seen)
 
 
 def test_triple_norm_single_ktype_is_kmass_comp_norm():
@@ -390,13 +387,13 @@ def test_multiplier_map_sampler_route_matches():
 def test_comp_norm_transforms_once(monkeypatch, weight, tol, level):
     # the first transform batch holds the tanh-sinh level the weight
     # predicts and the one below it, and the xi refinement settles at the
-    # predicted level: one engine call, every transformed frequency
-    # counted in n_xi
+    # predicted level: one engine call, every transformed frequency of
+    # every sampler counted in n_xi
     seen = []
     original = normlab.norms.fourier_transform_batch
 
     def counting(v, xis, tol=None, return_err=False):
-        seen.append(len(xis))
+        seen.append(len(xis) * len(v))
         return original(v, xis, tol, return_err)
 
     monkeypatch.setattr(normlab.norms, "fourier_transform_batch", counting)

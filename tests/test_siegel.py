@@ -22,7 +22,8 @@ from normlab.siegel import (A_MIN, MAX_SEGMENTS, ConstantFunction,
                             _segment_edges, eisenstein_scenario,
                             floor_sandwich, main2_check, main_bound_check,
                             main_constant, omega_a_norm, region_norm_full,
-                            region_norm_minus, region_norm_plus_direct,
+                            region_norm_minus, region_norm_plus,
+                            region_norm_plus_direct,
                             region_norm_plus_via_weyl,
                             region_norm_plus_weyl_exact)
 
@@ -190,7 +191,7 @@ def test_ksq_transforms_each_distinct_a_once(monkeypatch):
     real = siegel.fourier_transform_batch
 
     def counting(v, xis, tol=None, **kw):
-        freqs.append(np.size(xis))
+        freqs.append(np.size(xis) * len(v))  # frequencies x K-types
         return real(v, xis, tol, **kw)
 
     monkeypatch.setattr(siegel, "fourier_transform_batch", counting)
@@ -261,7 +262,7 @@ def test_work_counts_skip_the_dead_a_nodes(monkeypatch):
     real = siegel.fourier_transform_batch
 
     def counting(v, xis, tol=None, **kw):
-        freqs.append(np.size(xis))
+        freqs.append(np.size(xis) * len(v))  # frequencies x K-types
         return real(v, xis, tol, **kw)
 
     monkeypatch.setattr(siegel, "fourier_transform_batch", counting)
@@ -271,11 +272,12 @@ def test_work_counts_skip_the_dead_a_nodes(monkeypatch):
     assert not np.any(model.value(0.4, a, 0.3))
     assert not np.any(model.cell_integral(a, 0.0, 1.0))
     assert freqs == []
-    # deterministic counts; transforming the dead nodes too took 12 calls
-    # and 197,120 frequencies, and the margin edge (max(50, 4 ln(1/tol))
-    # + w) / 2 pi 10 calls and 28,352
+    # deterministic counts, one call per a-chunk for both K-types (one
+    # per K-type made 10 calls); transforming the dead nodes too took 12
+    # single-K-type calls and 197,120 frequencies, and the margin edge
+    # (max(50, 4 ln(1/tol)) + w) / 2 pi 10 and 28,352
     main_bound_check(model, 1.0, 0.5)
-    assert (len(freqs), sum(freqs)) == (10, 19584)
+    assert (len(freqs), sum(freqs)) == (5, 19584)
 
 
 def _ktype_pair_model(spec):
@@ -675,6 +677,31 @@ def test_plus_direct_refuses_unresolved_segments():
     # more than MAX_SEGMENTS, and the model's cells there carry weight
     with pytest.raises(OutOfRange, match="floor segments"):
         region_norm_plus_direct(_model(), RegionSpec(1e4, 0.5, side="plus"))
+
+
+def test_plus_weyl_exact_cap_runs_in_chunks(monkeypatch):
+    # the cap's (6 n_T) x (12 n_T) nodes, n_T = 4 T1 + 4, run in row
+    # chunks: T1 = 30 held one 744 x 1488 array of each (peak RSS 74 MB;
+    # 1.8 GB at T1 = 200), and its value does not move with the chunking
+    import normlab.siegel as siegel
+    f, spec = ConstantFunction(1.0), RegionSpec(30.0, -0.5, side="plus")
+    assert region_norm_plus(f, spec) == pytest.approx(
+        376.9911184282518, rel=1e-14, abs=0)
+    ksq = ConstantFunction.ksq
+    sizes = []
+
+    def counting(self, avals, ts, tol=None):
+        sizes.append(np.size(avals))
+        return ksq(self, avals, ts, tol)
+
+    monkeypatch.setattr(ConstantFunction, "ksq", counting)
+    monkeypatch.setattr(siegel, "FM_CHUNK", 1 << 14)
+    assert region_norm_plus(f, spec) == pytest.approx(
+        376.9911184282518, rel=1e-14, abs=0)
+    assert max(sizes) <= 1 << 14
+    # past MAX_CAP_NODES the cap is refused before any array is built
+    with pytest.raises(OutOfRange, match="Weyl-flipped cap"):
+        region_norm_plus(f, RegionSpec(1e4, -0.5, side="plus"))
 
 
 @pytest.mark.parametrize("T", [1.0, 4.0])
