@@ -36,9 +36,8 @@ from .principal import CayleySum, ReprParams, SmoothVector, ktype_eval
 from .quadrature import resolve_tol
 from .siegel import (ConstantFunction, RegionSpec, WhittakerModel,
                      eisenstein_scenario, floor_sandwich, main2_check,
-                     omega_a_norm, region_norm_full, region_norm_minus,
-                     region_norm_plus, region_norm_plus_direct,
-                     region_norm_plus_via_weyl, region_norm_plus_weyl_exact)
+                     omega_a_norm, region_norm_minus, region_norm_plus_direct,
+                     region_norm_plus_via_weyl)
 
 TESTDATA = os.path.join(os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__)))), "testdata")
@@ -187,8 +186,7 @@ def cmd_comp_norm_scan(p, tol):
     for m in range(0, p["m_max"] + 1, 2 * p["step"]):
         nv = comp_norm(CayleySum.ktype(m, rep_u), u, tol)
         normalized = nv.value * max(m, 1) ** u
-        rows.append({"m": m, "norm_sq": nv.value, "tail": nv.tailBound,
-                     "normalized": normalized})
+        rows.append({"m": m, "norm_sq": nv.value, "normalized": normalized})
     vals = [r["normalized"] for r in rows if r["m"] > 0]
     spread = max(vals) / min(vals) if vals else 1.0
     return {"u": u, "rows": rows,
@@ -201,11 +199,13 @@ def cmd_triple_norm(p, tol):
     rep_u = complex(p["u0"], p["u1"])
     v = SmoothVector(ReprParams(rep_u, p["parity"]),
                      {m: 1.0 + 0.0j for m in p["ms"]})
-    nv = triple_norm(v, p["u"], tol)
-    return {"u": p["u"], "ms": p["ms"], "norm_sq": nv.value,
-            "tail": nv.tailBound,
-            "checks": [_flag("tail-controlled", nv.tail_ok,
-                             "declared tail below 1% of the value")]}
+    spectral = triple_norm(v, p["u"], tol).value
+    direct = triple_norm(v, p["u"], tol, "direct").value
+    rel = abs(spectral - direct) / max(abs(spectral), 1e-300)
+    return {"u": p["u"], "ms": p["ms"], "norm_sq": spectral, "direct": direct,
+            "checks": [_check("spectral-vs-direct", rel, tol,
+                              "K-type orthogonality sum equals the "
+                              "K-orbit trapezoid")]}
 
 
 def cmd_sin_series(p, tol):
@@ -283,9 +283,12 @@ def cmd_region_norm(p, tol):
             "floor-sandwich", lo - slack <= value <= hi + slack,
             "exact value lies between the floor bounds"))
     elif p["side"] == "plus":
-        report.update(value=region_norm_plus(f, spec, tol))
+        report.update(value=region_norm_plus_direct(f, spec, tol))
     else:
-        report.update(value=region_norm_full(f, spec, tol))
+        T1, eps = p["T1"], p["eps"]
+        report.update(value=region_norm_minus(f, RegionSpec(T1, eps), tol)
+                      + region_norm_plus_direct(
+                          f, RegionSpec(T1, eps, side="plus"), tol))
     return report
 
 
@@ -293,12 +296,8 @@ def cmd_weyl_bracket(p, tol):
     f = _profile_from(p)
     spec = RegionSpec(p["T1"], p["eps"], p["a1"], "plus")
     bracket = region_norm_plus_via_weyl(f, spec, tol)
-    # not region_norm_plus: for a genuinely Weyl-symmetric CuspProfile,
     # direct quadrature is a path independent of the flip the bracket uses
-    if isinstance(f, CuspProfile):
-        value = region_norm_plus_direct(f, spec, tol)
-    else:
-        value = region_norm_plus_weyl_exact(f, spec, tol)
+    value = region_norm_plus_direct(f, spec, tol)
     slack = 1e-8 * max(abs(value), 1.0)
     inside = bracket["lower"] - slack <= value <= bracket["upper"] + slack
     return {"T1": p["T1"], "eps": p["eps"], "a1": p["a1"],

@@ -149,9 +149,12 @@ def fourier_transform_batch(v, xis, tol: float = None, return_err: bool = False)
 
     ``v`` is a sampler or a list or tuple of them sharing ``xis``: a basis
     gives one row per sampler, a single sampler ``xis.shape``.  Returns
-    (values, max_error_estimate, meta) when return_err, else values.  The
-    estimate is the largest change of the panel sum when the panels are
-    halved, plus the tail bound and a rounding floor, over the basis."""
+    (values, max_error_estimate) when return_err, else values.  The
+    estimate is the largest, over the basis, of the change of the panel
+    sum when the panels are halved plus the tail bound and a rounding
+    floor, and of the dead-zone term: a sampler's ``transform_bound`` at
+    its ``live_edge`` when a frequency lies past that edge.  Only
+    return_err computes it."""
     tol = resolve_tol(tol)
     xis = np.asarray(xis, dtype=float)
     single = not isinstance(v, (list, tuple))
@@ -166,7 +169,7 @@ def fourier_transform_batch(v, xis, tol: float = None, return_err: bool = False)
     live = np.abs(xis) < max(edges)
     out = np.zeros((len(basis),) + xis.shape, dtype=complex)
     err = max((max(transform_bound(cs, [e, -e])) for cs, e in zip(basis, edges)
-               if not np.all(np.abs(xis) < e)), default=0.0)
+               if return_err and not np.all(np.abs(xis) < e)), default=0.0)
     # each distinct frequency once
     oms, at = np.unique(TWO_PI * xis[live], return_inverse=True)
     if oms.size:
@@ -188,7 +191,7 @@ def fourier_transform_batch(v, xis, tol: float = None, return_err: bool = False)
         for row, e in zip(out, edges):  # each sampler's own zeros
             row[np.abs(xis) >= e] = 0.0
     out = out[0] if single else out
-    return (out, err, {"tol": tol}) if return_err else out
+    return (out, err) if return_err else out
 
 
 def _mirrored(cs) -> bool:

@@ -35,15 +35,12 @@ _POLE_EPS = 1e-12
 
 @dataclass
 class NormValue:
-    kind: str  # C_u | triple | standard_u | kirillov
-    value: float
-    tailBound: float = 0.0
-    params: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    """A norm and its rule's record: the xi-rule's ``Xi``, ``n_xi``,
+    ``xi_level`` and ``xi_err`` (``comp_norm``), or ``n_theta`` (the
+    direct ``triple_norm``)."""
 
-    @property
-    def tail_ok(self) -> bool:
-        return self.tailBound < 0.01 * max(self.value, 1e-300)
+    value: float
+    meta: dict = field(default_factory=dict)
 
 
 def intertwine_constant(m: int, u: complex):
@@ -306,8 +303,8 @@ def _gl_panels(mw, a, b):
 def _xi_integral(basis, rows, p, edges, signs, tol):
     r"""For each row c of ``rows``, v = sum_b c_b basis[b]: the sum over s
     in ``signs`` of \int xi^p |Fv(s xi)|^2 d xi over each segment [e_k,
-    e_{k+1}] of the increasing ``edges`` and over [e_K, inf).  Returns
-    (values, tails, meta), values[r, k] by row and segment.  One rule,
+    e_{k+1}] of the increasing ``edges`` and over [e_K, inf), values[r, k]
+    by row and segment.  One rule,
     sized by :func:`_xi_grid` for the basis: tanh-sinh below xi = 1 at
     its level l (the level-(l-1) nodes and the new ones of l),
     :func:`_gl_panels` from 1 to Xi = max(e_K, edge), and no nodes on a
@@ -323,10 +320,8 @@ def _xi_integral(basis, rows, p, edges, signs, tol):
     ``_XI_MAX_LEVEL`` unsettled it raises AccuracyNotReached (``achieved``:
     the largest estimate).  ``meta`` records Xi, the transformed node
     count over the basis (``n_xi``), the final level and the largest
-    estimate (``Xi``, ``xi_level``, ``xi_err``, relative).  Past Xi the
-    engine returns exact zeros; a row's tail reads the last GL node, just
-    inside that edge, so it is at the rounding floor (0 when e_K is past
-    it).  It is not added to the values.
+    estimate (``Xi``, ``xi_level``, ``xi_err``, relative).  Returns
+    (values, meta).
     """
     # transform ~ |xi|^{d-1} near 0 when the decay exponent d < 1
     decay = min(cs.min_decay for cs in basis)
@@ -383,10 +378,8 @@ def _xi_integral(basis, rows, p, edges, signs, tol):
         n_xi += len(basis) * d[0].size
         coarse, head = head, 0.5 * head + np.array([np.sum(wn * r) for r in d])
     values[:, -1] = head + rest
-    top = np.max(dens[:, :, -1], axis=1) if Xi > lo else np.zeros(len(rows))
-    tails = top * Xi ** max(p, 0.0) / (4.0 * math.pi) * len(signs)
-    return values, tails, {
-        "Xi": Xi, "n_xi": n_xi, "xi_level": level, "xi_err": xi_err}
+    return values, {"Xi": Xi, "n_xi": n_xi, "xi_level": level,
+                    "xi_err": xi_err}
 
 
 def comp_norm(v, u: float, tol: float = None) -> NormValue:
@@ -397,9 +390,9 @@ def comp_norm(v, u: float, tol: float = None) -> NormValue:
     """
     if not (-1.0 < u < 1.0):
         raise OutOfRange(f"comp_norm needs |u| < 1, got {u}")
-    ((val,),), (tail,), meta = _xi_integral([as_cayley(v)], [[1.0]], -u,
-                                            [0.0], (1, -1), resolve_tol(tol))
-    return NormValue("C_u", val, float(tail), params={"u": u}, meta=meta)
+    ((val,),), meta = _xi_integral([as_cayley(v)], [[1.0]], -u, [0.0],
+                                   (1, -1), resolve_tol(tol))
+    return NormValue(val, meta)
 
 
 def weighted_fv_integral(v, p: float, lo: float, sign: int,
@@ -416,9 +409,7 @@ def kirillov_norm(v, u0: float, tol: float = None) -> NormValue:
     Identical to comp_norm with u = -u0 up to the sign convention."""
     if u0 >= 1.0:
         raise OutOfRange(f"kirillov_norm needs u0 < 1, got {u0}")
-    nv = comp_norm(v, -u0, tol)
-    return NormValue("kirillov", nv.value, nv.tailBound,
-                     params={"u0": u0}, meta=nv.meta)
+    return comp_norm(v, -u0, tol)
 
 
 def triple_norm(v: SmoothVector, u: float, tol: float = None,
@@ -438,28 +429,21 @@ def triple_norm(v: SmoothVector, u: float, tol: float = None,
         raise OutOfRange(f"triple_norm needs |u| < 1, got {u}")
     if method == "spectral":
         val = 0.0
-        tail = 0.0
         for m, c in v.coeffs.items():
-            nm = comp_norm(CayleySum.ktype(m, v.params.u), u, tol)
-            val += abs(c) ** 2 * K_MASS * nm.value
-            tail += abs(c) ** 2 * K_MASS * nm.tailBound
-        return NormValue("triple", val, tail,
-                         params={"u": u}, meta={"k_mass": K_MASS,
-                                                "method": method})
+            val += abs(c) ** 2 * K_MASS * comp_norm(
+                CayleySum.ktype(m, v.params.u), u, tol).value
+        return NormValue(val)
     if method == "direct":
         weights = sorted(v.coeffs) or [0]  # the zero vector: zero rows
         n_theta = 2 * (weights[-1] - weights[0]) + 4
         # row j: the K-type coefficients of v rotated by 2 pi j / n_theta
         rows = [[v.rotated(K_MASS * j / n_theta).coeffs.get(m, 0.0)
                  for m in weights] for j in range(n_theta)]
-        vals, tails, _ = _xi_integral(
+        vals, _ = _xi_integral(
             [CayleySum.ktype(m, v.params.u) for m in weights], rows, -u,
             [0.0], (1, -1), tol)
-        return NormValue("triple", float(np.sum(vals)) * K_MASS / n_theta,
-                         float(np.sum(tails)) * K_MASS / n_theta,
-                         params={"u": u}, meta={"k_mass": K_MASS,
-                                                "method": method,
-                                                "n_theta": n_theta})
+        return NormValue(float(np.sum(vals)) * K_MASS / n_theta,
+                         {"n_theta": n_theta})
     raise OutOfRange(f"unknown triple_norm method {method!r}")
 
 

@@ -75,12 +75,12 @@ class RegionSpec:
 class ConstantFunction:
     """f == c on all of G; the closed-form oracle for region norms."""
 
+    period = 1
+    harmonics = 0  # highest harmonic of |f|^2 in t, per period
     weyl = True  # |f(xw)| = |f(x)|
 
-    def __init__(self, c: float = 1.0, period: int = 1):
+    def __init__(self, c: float = 1.0):
         self.c = c
-        self.harmonics = 0  # highest harmonic of |f|^2 in t, per period
-        self.period = period
 
     def ksq(self, avals, ts, tol=None):
         avals = np.atleast_1d(np.asarray(avals, dtype=float))
@@ -306,7 +306,8 @@ def _floor_integral(f, T_lo, T_hi, a_lo, a_hi, eps, tol, kinds=("exact",),
     P is computed where fl > 0 or a bound needs it.  Batches of 64 pieces
     run top down until one adds nothing; past MAX_SEGMENTS segments the
     surrogate W/(p a^2) P, off by at most a cell a node, takes over, and
-    ``strict`` raises OutOfRange unless that is below 1e-3 tol of C's sum."""
+    ``strict`` raises OutOfRange unless that is below 1e-3 tol of C's sum
+    or |f|^2 is constant in t (``f.harmonics`` 0), where it is exact."""
     p, (T_lo, T_hi) = f.period, sorted((T_lo, T_hi))
     W = T_hi - T_lo
     lo, hi, fl = _segment_edges(W, a_hi, p, a_lo)
@@ -347,7 +348,8 @@ def _floor_integral(f, T_lo, T_hi, a_lo, a_hi, eps, tol, kinds=("exact",),
         ab = np.exp(lg)
         cell = wb * ab ** (2.0 + eps) * f.cell_integral(ab, 0.0, float(p),
                                                         tol, th=th)
-        if strict and np.sum(cell) > 1e-3 * tol * abs(vals[0]):
+        if (strict and f.harmonics  # exact where |f|^2 is constant in t
+                and np.sum(cell) > 1e-3 * tol * abs(vals[0])):
             raise OutOfRange(f"more than {MAX_SEGMENTS} floor segments "
                              f"past a = {a_lo:g} carry weight")
         x = W / (p * ab ** 2)  # smooth floor surrogate
@@ -390,7 +392,7 @@ def region_norm_plus_direct(f, spec: RegionSpec, tol: float = None) -> float:
     """Direct quadrature over the plus region {a >= a1, 0 <= T <= T1}:
     the minus region's rule from a1, carried to infinity by
     ``quadrature.outward``; OutOfRange where more than MAX_SEGMENTS floor
-    segments carry weight."""
+    segments carry weight and |f|^2 varies in t."""
     tol = resolve_tol(tol)
     return outward(lambda lo, hi: _floor_integral(
         f, 0.0, spec.T1, lo, hi, spec.eps, tol, strict=True)[0],

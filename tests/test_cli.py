@@ -15,8 +15,9 @@ import normlab.cli as cli
 import normlab.errors as errors
 from normlab.automorphic import PeriodicDistribution
 from normlab.cli import main
-from normlab.siegel import (RegionSpec, WhittakerModel,
-                             region_norm_plus_direct)
+from normlab.modular import CuspProfile
+from normlab.siegel import (ConstantFunction, RegionSpec, WhittakerModel,
+                            region_norm_plus_direct)
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                       "README.md")
@@ -194,11 +195,30 @@ def test_divergent_plus_region_exits_3(capsys):
 
 
 def test_oversized_weyl_cap_exits_2(capsys):
-    # at T1 = 1e4 the cap would be a (240024, 480048) array
-    assert main(["region-norm", "--profile", "constant", "--side", "plus",
-                 "--eps", "-0.5", "--T1", "1e4"]) == 2
+    # main2-scan's asserted model takes the Weyl-flipped path: at T1 = 1e4
+    # its cap would be a (240024, 480048) array
+    assert main(["main2-scan", "--T1", "1e4", "--eps-list", "0.5"]) == 2
     assert _one_line(capsys.readouterr().err,
                      "normlab: invalid configuration: the Weyl-flipped cap")
+
+
+@pytest.mark.parametrize("T1", ["1e3", "1e4", "1e5"])
+def test_plus_region_constant_in_t_past_max_segments(T1, capsys):
+    # |f|^2 of a constant and of the one-numerator default model does not
+    # depend on t, so the floor surrogate past MAX_SEGMENTS is exact and
+    # the plus region is T1 times its value at T1 = 1
+    code, rep, _ = _run_json(["region-norm", "--profile", "constant",
+                              "--side", "plus", "--eps", "-0.5", "--T1", T1],
+                             capsys)
+    assert code == 0
+    assert rep["value"] == pytest.approx(2.0 * math.pi * float(T1) / 0.5,
+                                         rel=1e-10, abs=0)
+    _, one, _ = _run_json(["region-norm", "--side", "plus"], capsys)
+    code, rep, _ = _run_json(["region-norm", "--side", "plus", "--T1", T1],
+                             capsys)
+    assert code == 0
+    assert rep["value"] == pytest.approx(float(T1) * one["value"], rel=1e-12,
+                                         abs=0)
 
 
 def test_regress_against_frozen_tables():
@@ -430,6 +450,20 @@ def test_every_flag_has_a_documented_type():
     assert named - flags - set(cli.SUBCOMMANDS) == set()
 
 
+def test_every_module_has_a_readme_row():
+    # the README's module table against the package, both ways: every
+    # module but __init__ has a row, and every row names a module
+    with open(README) as fh:
+        table = fh.read().split("## Layout", 1)[1].split("\n## ")[0]
+    rows = [line for line in table.splitlines() if line.startswith("|")][2:]
+    named = [re.match(r"\| `normlab\.(\w+)` *\|", line) for line in rows]
+    assert None not in named
+    pkg = os.path.dirname(normlab.__file__)
+    modules = {name[:-3] for name in os.listdir(pkg)
+               if name.endswith(".py") and name != "__init__.py"}
+    assert sorted(m[1] for m in named) == sorted(modules)
+
+
 def _readme_commands():
     with open(README) as fh:
         block = fh.read().split("## CLI", 1)[1].split("```")[1]
@@ -574,6 +608,41 @@ def test_coeff_bounds_fitted_constant(capsys):
     assert code == 0
     assert rep["fittedConstant"] == pytest.approx(np.max(S / ks ** 0.25),
                                                   rel=1e-12)
+
+
+def test_triple_norm_checks_spectral_against_direct(monkeypatch, capsys):
+    code, rep, _ = _run_json(["triple-norm"], capsys)
+    assert code == 0 and rep["ok"] is True
+    assert [c["name"] for c in rep["checks"]] == ["spectral-vs-direct"]
+    assert rep["checks"][0]["value"] <= rep["tol"]
+    original = cli.triple_norm
+
+    def raised(v, u, tol=None, method="spectral"):
+        nv = original(v, u, tol, method)
+        if method == "direct":
+            nv.value *= 1.0 + 10.0 * tol
+        return nv
+
+    monkeypatch.setattr(cli, "triple_norm", raised)
+    code, rep, _ = _run_json(["triple-norm"], capsys)
+    assert code == 1 and rep["checks"][0]["ok"] is False
+
+
+@pytest.mark.parametrize("argv,profile,want,rel", [
+    (["region-norm", "--profile", "delta", "--side", "plus", "--T1", "30",
+      "--eps", "0"], CuspProfile(), 7.214319e-4, 1e-6),
+    # 2 pi \int_1^inf a^{-1/2} da/a
+    (["weyl-bracket", "--profile", "constant", "--eps", "-0.5"],
+     ConstantFunction(1.0), 4.0 * math.pi, 1e-10),
+], ids=["region-norm-delta", "weyl-bracket-constant"])
+def test_plus_regions_take_the_direct_path(argv, profile, want, rel, capsys):
+    # every profile's plus region, a Weyl-symmetric one's too, is the
+    # direct rule: on delta at T1 = 30 the Weyl-exact path reads 7.212023e-4
+    code, rep, _ = _run_json(argv, capsys)
+    spec = RegionSpec(rep["T1"], rep["eps"], rep["a1"], "plus")
+    assert code == 0
+    assert rep["value"] == region_norm_plus_direct(profile, spec)
+    assert rep["value"] == pytest.approx(want, rel=rel)
 
 
 def test_omega_norm_delta_is_region_full(capsys):

@@ -71,8 +71,8 @@ def test_batch_matches_scalar():
 
 def test_dead_zone_returns_zero_with_bound():
     cs = CayleySum.ktype(0, 0.0)
-    vals, err, _ = fourier_transform_batch(cs, np.array([1e5, 0.5]),
-                                           return_err=True)
+    vals, err = fourier_transform_batch(cs, np.array([1e5, 0.5]),
+                                        return_err=True)
     assert vals[0] == 0.0
     assert vals[1] != 0.0
     # the analytic bound folded into the error covers the dropped value
@@ -413,11 +413,38 @@ def test_expint_mixed_orders_match_scalar_calls(axis):
     assert abs(grid[3, 4] - one) <= 1e-14 * abs(one)
 
 
+def test_dead_zone_term_only_on_request(monkeypatch):
+    # the dead-zone term, a sampler's transform_bound at its own edge when
+    # a frequency lies past it, is computed only when return_err asks
+    basis = [CayleySum.ktype(0, 0.5), CayleySum.ktype(64, 0.5)]
+    xis = np.linspace(-15.0, 15.0, 41)
+    edge = live_edge(basis[0])
+    assert edge < 15.0 < live_edge(basis[1])
+    weights = []
+    original = normlab.fourier.transform_bound
+
+    def counting(cs, x):
+        weights.append(cs.max_weight)
+        return original(cs, x)
+
+    monkeypatch.setattr(normlab.fourier, "transform_bound", counting)
+    vals = fourier_transform_batch(basis, xis, 1e-8)
+    assert weights == []
+    rows, _ = fourier_transform_batch(basis, xis, 1e-8, return_err=True)
+    assert weights == [0] and np.array_equal(rows, vals)
+    # past both edges no panel runs, and err is that term alone
+    rows, err = fourier_transform_batch(basis, [-40.0, 60.0], 1e-8,
+                                        return_err=True)
+    assert weights == [0, 0, 64] and not np.any(rows)
+    assert err == max(max(original(cs, [e, -e])) for cs, e in zip(
+        basis, map(live_edge, basis))) > 0.0
+
+
 def test_empty_inputs_give_empty_outputs():
     assert expint(2.5, np.array([])).shape == (0,)
     assert expint(np.array([[1.5], [2.5]]), np.array([])).shape == (2, 0)
-    vals, err, _ = fourier_transform_batch(CayleySum.ktype(2, 0.3),
-                                           np.array([]), return_err=True)
+    vals, err = fourier_transform_batch(CayleySum.ktype(2, 0.3),
+                                        np.array([]), return_err=True)
     assert vals.shape == (0,) and err == 0.0
 
 
@@ -429,7 +456,7 @@ def test_error_estimate_covers_bessel_oracle(u, tol):
     s = (1.0 + u) / 2.0
     cs = CayleySum.ktype(0, u)
     xis = np.array([0.01, 0.1, 0.25, 1.0, 3.0, -0.4])
-    vals, err, _ = fourier_transform_batch(cs, xis, tol, return_err=True)
+    vals, err = fourier_transform_batch(cs, xis, tol, return_err=True)
     for xi, got in zip(xis, vals):
         expect = 2.0 * mpmath.pi ** s * abs(xi) ** (s - 0.5) \
             * mpmath.besselk(s - 0.5, TWO_PI * abs(xi)) / mpmath.gamma(s)
@@ -442,7 +469,7 @@ def test_error_estimate_is_sharp(u):
     # width; the true error on these cases is about 2e-15 to 5e-15
     cs = CayleySum.ktype(0, u)
     xis = np.array([0.01, 0.1, 0.25, 1.0, 3.0, -0.4])
-    _, err, _ = fourier_transform_batch(cs, xis, 1e-10, return_err=True)
+    _, err = fourier_transform_batch(cs, xis, 1e-10, return_err=True)
     assert 0.0 < err <= 1e-11
 
 
@@ -452,7 +479,7 @@ def test_error_estimate_is_sharp(u):
     (CayleySum.ktype(184, 0.5), np.array([-1e3, -20.0, 0.02, 7.5, 31.0])),
 ])
 def test_error_estimate_leaves_values_unchanged(cs, xis):
-    vals, _, _ = fourier_transform_batch(cs, xis, 1e-8, return_err=True)
+    vals, _ = fourier_transform_batch(cs, xis, 1e-8, return_err=True)
     assert np.array_equal(vals, fourier_transform_batch(cs, xis, 1e-8))
 
 
@@ -687,9 +714,8 @@ def test_basis_rows_match_their_solo_calls(u, weights):
                                 CayleySum.ktype(6, 0.3 + 0.4j), _MIXED])
 def test_basis_of_one_is_the_single_call(cs):
     xis = _BASIS_XIS.reshape(-1, 3)
-    vals, err, _ = fourier_transform_batch(cs, xis, 1e-8, return_err=True)
-    rows, rows_err, _ = fourier_transform_batch([cs], xis, 1e-8,
-                                                return_err=True)
+    vals, err = fourier_transform_batch(cs, xis, 1e-8, return_err=True)
+    rows, rows_err = fourier_transform_batch([cs], xis, 1e-8, return_err=True)
     assert rows.shape == (1,) + xis.shape
     assert np.array_equal(rows[0], vals) and rows_err == err
     assert np.array_equal(fourier_transform_batch((cs,), xis, 1e-8)[0], vals)
@@ -729,7 +755,7 @@ def test_basis_error_estimate_bounds_every_row(u):
     # smaller than the unit row's gap.  All xis are live for both
     basis = [CayleySum.ktype(24, u, 1e-12), CayleySum.ktype(0, u)]
     xis, tol = np.linspace(-5.0, 5.0, 56), 1e-8
-    rows, err, _ = fourier_transform_batch(basis, xis, tol, return_err=True)
+    rows, err = fourier_transform_batch(basis, xis, tol, return_err=True)
     X, n = _panel_count(basis, xis, tol)
     orders = [_tail_order(cs, X, tol) for cs in basis]
     up, lo = ([[(s0, a[:J]) for s0, a in series[side]]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -15,7 +16,7 @@ from normlab.fourier import fourier_transform_batch, live_edge
 from normlab.norms import (comp_norm, g_normalizer, g_normalizer_closed,
                            intertwine_apply, intertwine_constant,
                            intertwine_pair, kirillov_norm, multiplier_map,
-                           triple_norm, weighted_fv_integral)
+                           NormValue, triple_norm, weighted_fv_integral)
 from normlab.principal import CayleySum, ReprParams, SmoothVector, ktype_eval
 from normlab.quadrature import tanh_sinh_map
 
@@ -279,10 +280,20 @@ def test_comp_norm_guards():
         comp_norm(CayleySum.ktype(0, -0.5), 0.0)
 
 
+def test_norm_values_hold_only_value_and_meta():
+    # a norm carries its value and the xi-rule's record, nothing else
+    assert [f.name for f in dataclasses.fields(NormValue)] == ["value",
+                                                               "meta"]
+    v = SmoothVector(ReprParams(0.5, "+"), {0: 1.0, 2: 0.5})
+    assert triple_norm(v, -0.25).meta == {}
+    assert triple_norm(v, -0.25, method="direct").meta == {"n_theta": 8}
+    assert set(comp_norm(CayleySum.ktype(2, 0.5), 0.25).meta) == {
+        "Xi", "n_xi", "xi_level", "xi_err"}
+
+
 def test_kirillov_is_comp_norm_with_flipped_sign():
     v = SmoothVector.single(2, 0.5j)
-    assert kirillov_norm(v, 0.25).value == pytest.approx(
-        comp_norm(v, -0.25).value, rel=1e-12)
+    assert kirillov_norm(v, 0.25).value == comp_norm(v, -0.25).value
 
 
 def test_triple_norm_spectral_vs_direct():
@@ -440,9 +451,9 @@ def test_xi_integral_past_the_zero_edge():
     # pieces past fourier.live_edge integrate the engine's exact zeros, and
     # a last edge past it leaves the tail rule without nodes
     cs = CayleySum.ktype(0, 0.5j)
-    (parts,), (tail,), _ = _xi_integral([cs], [[1.0]], 0.0,
-                                        [2.0, 50.0, 100.0], (1,), 1e-8)
-    assert parts[0] > 0.0 and list(parts[1:]) == [0.0, 0.0] and tail == 0.0
+    (parts,), _ = _xi_integral([cs], [[1.0]], 0.0, [2.0, 50.0, 100.0], (1,),
+                               1e-8)
+    assert parts[0] > 0.0 and list(parts[1:]) == [0.0, 0.0]
     assert weighted_fv_integral(cs, 0.0, 100.0, 1) == 0.0
 
 
@@ -461,7 +472,7 @@ def test_xi_integral_gives_no_nodes_past_the_zero_edge(monkeypatch):
         return original(v, xis, tol, return_err)
 
     monkeypatch.setattr(normlab.norms, "fourier_transform_batch", recording)
-    (vals,), _, meta = _xi_integral([cs], [[1.0]], -0.25, edges, (-1,), 1e-8)
+    (vals,), meta = _xi_integral([cs], [[1.0]], -0.25, edges, (-1,), 1e-8)
     # the full rule: GL panels on every piece, all from xi >= 1
     edge = live_edge(cs)
     a = np.array(edges)
@@ -481,10 +492,10 @@ def test_xi_integral_segments_add_up(weight, p):
     # [0, 0.5] and [0.5, 1] on tanh-sinh, [1, 2] on GL panels; [2, inf)
     # on the xi grid from 2, the same value as the one-edge call from 2
     cs = CayleySum.ktype(weight, 0.3j)
-    (whole,), _, _ = _xi_integral([cs], [[1.0]], p, [0.0], (1, -1), 1e-10)
-    (parts,), _, _ = _xi_integral([cs], [[1.0]], p, [0.0, 0.5, 2.0],
-                                  (1, -1), 1e-10)
-    (last,), _, _ = _xi_integral([cs], [[1.0]], p, [2.0], (1, -1), 1e-10)
+    (whole,), _ = _xi_integral([cs], [[1.0]], p, [0.0], (1, -1), 1e-10)
+    (parts,), _ = _xi_integral([cs], [[1.0]], p, [0.0, 0.5, 2.0], (1, -1),
+                               1e-10)
+    (last,), _ = _xi_integral([cs], [[1.0]], p, [2.0], (1, -1), 1e-10)
     assert len(whole) == 1 and len(parts) == 3 and len(last) == 1
     assert sum(parts) == pytest.approx(whole[0], rel=1e-10)
     assert parts[-1] == pytest.approx(last[0], rel=1e-14)
