@@ -200,8 +200,11 @@ def p0_weighted_norm(tau: PeriodicDistribution, v, a1, eps: float,
     weighted transform integral against the running coefficient sum
     (with the n <= a * a1^2 cutoff; closed boundary).
     method="geometric": direct two-dimensional quadrature of |f|^2.
+    a1 is in (0, inf]; anything else raises OutOfRange.
     """
     tol = resolve_tol(tol)
+    if not a1 > 0.0:
+        raise OutOfRange(f"p0_weighted_norm needs a1 > 0, got {a1}")
     if not tau.coeffs:
         return 0.0
     if not tau.is_finite:

@@ -152,7 +152,7 @@ def cmd_intertwine(p, tol):
         if u.imag != 0.0:
             raise OutOfRange(f"--numeric needs a real u, got --u1 {u.imag:g}")
         xs = np.linspace(-2.0, 2.0, 9)
-        av = intertwine_apply(SmoothVector.single(2 * m, u), u.real, xs, tol)
+        av = intertwine_apply(SmoothVector.single(2 * m, u), u.real, xs)
         target = ktype_eval(2 * m, -u, "+", xs)
         ratios = av / target
         spread = float(np.max(np.abs(ratios - np.mean(ratios)))

@@ -4,10 +4,11 @@ Convention (global): F[v](xi) = \int v(x) exp(-2 pi i x xi) dx.
 
 Transforms of principal-series vectors decay like (1+x^2)^{-(1+u0)/2}
 with u0 < 1, so the integral converges only conditionally.  The engine
-splits at |x| = X, sums the finite part on equal panels by one gridded
-FFT, and completes both tails with the exact asymptotic series of the
-integrand written against generalized exponential integrals.  When v(-x)
-= conj v(x) (real exponents and coefficients), half the nodes suffice.
+splits at |x| = X = 40, sums the finite part on equal panels by one
+gridded FFT, and completes both tails with the exact asymptotic series of
+the integrand written against generalized exponential integrals.  When
+v(-x) = conj v(x) (real exponents and coefficients), half the nodes
+suffice.  The rules do not depend on tol, which sets the tail order.
 
 A call may carry a basis of samplers (the K-types of a vector) at one set
 of frequencies: they share one panel grid, whose node values are the
@@ -31,10 +32,7 @@ from .quadrature import (TWO_PI, _gl_rule, expint, loggamma, resolve_tol,
                          tanh_sinh_map)
 
 
-def _split_radius(tol: float) -> float:
-    return 25.0 if tol >= 1e-6 else 40.0
-
-
+_SPLIT_RADIUS = 40.0
 _MAX_TAIL_ORDER = 60
 
 
@@ -42,8 +40,8 @@ def _tail_order(cs: CayleySum, X: float, tol: float):
     """(J, bound, series): the number of asymptotic terms to keep past
     |x| = X, the size of the first omitted ones, and each side's
     asymptotic series (``CayleySum.asymptotic_series``, long enough for
-    any J).  J starts from a tol-based floor and rises until that bound
-    is below tol times the sampler's scale.  The bound grows with the
+    any J).  J starts at 10 at every tol and rises until that bound is
+    below tol times the sampler's scale.  The bound grows with the
     K-type weight (at X = 40, J = 10: 7e-12 at weight 16, 3e-3 at weight
     128), so high weights need more terms.  The series is built once;
     the bound of each J reads its prefix.  Raises AccuracyNotReached
@@ -61,7 +59,7 @@ def _tail_order(cs: CayleySum, X: float, tol: float):
         head = sr[:, :J + 1]
         return float(np.sum(mag[:, :J + 1][head >= cs.min_decay + J - 0.5]))
 
-    J = 8 if tol >= 1e-6 else 10
+    J = 10
     scale = sum(abs(c) for c in cs.terms.values())
     b = bound(J)
     while J < _MAX_TAIL_ORDER and b > tol * scale:
@@ -159,7 +157,7 @@ def fourier_transform_batch(v, xis, tol: float = None, return_err: bool = False)
     xis = np.asarray(xis, dtype=float)
     single = not isinstance(v, (list, tuple))
     basis = [as_cayley(cs) for cs in ([v] if single else v)]
-    X = _split_radius(tol)
+    X = _SPLIT_RADIUS
     orders = [_tail_order(cs, X, tol) for cs in basis]
     for cs in basis:
         if np.any(xis == 0.0) and cs.min_decay <= 1.0 + 1e-12:

@@ -84,11 +84,11 @@ def intertwine_constant(m: int, u: complex):
     return primary
 
 
-def intertwine_apply(v, u: float, x, tol: float = None):
+def intertwine_apply(v, u: float, x):
     r"""(A_u v)(x) = \int v(y) |x-y|^{u-1} dy for u in (0,1).
 
     ``x`` may be a scalar or an array.  The singularity at y = x is
-    absorbed by Gauss-Jacobi weights; the smooth middle ranges use
+    absorbed by 24 Gauss-Jacobi weights; the smooth middle ranges use
     Gauss-Legendre panels; the tails use the binomial expansion of
     |x-y|^{u-1} against the asymptotic series of v.
     """
@@ -96,11 +96,9 @@ def intertwine_apply(v, u: float, x, tol: float = None):
         raise OutOfRange(
             f"A_u kernel integrable only for u in (0,1); got {u} "
             "(outside, the operator is defined spectrally via c_2m)")
-    tol = resolve_tol(tol)
     cs = as_cayley(v)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    n_gj = 24 if tol < 1e-6 else 16
-    tj, wj = gauss_jacobi(n_gj, 0.0, u - 1.0)
+    tj, wj = gauss_jacobi(24, 0.0, u - 1.0)
     out = np.empty(xs.shape, dtype=complex)
     # cut scales with |x| so the binomial tail ratio |x|/B stays <= ~2/3
     B = 1.5 * float(np.max(np.abs(xs))) + 41.0
@@ -208,8 +206,7 @@ def _gaussian_moment(p: float) -> float:
     return 2.0 * (inner + outer)
 
 
-def intertwine_pair(phi, psi, u: float, tol: float = None,
-                    method: str = "quadrature"):
+def intertwine_pair(phi, psi, u: float, method: str = "quadrature"):
     """(phi, psi)_u = <A_u phi, conj(psi)>, conjugate-linear in psi.
 
     method="quadrature": the x-integral of (A_u phi)(x) conj(psi(x)),
@@ -244,13 +241,13 @@ def intertwine_pair(phi, psi, u: float, tol: float = None,
 
     def both_sides(x):  # the integrand at x plus at -x, in one apply call
         xs = np.concatenate([x, -x])
-        vals = intertwine_apply(phi, u, xs, tol) * np.conj(ps(xs))
+        vals = intertwine_apply(phi, u, xs) * np.conj(ps(xs))
         return vals[:len(x)] + vals[len(x):]
 
     X = 150.0
     tail = power_tail(both_sides, X, sig[0].real - 1.0 - u)
     nx, wx = gauss_panels(-X, X, 200, 16)
-    return np.sum(wx * intertwine_apply(phi, u, nx, tol) * np.conj(ps(nx))) \
+    return np.sum(wx * intertwine_apply(phi, u, nx) * np.conj(ps(nx))) \
         + tail
 
 
@@ -270,13 +267,11 @@ def _xi_grid(basis, tol: float):
 
     The predicted level is the smallest k >= 6 (7 at tol < 1e-8) whose
     rule, 2^(k+1) + 1 nodes, has 16 per zero of |Fv|^2 on (0, 1] and 16
-    more (at tol >= 1e-6, 13.25 and 25, as levels 7 and 8 settle there
-    from weights 24 and 120 on): there are about (2/pi) sqrt(2 pi mw) such
-    zeros at weight mw.  It is capped at ``_XI_MAX_LEVEL``.
+    more: there are about (2/pi) sqrt(2 pi mw) such zeros at weight mw.
+    It is capped at ``_XI_MAX_LEVEL``.
     """
     mw = max(cs.max_weight for cs in basis)
-    per, more = (13.25, 1.9) if tol >= 1e-6 else (16.0, 1.0)
-    need = math.ceil(per * (2.0 / math.pi * math.sqrt(TWO_PI * mw) + more))
+    need = math.ceil(16.0 * (2.0 / math.pi * math.sqrt(TWO_PI * mw) + 1.0))
     return (min(max(6 if tol >= 1e-8 else 7, (need - 1).bit_length() - 1),
                 _XI_MAX_LEVEL), max(live_edge(cs) for cs in basis))
 
@@ -399,6 +394,8 @@ def weighted_fv_integral(v, p: float, lo: float, sign: int,
                          tol: float = None) -> float:
     r"""\int_lo^infty a^p |Fv(sign * a)|^2 da by :func:`_xi_integral`, the
     rule of comp_norm on one half-line."""
+    if sign not in (1, -1):
+        raise OutOfRange(f"weighted_fv_integral needs sign +-1, got {sign}")
     return _xi_integral([as_cayley(v)], [[1.0]], p, [lo], (sign,),
                         resolve_tol(tol))[0][0, 0]
 
@@ -407,8 +404,8 @@ def kirillov_norm(v, u0: float, tol: float = None) -> NormValue:
     r"""\int |a|^{u0} |Fv(a)|^2 da -- the discrete-series bound surrogate.
 
     Identical to comp_norm with u = -u0 up to the sign convention."""
-    if u0 >= 1.0:
-        raise OutOfRange(f"kirillov_norm needs u0 < 1, got {u0}")
+    if not (-1.0 < u0 < 1.0):
+        raise OutOfRange(f"kirillov_norm needs |u0| < 1, got {u0}")
     return comp_norm(v, -u0, tol)
 
 

@@ -10,7 +10,8 @@ from normlab.automorphic import (PeriodicDistribution, coeff_sum,
                                  t_average_sq, weighted_fv_integral,
                                  whittaker_eval)
 from normlab.errors import (ConstantTermPresent, DivergentIntegral,
-                            HypothesisUnverifiable, TailNotControlled)
+                            HypothesisUnverifiable, OutOfRange,
+                            TailNotControlled)
 from normlab.fourier import fourier_transform
 from normlab.group import KanCoords
 from normlab.principal import ReprParams, SmoothVector
@@ -187,6 +188,20 @@ def test_monotone_in_a1():
     vals = [p0_weighted_norm(tau, v, a1, 0.5) for a1 in (0.5, 1.0, 2.0, 4.0)]
     for lo, hi in zip(vals, vals[1:]):
         assert lo <= hi * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("a1", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda tau, v, a1: p0_weighted_norm(tau, v, a1, 0.5, method="spectral"),
+    lambda tau, v, a1: p0_weighted_norm(tau, v, a1, 0.5, method="geometric"),
+    lambda tau, v, a1: l2p_bound_check(tau, v, -0.5, a1),
+], ids=["spectral", "geometric", "l2p"])
+def test_p0_refuses_a1_out_of_range(call, a1):
+    # a1 is in (0, inf]: at a1 = -1 the spectral cutoff n <= a a1^2 gave
+    # the a1 = 1 value, and the geometric rule took the log of a1
+    tau = _tau({1: 1.0, 2: 0.5, -3: 0.25})
+    with pytest.raises(OutOfRange, match="a1 > 0"):
+        call(tau, _v(0), a1)
 
 
 def test_infinite_model_refused():

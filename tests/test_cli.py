@@ -472,10 +472,13 @@ def _readme_commands():
 
 
 def test_readme_cli_examples_exit_0(capsys):
+    # each also at a loose tol: loosening tol must not make a documented
+    # command fail
     commands = _readme_commands()
     assert len(commands) >= 7
     for argv in commands:
         assert main(argv) == 0, argv
+        assert main(argv + ["--tol", "1e-6"]) == 0, argv
 
 
 def test_malformed_env_tol_exits_2():
@@ -511,6 +514,20 @@ def test_comp_norm_scan_past_the_tail_cap_exits_3(capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("normlab: numerical failure: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["comp-norm-scan", "--u0", "0.5", "--u1", "0", "--u", "0.5", "--m-max",
+     "600", "--step", "50"],
+    ["triple-norm", "--ms", "512", "--u0", "0.5", "--u1", "0", "--u", "0.5"],
+    ["whittaker-eval", "--m", "512", "--a", "0.5"],
+], ids=lambda argv: argv[0])
+def test_weight_512_at_a_loose_tol_exits_0(argv, tmp_path):
+    # a looser tol stops the same rules sooner, so it returns where the
+    # default does: the tail series meets tol 1e-6 at weight 512
+    out = ["--out", str(tmp_path / "r.json")]
+    for tol in ([], ["--tol", "1e-6"]):
+        assert main(argv + out + tol) == 0, tol
 
 
 def _no_constant(name):

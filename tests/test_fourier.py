@@ -16,7 +16,7 @@ from normlab.automorphic import PeriodicDistribution, whittaker_eval
 from normlab.errors import (AccuracyNotReached, NonIntegrableExponent,
                             NotIntegrable, ZeroFrequency)
 from normlab.fourier import (_cayley_tails, _panel_core, _panel_sums,
-                             _split_radius, _tail_order, fourier_transform,
+                             _SPLIT_RADIUS, _tail_order, fourier_transform,
                              fourier_transform_batch, live_edge,
                              regularized_pairing, transform_bound,
                              series_coefficient_quadrature,
@@ -499,13 +499,13 @@ def test_panel_sums_match_their_definition(n):
     assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(gv))
 
 
-def _panel_count(cs, xis, tol):
+def _panel_count(cs, xis):
     # the engine's panel count for one call (of a sampler or a basis),
     # sized by its live frequencies and its largest weight
     basis = cs if isinstance(cs, list) else [cs]
     live = xis[np.abs(xis) < max(live_edge(b) for b in basis)]
     om_max = TWO_PI * np.max(np.abs(live)) + max(b.max_weight for b in basis)
-    X = _split_radius(tol)
+    X = _SPLIT_RADIUS
     return X, max(math.ceil(X), math.ceil(2.0 * X * (om_max + 1.0) * 3 / 32))
 
 
@@ -516,8 +516,8 @@ _REAL2 = (CayleySum.ktype(6, 0.4) + CayleySum.ktype(
     4, 0.4, 0.5).times_power(1.5, 0.5))
 
 _PANEL_CASES = [
-    # 25 panels, fewer than 2 SP + 2
-    (CayleySum.ktype(0, 0.3), np.array([0.05, -0.3, 0.65]), 1e-6, 25, True),
+    # the fewest panels the engine makes, ceil(X) = 40
+    (CayleySum.ktype(0, 0.3), np.array([0.05, -0.3, 0.65]), 1e-6, 40, True),
     (CayleySum.ktype(0, -0.5), np.array([0.4]), 1e-8, 40, False),
     (CayleySum.ktype(0, 0.5), np.linspace(-6.0, 6.0, 25), 1e-10, None, True),
     (CayleySum.ktype(64, -0.5), np.linspace(-40.0, 40.0, 41), 1e-8, None,
@@ -545,7 +545,7 @@ def _engine_panels(cs, X, n):
 def test_gridded_panel_sum_matches_direct_sum(cs, xis, tol, n_max, wraps):
     # sum_{k,j} gv[k, j] e^{-i om x_kj} over the engine's panel grid, by
     # the gridded FFT and term by term
-    X, n = _panel_count(cs, xis, tol)
+    X, n = _panel_count(cs, xis)
     assert n_max is None or n <= n_max
     x16, w16 = np.polynomial.legendre.leggauss(16)
     h = X / n
@@ -565,7 +565,7 @@ def test_panel_floor_bounds_the_rounding(cs, xis, tol, n_max, wraps):
     # the gap to a term-by-term sum with long-double phases on the same
     # float nodes and gv: at weight 184 the full pass is 5.6e-14 sum |gv|
     # off, above the sqrt(16 n) term alone (5.3e-14 sum |gv|)
-    X, n = _panel_count(cs, xis, tol)
+    X, n = _panel_count(cs, xis)
     nodes, gv = _engine_panels(cs, X, n)
     oms = TWO_PI * xis
     x, g = nodes.ravel().astype(np.longdouble), gv.ravel()
@@ -593,7 +593,7 @@ def test_half_pass_admits_no_complex_sampler(weight):
     # 9e-15 sum |gv| on this real F)
     v = CayleySum.ktype(weight, 0.5)
     xis = np.linspace(-4.0, weight / TWO_PI + 4.0, 37)
-    gv = _engine_panels(v, *_panel_count(v, xis, 1e-8))[1]
+    gv = _engine_panels(v, *_panel_count(v, xis))[1]
     bound = 1e-13 * np.sum(np.abs(gv))
     fv = fourier_transform_batch(v, xis, 1e-8)
     iv = CayleySum({k: 1j * c for k, c in v.terms.items()})
@@ -639,7 +639,7 @@ def test_panel_pass_node_count(monkeypatch, cs, cols):
 
     monkeypatch.setattr(CayleySum, "__call__", counting)
     xis = np.linspace(-8.0, 8.0, 32)
-    n = _panel_count(cs, xis, 1e-8)[1]
+    n = _panel_count(cs, xis)[1]
     k = len(cs) if isinstance(cs, list) else 1
     fourier_transform_batch(cs, xis, 1e-8)
     assert seen == [cols * n] * k
@@ -658,7 +658,7 @@ def test_full_pass_leaves_a_real_transform_real(monkeypatch, weight):
     for u in (0.5, -0.75, 0.25):
         cs = CayleySum.ktype(weight, u)
         xis = np.linspace(-4.0, weight / TWO_PI + 4.0, 41)
-        X, n = _panel_count(cs, xis, 1e-8)
+        X, n = _panel_count(cs, xis)
         got = _panel_core([cs], X, n, TWO_PI * xis)[0][0]
         gv = _engine_panels(cs, X, n)[1]
         assert np.max(np.abs(got.imag)) <= 1e-15 * np.sum(np.abs(gv)), u
@@ -682,7 +682,7 @@ def test_each_distinct_frequency_is_transformed_once(monkeypatch, cs):
     monkeypatch.setattr(normlab.fourier, "_panel_core", counting)
     got = fourier_transform_batch(cs, xis, 1e-8)
     assert seen == [422]
-    X, n = _panel_count(cs, xis, 1e-8)
+    X, n = _panel_count(cs, xis)
     J, _, series = _tail_order(cs, X, 1e-8)
     up, lo = ([(s0, a[:J]) for s0, a in series[side]]
               for side in ("upper", "lower"))
@@ -756,7 +756,7 @@ def test_basis_error_estimate_bounds_every_row(u):
     basis = [CayleySum.ktype(24, u, 1e-12), CayleySum.ktype(0, u)]
     xis, tol = np.linspace(-5.0, 5.0, 56), 1e-8
     rows, err = fourier_transform_batch(basis, xis, tol, return_err=True)
-    X, n = _panel_count(basis, xis, tol)
+    X, n = _panel_count(basis, xis)
     orders = [_tail_order(cs, X, tol) for cs in basis]
     up, lo = ([[(s0, a[:J]) for s0, a in series[side]]
                for J, _, series in orders] for side in ("upper", "lower"))
@@ -852,14 +852,14 @@ def test_plain_callables_raise_type_error(call):
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-6])
 def test_cayley_tails_weight_256_against_mpmath(tol):
-    # weight 256 puts |om X| at 4.6-8 for xi near 0.03, where the tail
-    # needs E_s(z) at orders s up to 38; the same terms a[n] of order
+    # weight 256 puts |om X| at 7.3-8 for xi near 0.03, where the tail
+    # needs E_s(z) at orders s up to 30; the same terms a[n] of order
     # s0 + n summed with mpmath's E_s at 40 digits are the reference.  The
-    # terms reach 1e3 (tol 1e-8) and 1e4 (tol 1e-6) and cancel to O(1), so
+    # terms' sizes add up to about 2e3 at both tols and cancel to O(1), so
     # the bound is relative to the sum of their sizes: 5e-15 of it is
     # about 15 ulps.
     cs = CayleySum.ktype(256, -0.75)
-    X = _split_radius(tol)
+    X = _SPLIT_RADIUS
     J = _tail_order(cs, X, tol)[0]
     up = cs.asymptotic_series("upper", J)
     lo = cs.asymptotic_series("lower", J)
@@ -911,7 +911,7 @@ def test_paired_tails_against_mpmath(cs, xis):
     # or without the pairing, so the bound is 1e-14 of them; a pairing
     # fault (a wrong side, sign or conjugate) is of the size of the tail
     tol = 1e-8
-    X = _split_radius(tol)
+    X = _SPLIT_RADIUS
     J = _tail_order(cs, X, tol)[0]
     up = cs.asymptotic_series("upper", J)
     lo = cs.asymptotic_series("lower", J)
@@ -929,7 +929,7 @@ def test_paired_tails_against_mpmath(cs, xis):
 def test_tail_order_below_its_cap(w, tol, J):
     # the highest weights the tail series serves at these tols
     cs = CayleySum.ktype(w, 0.5)
-    assert _tail_order(cs, _split_radius(tol), tol)[0] == J
+    assert _tail_order(cs, _SPLIT_RADIUS, tol)[0] == J
     assert np.isfinite(comp_norm(cs, 0.5, tol).value)
 
 

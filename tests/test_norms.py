@@ -224,6 +224,21 @@ def test_comp_norm_within_tol_between_the_sweep_weights(tol):
             (weight, u)
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_comp_norm_within_tol_at_weights_480_to_680(tol):
+    # the rules are the same at every tol and a looser one only stops the
+    # tail order and the xi refinement sooner, so it returns wherever a
+    # tighter one does.  For these u the tail series meets tol within its
+    # 60 terms up to weight 736 at tol 1e-6 and 680 at 1e-8
+    for weight in range(480, 681, 40):
+        for u in (-0.75, -0.5, 0.25, 0.5, 0.8):
+            nv = comp_norm(CayleySum.ktype(weight, u), u, tol)
+            expect = abs(g_normalizer_closed(u) * math.pi
+                         * _mp_c2m(weight // 2, u))
+            assert nv.value == pytest.approx(expect, rel=tol, abs=0.0), \
+                (weight, u)
+
+
 def test_xi_refinement_raises_at_the_level_cap(monkeypatch):
     # capped at level 6, the weight-256 sum on (0, 1] is unsettled: the
     # call raises with the estimate (Q_6 - Q_5)^2 / value as ``achieved``
@@ -294,6 +309,20 @@ def test_norm_values_hold_only_value_and_meta():
 def test_kirillov_is_comp_norm_with_flipped_sign():
     v = SmoothVector.single(2, 0.5j)
     assert kirillov_norm(v, 0.25).value == comp_norm(v, -0.25).value
+
+
+@pytest.mark.parametrize("u0", [-1.0, -1.5, 1.0, math.nan])
+def test_kirillov_refuses_u0_out_of_range(u0):
+    # the error names u0, not the u = -u0 comp_norm would get
+    with pytest.raises(OutOfRange, match="kirillov_norm needs"):
+        kirillov_norm(SmoothVector.single(2, 0.5j), u0)
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2])
+def test_weighted_fv_integral_refuses_other_signs(sign):
+    # sign 0 integrated |Fv(0)|^2 over every node, sign 2 read Fv at 2 xi
+    with pytest.raises(OutOfRange, match="sign"):
+        weighted_fv_integral(CayleySum.ktype(4, 0.5), 0.0, 0.0, sign)
 
 
 def test_triple_norm_spectral_vs_direct():
@@ -394,7 +423,7 @@ def test_multiplier_map_sampler_route_matches():
 @pytest.mark.parametrize("weight, tol, level", [
     (0, 1e-8, 6), (24, 1e-8, 7), (112, 1e-8, 8), (184, 1e-8, 8),
     (256, 1e-8, 8), (0, 1e-10, 7), (60, 1e-10, 7), (24, 1e-6, 7),
-    (112, 1e-6, 7), (256, 1e-6, 8)])
+    (112, 1e-6, 8), (256, 1e-6, 8)])
 def test_comp_norm_transforms_once(monkeypatch, weight, tol, level):
     # the first transform batch holds the tanh-sinh level the weight
     # predicts and the one below it, and the xi refinement settles at the
